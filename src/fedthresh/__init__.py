@@ -22,8 +22,8 @@ from .federation import Channel, ClientState, FedConfig, Message, \
 from .harness import (ResultRow, ScenarioConfig, audit_channel,
                       build_followup_dataset, emit_report, run_scenario,
                       sweep_clients, sweep_corruption, train_model)
-from .metrics import (HAVE_FAST_SWEEP, Confusion, F1Matrix, aggregate_f1,
-                      confusion, f1, f1_curve)
+from .metrics import (Confusion, F1Matrix, aggregate_f1, confusion, f1,
+                      f1_curve)
 from .thresholds import (METHOD_DESCRIPTIONS, METHOD_TAGS, classify,
                          fed_filtered, fed_minmax, fed_mse_std, kqe,
                          local_minmax, local_simple, our_method, pot)
@@ -46,8 +46,7 @@ __all__ = [
     "ResultRow", "ScenarioConfig", "audit_channel", "build_followup_dataset",
     "emit_report", "run_scenario", "sweep_clients", "sweep_corruption",
     "train_model",
-    "HAVE_FAST_SWEEP", "Confusion", "F1Matrix", "aggregate_f1", "confusion",
-    "f1", "f1_curve",
+    "Confusion", "F1Matrix", "aggregate_f1", "confusion", "f1", "f1_curve",
     "METHOD_DESCRIPTIONS", "METHOD_TAGS", "classify", "fed_filtered",
     "fed_minmax", "fed_mse_std", "kqe", "local_minmax", "local_simple",
     "our_method", "pot",

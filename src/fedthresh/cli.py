@@ -1,21 +1,19 @@
-"""Command-line front end for training, thresholding, sweeps, and benchmarks.
+"""Command-line front end for training, thresholding, and sweeps.
 
 Exit codes: 0 success, 2 configuration problems (bad config file, unknown
 method tags, invalid values), 3 runtime failures (diverged training,
-unwritable paths, and so on). FEDTHRESH_THREADS caps worker threads.
+unwritable paths, and so on).
 """
 import functools
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import click
 
-from .benchmark import format_bench, run_bench
 from .errors import ConfigError, StageError
-from .harness import (ScenarioConfig, audit_channel, build_followup_dataset,
-                      run_scenario, sweep_clients, sweep_corruption,
-                      train_model)
+from .harness import (AUDITED_METHODS, ScenarioConfig, audit_channel,
+                      build_followup_dataset, run_scenario, sweep_clients,
+                      sweep_corruption, train_model)
 from .thresholds import METHOD_TAGS
 from .util import derive_seed
 
@@ -106,9 +104,7 @@ def threshold(config_path, seed, out_dir, methods):
     artifacts = {}
     rows = run_scenario(cfg, out_dir=out_dir, artifacts=artifacts)
     audit_channel(artifacts["channel"], cfg.num_clients, cfg.rounds,
-                  methods=[m for m in cfg.methods
-                           if m in ("our_method", "fed_mse_std",
-                                    "fed_filtered")])
+                  methods=[m for m in cfg.methods if m in AUDITED_METHODS])
     width = max(len(m) for m in cfg.methods) + 2
     click.echo(f"{'method':<{width}}{'global_f1':>10}{'threshold':>14}")
     for row in rows:
@@ -117,28 +113,6 @@ def threshold(config_path, seed, out_dir, methods):
                        f"{row.threshold:>14.6g}")
     if out_dir:
         click.echo(f"wrote artifacts to {out_dir}")
-
-
-@main.command()
-@out_option
-@click.option("--n-errors", type=int, default=200_000, show_default=True)
-@click.option("--n-candidates", type=int, default=1000, show_default=True)
-@click.option("--repeats", type=int, default=5, show_default=True)
-@_guard
-def bench(out_dir, n_errors, n_candidates, repeats):
-    """Time the F1-sweep backends against each other."""
-    results = run_bench(n_errors, n_candidates, repeats)
-    click.echo(format_bench(results))
-    if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        lines = ["backend,n_errors,n_candidates,repeats,best_ms,mean_ms"]
-        for r in results:
-            lines.append(f"{r.backend},{r.n_errors},{r.n_candidates},"
-                         f"{r.repeats},{r.best_ms!r},{r.mean_ms!r}")
-        (out / "bench.csv").write_text("\n".join(lines) + "\n",
-                                       encoding="utf-8")
-        click.echo(f"wrote {out / 'bench.csv'}")
 
 
 @main.command("sweep-clients")

@@ -291,8 +291,9 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
         for j in range(k):
             centroids[j] = points[assign == j].mean(axis=0)
         wcss = float(((points - centroids[assign]) ** 2).sum())
-        assert wcss <= prev_wcss * (1.0 + 1e-9) + 1e-12, \
-            f"within-cluster SS increased: {prev_wcss} -> {wcss}"
+        if wcss > prev_wcss * (1.0 + 1e-9) + 1e-12:
+            raise RuntimeError(
+                f"within-cluster SS increased: {prev_wcss} -> {wcss}")
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign.copy()

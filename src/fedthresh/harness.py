@@ -14,7 +14,6 @@ import hashlib
 import json
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -30,16 +29,14 @@ from .federation import Channel, ClientState, FedConfig, run_fedavg, \
     write_round_log
 from .metrics import (STAT_FEATURE_COLUMNS, Confusion, collect_stat_features,
                       confusion, correlation_matrix, f1, f1_curve)
-from .thresholds import (LOCAL_SIMPLE_METHODS, METHOD_TAGS, classify,
-                         fed_filtered, fed_minmax, fed_mse_std, kqe,
-                         local_minmax, local_simple, our_method, pot)
-from .util import derive_seed, max_threads
+from .thresholds import (METHOD_TAGS, classify, fed_filtered, fed_minmax,
+                         fed_mse_std, kqe, local_minmax, local_simple,
+                         our_method, pot)
+from .util import derive_seed
 
 # methods whose client->server traffic the privacy audit constrains to
 # fixed-size summaries and F1 vectors
 AUDITED_METHODS = ("our_method", "fed_mse_std", "fed_filtered")
-
-FEDERATED_METHODS = ("our_method", "fed_minmax", "fed_mse_std", "fed_filtered")
 
 
 @dataclass(frozen=True)
@@ -246,22 +243,11 @@ def _train(cfg: ScenarioConfig, clients, channel, round_log=None):
 def _f1_matrix(val_errors, val_labels, candidates, client_ms, channel, tag):
     """Each client's F1 vector over the candidate grid (its own errors
     never leave it; only the F1 vector is uploaded)."""
-
-    def one(i):
-        started = time.perf_counter()
-        row = f1_curve(val_errors[i], val_labels[i], candidates)
-        client_ms[i] += (time.perf_counter() - started) * 1000.0
-        return row
-
-    threads = max_threads()
-    indices = range(len(val_errors))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, indices))
-    else:
-        rows = [one(i) for i in indices]
+    rows = _timed_per_client(
+        lambda i, errors: f1_curve(errors, val_labels[i], candidates),
+        val_errors, client_ms)
     if channel is not None:
-        for i in indices:
+        for i in range(len(rows)):
             channel.record("broadcast", "candidates", len(candidates), i,
                            context=tag)
             channel.record("upload", "f1_scores", len(rows[i]), i, context=tag)

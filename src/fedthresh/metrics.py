@@ -1,11 +1,9 @@
 """F1 machinery, per-candidate sweeps, and the summary-feature dataset.
 
-f1_curve is the hot path: every threshold-search method evaluates a
-candidate grid against every client's errors. The compiled two-pointer
-sweep (_fast_sweep, Cython) is used when the extension built; the numpy
-searchsorted fallback computes the identical integer counts and the
-identical float expression, so the two backends are bit-equal. Both are
-checked against the naive per-candidate recount in the test suite.
+f1_curve sorts one client's errors once and reads every candidate's
+confusion counts off a searchsorted index into the anomaly prefix sums.
+naive_f1_curve recounts per candidate and is the test oracle it must match
+bit for bit.
 """
 import dataclasses
 from dataclasses import dataclass
@@ -14,12 +12,8 @@ import numpy as np
 
 from .errors import ConfigError
 
-try:
-    from . import _fast_sweep as _ext
-except ImportError:  # extension not built; numpy fallback
-    _ext = None
-
-HAVE_FAST_SWEEP = _ext is not None
+# no compiled sweep exists; kept because perfbench/worker.py records it
+HAVE_FAST_SWEEP = False
 
 
 @dataclass(frozen=True)
@@ -69,26 +63,16 @@ def _prepare(errors, labels):
     return sorted_errors, prefix, int(prefix[-1])
 
 
-def f1_curve(errors, labels, candidates, backend: str | None = None
-             ) -> np.ndarray:
+def f1_curve(errors, labels, candidates) -> np.ndarray:
     """F1 per candidate threshold under the strict "error > theta" rule.
 
     Sorts the errors once and sweeps the ascending candidate grid in
-    O((n + m) log n) instead of recounting per candidate. backend forces
-    "compiled" or "numpy"; the default picks compiled when available.
+    O((n + m) log n) instead of recounting per candidate.
     """
-    if backend not in (None, "compiled", "numpy"):
-        raise ConfigError(f"unknown backend {backend!r}")
-    if backend == "compiled" and _ext is None:
-        raise ConfigError("compiled sweep requested but the extension "
-                          "is not built")
     candidates = np.ascontiguousarray(candidates, dtype=np.float64).ravel()
     if candidates.size and np.any(np.diff(candidates) < 0):
         raise ConfigError("candidates must be sorted ascending")
     sorted_errors, prefix, positive = _prepare(errors, labels)
-    if _ext is not None and backend != "numpy":
-        return _ext.sweep_f1(sorted_errors, prefix.astype(np.longlong),
-                             positive, candidates)
     n = sorted_errors.size
     idx = np.searchsorted(sorted_errors, candidates, side="right")
     tp = positive - prefix[idx]
@@ -102,7 +86,7 @@ def f1_curve(errors, labels, candidates, backend: str | None = None
 
 
 def naive_f1_curve(errors, labels, candidates) -> np.ndarray:
-    """Per-candidate recount; the oracle both sweep backends must match."""
+    """Per-candidate recount; the oracle f1_curve must match."""
     errors = np.asarray(errors, dtype=np.float64).ravel()
     anoms = np.asarray(labels).ravel() != 0
     out = np.empty(len(candidates))

@@ -38,7 +38,6 @@ METHOD_DESCRIPTIONS = {
     "local_mse_std": "mean + std of normal errors",
 }
 
-LOCAL_SIMPLE_METHODS = ("iqr", "percentile", "largest_mse", "local_mse_std")
 # label-blind methods; the harness feeds them normal-only validation errors
 LABEL_BLIND_TAGS = ("kqe", "iqr", "percentile", "largest_mse", "pot",
                     "local_mse_std")

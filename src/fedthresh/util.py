@@ -1,6 +1,4 @@
-"""Small shared helpers: seeding, thread limits, integer apportionment."""
-import os
-
+"""Small shared helpers: seeding and integer apportionment."""
 import numpy as np
 
 from .errors import ConfigError
@@ -19,24 +17,6 @@ def derive_seed(*path: int) -> int:
     """Collapse a seed-tree path to one 64-bit integer seed."""
     seq = np.random.SeedSequence([int(p) for p in path])
     return int(seq.generate_state(1, dtype=np.uint64)[0])
-
-
-def max_threads() -> int:
-    """Thread budget from FEDTHRESH_THREADS, default 1.
-
-    The simulator is deterministic only when BLAS reductions are not
-    re-ordered by threading; keep the default conservative.
-    """
-    raw = os.environ.get("FEDTHRESH_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"FEDTHRESH_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ConfigError(f"FEDTHRESH_THREADS must be >= 1, got {n}")
-    return n
 
 
 def largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:

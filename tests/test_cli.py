@@ -109,19 +109,6 @@ class TestTrainCommand:
         assert (out / "partition_plan.csv").exists()
 
 
-class TestBenchCommand:
-    def test_small_bench(self, runner, tmp_path):
-        out = tmp_path / "bench_out"
-        result = runner.invoke(main, ["bench", "--n-errors", "2000",
-                                      "--n-candidates", "50",
-                                      "--repeats", "1", "--out", str(out)])
-        assert result.exit_code == 0, result.output
-        assert "numpy" in result.output
-        csv = (out / "bench.csv").read_text().splitlines()
-        assert csv[0] == "backend,n_errors,n_candidates,repeats,best_ms,mean_ms"
-        assert len(csv) >= 2
-
-
 class TestSweepCommands:
     def test_sweep_clients(self, runner, config_file, tmp_path):
         out = tmp_path / "sweep"
@@ -166,6 +153,6 @@ class TestHelp:
     def test_group_help_lists_commands(self, runner):
         result = runner.invoke(main, ["--help"])
         assert result.exit_code == 0
-        for cmd in ("train", "threshold", "bench", "sweep-clients",
+        for cmd in ("train", "threshold", "sweep-clients",
                     "sweep-corruption", "followup-dataset"):
             assert cmd in result.output
