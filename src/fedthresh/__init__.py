@@ -24,9 +24,9 @@ from .harness import (ResultRow, ScenarioConfig, audit_channel,
                       sweep_clients, sweep_corruption, train_model)
 from .metrics import (Confusion, F1Matrix, aggregate_f1, confusion, f1,
                       f1_curve)
-from .thresholds import (METHOD_DESCRIPTIONS, METHOD_TAGS, classify,
-                         fed_filtered, fed_minmax, fed_mse_std, kqe,
-                         local_minmax, local_simple, our_method, pot)
+from .thresholds import (METHOD_TAGS, classify, fed_filtered, fed_minmax,
+                         fed_mse_std, kqe, local_minmax, local_simple,
+                         our_method, pot)
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,7 @@ __all__ = [
     "emit_report", "run_scenario", "sweep_clients", "sweep_corruption",
     "train_model",
     "Confusion", "F1Matrix", "aggregate_f1", "confusion", "f1", "f1_curve",
-    "METHOD_DESCRIPTIONS", "METHOD_TAGS", "classify", "fed_filtered",
+    "METHOD_TAGS", "classify", "fed_filtered",
     "fed_minmax", "fed_mse_std", "kqe", "local_minmax", "local_simple",
     "our_method", "pot",
     "__version__",

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ConfigError, DivergedTraining
 
 MODEL_FORMAT_HEADER = "fedthresh-model v1"
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,6 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     optimizer: str = "sgd"  # "sgd" or "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.local_epochs < 1:
@@ -199,7 +197,7 @@ def train_local(model: ModelParams, data: np.ndarray, cfg: TrainConfig) -> Model
                     biases[k] -= cfg.learning_rate * gb[k]
             else:
                 step += 1
-                b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+                b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
                 corr1 = 1.0 - b1 ** step
                 corr2 = 1.0 - b2 ** step
                 for k in range(len(weights)):

@@ -11,9 +11,9 @@ from dataclasses import replace
 import click
 
 from .errors import ConfigError, StageError
-from .harness import (AUDITED_METHODS, ScenarioConfig, audit_channel,
-                      build_followup_dataset, run_scenario, sweep_clients,
-                      sweep_corruption, train_model)
+from .harness import (ScenarioConfig, audit_channel, build_followup_dataset,
+                      run_scenario, sweep_clients, sweep_corruption,
+                      train_model)
 from .thresholds import METHOD_TAGS
 from .util import derive_seed
 
@@ -103,8 +103,7 @@ def threshold(config_path, seed, out_dir, methods):
     cfg = _load(config_path, seed, methods)
     artifacts = {}
     rows = run_scenario(cfg, out_dir=out_dir, artifacts=artifacts)
-    audit_channel(artifacts["channel"], cfg.num_clients, cfg.rounds,
-                  methods=[m for m in cfg.methods if m in AUDITED_METHODS])
+    audit_channel(artifacts["channel"], cfg.num_clients, cfg.rounds)
     width = max(len(m) for m in cfg.methods) + 2
     click.echo(f"{'method':<{width}}{'global_f1':>10}{'threshold':>14}")
     for row in rows:

@@ -24,20 +24,23 @@ AGGREGATION_MODES = ("weighted", "exact_pooled")
 
 @dataclass(frozen=True)
 class ErrorSummary:
-    """Five-number summary of one client's errors for one class."""
+    """One client's five-number error summary for one class, as uploaded."""
 
     mean: float
     variance: float
     skewness: float
     kurtosis: float
     count: int
-    degenerate: bool = False
 
     def __post_init__(self):
         if self.count < 1:
             raise ConfigError(f"summary count must be >= 1, got {self.count}")
         if self.variance < 0:
             raise ConfigError(f"negative variance {self.variance}")
+
+    @property
+    def degenerate(self) -> bool:
+        return self.variance == 0.0
 
 
 @dataclass(frozen=True)
@@ -82,14 +85,14 @@ def summarize(errors) -> ErrorSummary:
         raise ConfigError("cannot summarize an empty error vector")
     if np.all(errors == errors[0]):
         # exact constant detection; the float mean of [c]*n can drift off c
-        return ErrorSummary(float(errors[0]), 0.0, 0.0, 0.0, n, degenerate=True)
+        return ErrorSummary(float(errors[0]), 0.0, 0.0, 0.0, n)
     mu = float(np.mean(errors))
     d = errors - mu
     m2 = float(np.mean(d * d))
     m3 = float(np.mean(d * d * d))
     m4 = float(np.mean(d * d * d * d))
     if m2 == 0.0:
-        return ErrorSummary(mu, 0.0, 0.0, 0.0, n, degenerate=True)
+        return ErrorSummary(mu, 0.0, 0.0, 0.0, n)
     return ErrorSummary(mu, m2, m3 / m2 ** 1.5, m4 / (m2 * m2), n)
 
 
@@ -226,21 +229,3 @@ def generate_candidates(region: OverlapRegion, n: int) -> np.ndarray:
         return np.array([region.lower])
     return np.linspace(region.lower, region.upper, n)
 
-
-def summary_to_record(client_id: int, label: str, s: ErrorSummary) -> str:
-    """CSV wire form of the only payload a client shares with the server."""
-    return (f"{client_id},{label},{s.mean!r},{s.variance!r},"
-            f"{s.skewness!r},{s.kurtosis!r},{s.count}")
-
-
-def summary_from_record(record: str):
-    """Inverse of summary_to_record; returns (client_id, label, summary)."""
-    parts = record.strip().split(",")
-    if len(parts) != 7:
-        raise ConfigError(f"summary record needs 7 fields, got {len(parts)}")
-    client_id, label = int(parts[0]), parts[1]
-    mean, variance, skewness, kurtosis = (float(p) for p in parts[2:6])
-    count = int(parts[6])
-    degenerate = variance == 0.0
-    return client_id, label, ErrorSummary(mean, variance, skewness, kurtosis,
-                                          count, degenerate=degenerate)

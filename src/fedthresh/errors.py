@@ -28,7 +28,11 @@ class NoAnomalyStatistics(ValueError):
 
 
 class InsufficientTail(ValueError):
-    """Too few exceedances above the tail quantile to fit the tail model."""
+    """Too few exceedances above quantile level u_quantile to fit a tail."""
+
+    def __init__(self, message: str, u_quantile: float):
+        self.u_quantile = u_quantile
+        super().__init__(message)
 
 
 class StageError(RuntimeError):

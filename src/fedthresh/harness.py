@@ -14,16 +14,18 @@ import hashlib
 import json
 import time
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .autoencoder import TrainConfig, mse_per_sample, save_model
-from .data import (CorruptionSpec, apply_scaler, corrupt, fit_scaler, load_csv,
-                   partition_even, partition_noniid, partition_random, split,
-                   synth, synth_blobs, write_plan)
-from .error_stats import AGGREGATION_MODES, ClassSummaries, aggregate, summarize
+from .data import (PARTITION_SCHEMES, CorruptionSpec, apply_scaler, corrupt,
+                   fit_scaler, load_csv, partition_even, partition_noniid,
+                   partition_random, split, synth, synth_blobs, write_plan)
+from .error_stats import (AGGREGATION_MODES, ClassSummaries, ErrorSummary,
+                          aggregate, summarize)
 from .errors import ConfigError, InsufficientTail, StageError
 from .federation import Channel, ClientState, FedConfig, run_fedavg, \
     write_round_log
@@ -34,9 +36,113 @@ from .thresholds import (METHOD_TAGS, classify, fed_filtered, fed_minmax,
                          our_method, pot)
 from .util import derive_seed
 
-# methods whose client->server traffic the privacy audit constrains to
-# fixed-size summaries and F1 vectors
-AUDITED_METHODS = ("our_method", "fed_mse_std", "fed_filtered")
+
+@dataclass(frozen=True)
+class Method:
+    """client(errors, labels, i, cfg, params) turns client i's validation
+    errors into its upload, of channel kind `upload`. server(uploads,
+    client_eval, cfg, params) turns the uploads, and the F1 vectors that
+    client_eval gathers for a grid, into the shared threshold; without
+    one, each client keeps its own. `params`: the method_params keys."""
+
+    client: Callable
+    upload: str
+    server: Callable | None = None
+    params: tuple = ()
+
+
+def _class_summaries(errors, labels, i, cfg, params):
+    normal = summarize(errors[labels == 0])
+    anomaly = summarize(errors[labels == 1]) if np.any(labels == 1) else None
+    return ClassSummaries(normal, anomaly)
+
+
+def _fed_minmax_server(uploads, client_eval, cfg, params):
+    lows, highs, counts = zip(*uploads)
+    return fed_minmax(min(lows), max(highs), cfg.n_candidates, client_eval,
+                      cfg.aggregation, client_counts=np.array(counts))
+
+
+def _mean_plus_std(errors, labels, i, cfg, params):
+    s = summarize(errors)
+    return s.mean + np.sqrt(s.variance)
+
+
+def _local_minmax_client(errors, labels, i, cfg, params):
+    if np.any(labels == 1):
+        return local_minmax(errors, labels, cfg.n_candidates)
+    # no anomalies: every threshold scores F1 = 0 locally; the max error
+    # at least predicts nothing falsely
+    warnings.warn(f"client {i} holds no anomalies; local_minmax falls back "
+                  "to max(errors)")
+    return float(errors.max())
+
+
+def _pot_client(errors, labels, i, cfg, params):
+    normal = errors[labels == 0]
+    try:
+        return pot(normal, **params)
+    except InsufficientTail as exc:
+        warnings.warn(f"client {i}: thin tail, pot falls back to the "
+                      f"{exc.u_quantile:.0%} percentile")
+        return local_simple("percentile", normal,
+                            {"p": exc.u_quantile * 100.0})
+
+
+def _simple(tag):
+    return lambda errors, labels, i, cfg, params: local_simple(
+        tag, errors[labels == 0], params)
+
+
+# Label-blind local methods see normal errors only. fed_minmax's extremes
+# are error samples, so it is outside the summary contract.
+METHODS = {
+    "our_method": Method(_class_summaries, "summary_stats",
+                         lambda uploads, client_eval, cfg, _: our_method(
+                             uploads, client_eval, cfg.n_candidates,
+                             cfg.aggregation, cfg.formula_mode, cfg.refine)),
+    "fed_minmax": Method(lambda errors, *_: (float(errors.min()),
+                                             float(errors.max()), errors.size),
+                         "error_range", _fed_minmax_server),
+    "fed_mse_std": Method(lambda errors, *_: summarize(errors), "summary_stats",
+                          lambda uploads, *_: fed_mse_std(uploads)),
+    "fed_filtered": Method(_mean_plus_std, "summary_stats",
+                           lambda uploads, _, cfg, params:
+                           fed_filtered(uploads, **params), ("z_cut",)),
+    "local_minmax": Method(_local_minmax_client, "local_threshold"),
+    "kqe": Method(lambda errors, labels, i, cfg, params:
+                  kqe(errors[labels == 0], **params), "local_threshold",
+                  params=("q", "bandwidth")),
+    "iqr": Method(_simple("iqr"), "local_threshold"),
+    "percentile": Method(_simple("percentile"), "local_threshold",
+                         params=("p",)),
+    "largest_mse": Method(_simple("largest_mse"), "local_threshold"),
+    "pot": Method(_pot_client, "local_threshold",
+                  params=("u_quantile", "risk")),
+    "local_mse_std": Method(_simple("local_mse_std"), "local_threshold"),
+}
+
+# the summary protocol, whose uploads audit_channel checks
+AUDITED_METHODS = tuple(tag for tag, m in METHODS.items()
+                        if m.upload == "summary_stats")
+
+
+def _method_kwargs(tag, given) -> dict:
+    """One method's method_params as keyword arguments, coerced by float()."""
+    if tag not in METHODS:
+        raise ConfigError(f"method_params: unknown method {tag!r}")
+    if not isinstance(given, dict):
+        raise ConfigError(f"method_params[{tag!r}] must be a mapping")
+    unknown = sorted(set(given) - set(METHODS[tag].params))
+    if unknown:
+        raise ConfigError(f"method_params[{tag!r}]: unknown keys {unknown}; "
+                          f"{tag} takes {list(METHODS[tag].params)}")
+    try:
+        return {key: None if value is None else float(value)
+                for key, value in given.items()}
+    except (TypeError, ValueError):
+        raise ConfigError(f"method_params[{tag!r}] values must be numbers, "
+                          f"got {given!r}") from None
 
 
 @dataclass(frozen=True)
@@ -76,7 +182,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if not isinstance(self.dataset, dict) or "kind" not in self.dataset:
             raise ConfigError("dataset must be a mapping with a 'kind' key")
-        if self.scheme not in ("even", "noniid_kmeans", "random"):
+        if self.scheme not in PARTITION_SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         object.__setattr__(self, "methods", tuple(self.methods))
         unknown = set(self.methods) - set(METHOD_TAGS)
@@ -97,6 +203,15 @@ class ScenarioConfig:
             object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         object.__setattr__(self, "corrupt_client_ids",
                            tuple(int(c) for c in self.corrupt_client_ids))
+        outside = [c for c in self.corrupt_client_ids
+                   if not 0 <= c < self.num_clients]
+        if outside:
+            raise ConfigError(f"corrupt_client_ids {outside} outside "
+                              f"[0, {self.num_clients})")
+        if not isinstance(self.method_params, dict):
+            raise ConfigError("method_params must be a mapping")
+        for tag, given in self.method_params.items():
+            _method_kwargs(tag, given)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -219,11 +334,10 @@ def build_client_states(plan, train_ds, val_ds, test_ds):
     return clients
 
 
-def _apply_corruption(cfg: ScenarioConfig, clients, corrupt_ids=None):
-    ids = cfg.corrupt_client_ids if corrupt_ids is None else corrupt_ids
-    if not ids:
+def _apply_corruption(cfg: ScenarioConfig, clients):
+    if not cfg.corrupt_client_ids:
         return clients
-    spec = CorruptionSpec(frozenset(int(i) for i in ids),
+    spec = CorruptionSpec(frozenset(cfg.corrupt_client_ids),
                           cfg.noise_sigma_scale)
     return [corrupt(c, spec, cfg.corruption_seed) for c in clients]
 
@@ -240,140 +354,58 @@ def _train(cfg: ScenarioConfig, clients, channel, round_log=None):
     return run_fedavg(clients, fed_cfg, channel=channel, round_log=round_log)
 
 
-def _f1_matrix(val_errors, val_labels, candidates, client_ms, channel, tag):
-    """Each client's F1 vector over the candidate grid (its own errors
-    never leave it; only the F1 vector is uploaded)."""
-    rows = _timed_per_client(
-        lambda i, errors: f1_curve(errors, val_labels[i], candidates),
-        val_errors, client_ms)
-    if channel is not None:
-        for i in range(len(rows)):
-            channel.record("broadcast", "candidates", len(candidates), i,
-                           context=tag)
-            channel.record("upload", "f1_scores", len(rows[i]), i, context=tag)
-    return np.vstack(rows)
-
-
-def _timed_per_client(fn, items, client_ms):
+def _timed_per_client(fn, client_ms):
     out = []
-    for i, item in enumerate(items):
+    for i in range(len(client_ms)):
         started = time.perf_counter()
-        out.append(fn(i, item))
+        out.append(fn(i))
         client_ms[i] += (time.perf_counter() - started) * 1000.0
     return out
 
 
-def _compute_method(tag, cfg, val_errors, val_labels, channel,
+def _wire(payload) -> list:
+    """What one upload puts on the wire, one entry per message: the fields
+    of each ErrorSummary it holds, else the payload itself."""
+    if isinstance(payload, ClassSummaries):
+        return [tuple(vars(s).values())
+                for s in (payload.normal, payload.anomaly) if s is not None]
+    return [tuple(vars(payload).values()) if isinstance(payload, ErrorSummary)
+            else payload]
+
+
+def _compute_method(tag, cfg, val_errors, val_labels, channel: Channel,
                     artifacts=None) -> MethodResult:
-    """Run one threshold method's full client/server choreography."""
-    n_clients = len(val_errors)
-    params = dict(cfg.method_params.get(tag, {}))
-    client_ms = [0.0] * n_clients
+    """Run one method: every client step, each upload logged at its
+    measured size, then the server step on the uploads alone."""
+    method = METHODS[tag]
+    params = _method_kwargs(tag, cfg.method_params.get(tag, {}))
+    client_ms = [0.0] * len(val_errors)
     started = time.perf_counter()
 
-    def upload(kind, size, cid):
-        if channel is not None:
-            channel.record("upload", kind, size, cid, context=tag)
+    def send(direction, kind, payload, cid):
+        channel.record(direction, kind, np.size(payload), cid, context=tag)
 
-    if tag == "our_method":
-        def summarize_client(i, _):
-            errs, labels = val_errors[i], val_labels[i]
-            normal = summarize(errs[labels == 0])
-            anomaly = summarize(errs[labels == 1]) if np.any(labels == 1) \
-                else None
-            return ClassSummaries(normal, anomaly)
+    uploads = _timed_per_client(lambda i: method.client(
+        val_errors[i], val_labels[i], i, cfg, params), client_ms)
+    for i, payload in enumerate(uploads):
+        for part in _wire(payload):
+            send("upload", method.upload, part, i)
 
-        class_summaries = _timed_per_client(summarize_client,
-                                            range(n_clients), client_ms)
-        for i, cs in enumerate(class_summaries):
-            upload("summary_stats", 5, i)
-            if cs.anomaly is not None:
-                upload("summary_stats", 5, i)
+    def client_eval(candidates):
+        rows = _timed_per_client(lambda i: f1_curve(
+            val_errors[i], val_labels[i], candidates), client_ms)
+        for i, row in enumerate(rows):
+            send("broadcast", "candidates", candidates, i)
+            send("upload", "f1_scores", row, i)
+        return np.vstack(rows)
 
-        def client_eval(candidates):
-            return _f1_matrix(val_errors, val_labels, candidates, client_ms,
-                              channel, tag)
-
-        theta = our_method(class_summaries, client_eval, cfg.n_candidates,
-                           cfg.aggregation, cfg.formula_mode, cfg.refine)
-        if artifacts is not None:
-            artifacts["class_summaries"] = class_summaries
-            artifacts["global_normal"] = aggregate(
-                [cs.normal for cs in class_summaries], cfg.formula_mode)
-            artifacts["global_anomaly"] = aggregate(
-                [cs.anomaly for cs in class_summaries if cs.anomaly],
-                cfg.formula_mode)
-        thetas = [theta] * n_clients
-
-    elif tag == "fed_minmax":
-        spans = _timed_per_client(
-            lambda i, _: (float(val_errors[i].min()), float(val_errors[i].max())),
-            range(n_clients), client_ms)
-        for i in range(n_clients):
-            upload("summary_stats", 2, i)
-        counts = np.array([len(e) for e in val_errors])
-
-        def client_eval(candidates):
-            return _f1_matrix(val_errors, val_labels, candidates, client_ms,
-                              channel, tag)
-
-        theta = fed_minmax(min(s[0] for s in spans), max(s[1] for s in spans),
-                           cfg.n_candidates, client_eval, cfg.aggregation,
-                           client_counts=counts)
-        thetas = [theta] * n_clients
-
-    elif tag == "fed_mse_std":
-        summaries = _timed_per_client(lambda i, _: summarize(val_errors[i]),
-                                      range(n_clients), client_ms)
-        for i in range(n_clients):
-            upload("summary_stats", 5, i)
-        theta = fed_mse_std(summaries)
-        thetas = [theta] * n_clients
-
-    elif tag == "fed_filtered":
-        local_ts = _timed_per_client(
-            lambda i, _: (lambda s: s.mean + np.sqrt(s.variance))(
-                summarize(val_errors[i])),
-            range(n_clients), client_ms)
-        for i in range(n_clients):
-            upload("summary_stats", 1, i)
-        theta = fed_filtered(local_ts, z_cut=float(params.get("z_cut", 1.5)))
-        thetas = [theta] * n_clients
-
+    if method.server is None:  # local: the global row reports the mean
+        theta, thetas = float(np.mean(uploads)), uploads
     else:
-        # purely local methods: thresholds are computed client-side; only
-        # the final scalar reaches the server, for reporting
-        def local_theta(i, _):
-            errs, labels = val_errors[i], val_labels[i]
-            normal_errs = errs[labels == 0]
-            if tag == "local_minmax":
-                if np.any(labels == 1):
-                    return local_minmax(errs, labels, cfg.n_candidates)
-                # no anomalies: every threshold scores F1 = 0 locally; the
-                # max error at least predicts nothing falsely
-                warnings.warn(f"client {i} holds no anomalies; local_minmax "
-                              "falls back to max(errors)")
-                return float(errs.max())
-            if tag == "kqe":
-                return kqe(normal_errs, q=float(params.get("q", 0.99)),
-                           bandwidth=params.get("bandwidth"))
-            if tag == "pot":
-                u_q = float(params.get("u_quantile", 0.98))
-                try:
-                    return pot(normal_errs, u_quantile=u_q,
-                               risk=float(params.get("risk", 1e-3)))
-                except InsufficientTail:
-                    warnings.warn(f"client {i}: thin tail, pot falls back to "
-                                  f"the {u_q:.0%} percentile")
-                    return local_simple("percentile", normal_errs,
-                                        {"p": u_q * 100.0})
-            return local_simple(tag, normal_errs, params)
-
-        thetas = _timed_per_client(local_theta, range(n_clients), client_ms)
-        for i in range(n_clients):
-            upload("local_threshold", 1, i)
-        theta = float(np.mean(thetas))
-
+        theta = method.server(uploads, client_eval, cfg, params)
+        thetas = [theta] * len(uploads)
+    if artifacts is not None:
+        artifacts.setdefault("uploads", {})[tag] = uploads
     global_ms = (time.perf_counter() - started) * 1000.0
     return MethodResult(tag, float(theta), [float(t) for t in thetas],
                         global_ms, client_ms)
@@ -441,7 +473,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, artifacts=None):
 
     Any failure surfaces as StageError naming the stage; nothing is
     written unless every stage succeeded. Pass a dict as `artifacts` to
-    receive internals (model, channel, plan, summaries) for auditing.
+    receive internals (model, channel, plan, clients, round log, and each
+    method's client uploads under "uploads") for auditing.
     """
     _, plan, clients = _prepare_clients(cfg)
     clients = _stage("corrupt", _apply_corruption, cfg, clients)
@@ -636,10 +669,15 @@ def build_followup_dataset(base_cfg: ScenarioConfig, num_runs: int,
         fed_f1 = {r.client_id: r.f1 for r in rows if r.method == "our_method"}
         local_f1 = {r.client_id: r.f1 for r in rows
                     if r.method == "local_minmax"}
-        for i, cs in enumerate(artifacts["class_summaries"]):
+        summaries = artifacts["uploads"]["our_method"]
+        global_normal = aggregate([cs.normal for cs in summaries],
+                                  cfg.formula_mode)
+        global_anomaly = aggregate([cs.anomaly for cs in summaries
+                                    if cs.anomaly], cfg.formula_mode)
+        for i, cs in enumerate(summaries):
             feature_rows.append(collect_stat_features(
-                cs, artifacts["global_normal"], artifacts["global_anomaly"],
-                local_f1[str(i)], fed_f1[str(i)]))
+                cs, global_normal, global_anomaly, local_f1[str(i)],
+                fed_f1[str(i)]))
     corr, constant = correlation_matrix(feature_rows)
     if out_dir is not None:
         out = Path(out_dir)

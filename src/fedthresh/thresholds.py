@@ -18,29 +18,11 @@ from .errors import ConfigError, InsufficientTail, NoAnomalyStatistics
 from .error_stats import aggregate, generate_candidates, overlap_region
 from .metrics import F1Matrix, aggregate_f1, f1_curve
 
-# registry consumed by the CLI --method flag and the scenario runner
+# the tags of harness.METHODS, which runs each method, in report order
 METHOD_TAGS = (
     "our_method", "fed_minmax", "fed_mse_std", "fed_filtered", "local_minmax",
     "kqe", "iqr", "percentile", "largest_mse", "pot", "local_mse_std",
 )
-
-METHOD_DESCRIPTIONS = {
-    "our_method": "summary-statistics overlap region + federated F1 search",
-    "fed_minmax": "federated F1 search between global min/max errors",
-    "fed_mse_std": "mean over clients of (mean + std) of mixed errors",
-    "fed_filtered": "max of z-filtered per-client (mean + std) thresholds",
-    "local_minmax": "local F1 search between local min/max errors",
-    "kqe": "kernel-smoothed quantile of normal errors",
-    "iqr": "Q3 + 1.5 IQR of normal errors",
-    "percentile": "percentile of normal errors (default p=99)",
-    "largest_mse": "max normal error",
-    "pot": "peaks-over-threshold tail fit on normal errors",
-    "local_mse_std": "mean + std of normal errors",
-}
-
-# label-blind methods; the harness feeds them normal-only validation errors
-LABEL_BLIND_TAGS = ("kqe", "iqr", "percentile", "largest_mse", "pot",
-                    "local_mse_std")
 
 
 def our_method(client_class_summaries, client_eval, n: int = 1000,
@@ -214,7 +196,8 @@ def pot(errors, u_quantile: float = 0.98, risk: float = 1e-3) -> float:
     n_u = exceed.size
     if n_u < 8:
         raise InsufficientTail(
-            f"{n_u} exceedances above the {u_quantile} quantile; need >= 8")
+            f"{n_u} exceedances above the {u_quantile} quantile; need >= 8",
+            u_quantile)
     m = float(exceed.mean())
     v = float(exceed.var())
     if v == 0.0:

@@ -4,15 +4,6 @@ import numpy as np
 from .errors import ConfigError
 
 
-def rng_for(*path: int) -> np.random.Generator:
-    """Generator for a node in the seed tree.
-
-    Same path, same stream. Used so that per-round and per-client streams
-    are independent but reproducible from a single base seed.
-    """
-    return np.random.default_rng(np.random.SeedSequence(list(path)))
-
-
 def derive_seed(*path: int) -> int:
     """Collapse a seed-tree path to one 64-bit integer seed."""
     seq = np.random.SeedSequence([int(p) for p in path])

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from fedthresh.error_stats import (AGGREGATION_MODES, ErrorSummary,
                                    GlobalSummary, OverlapRegion, aggregate,
                                    generate_candidates, overlap_region,
-                                   summarize, summary_from_record,
-                                   summary_to_record)
+                                   summarize)
 from fedthresh.errors import ConfigError
 
 
@@ -202,16 +201,6 @@ def test_generate_candidates():
     with pytest.warns(UserWarning):
         singleton = generate_candidates(OverlapRegion(2.0, 2.0, True), 5)
     assert np.array_equal(singleton, [2.0])
-
-
-def test_summary_record_roundtrip():
-    s = summarize(np.array([0.5, 1.5, 2.5, 9.0]))
-    record = summary_to_record(3, "normal", s)
-    client_id, label, back = summary_from_record(record)
-    assert (client_id, label) == (3, "normal")
-    assert back.mean == s.mean and back.variance == s.variance
-    assert back.skewness == s.skewness and back.kurtosis == s.kurtosis
-    assert back.count == s.count
 
 
 def test_error_summary_validation():

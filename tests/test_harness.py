@@ -8,7 +8,8 @@ from conftest import make_config
 from fedthresh.autoencoder import MODEL_FORMAT_HEADER, load_model
 from fedthresh.errors import ConfigError, StageError
 from fedthresh.federation import Channel
-from fedthresh.harness import (AUDITED_METHODS, ScenarioConfig, audit_channel,
+from fedthresh.harness import (AUDITED_METHODS, METHODS, Method,
+                               ScenarioConfig, _compute_method, audit_channel,
                                build_followup_dataset, emit_report,
                                run_scenario, sweep_clients, sweep_corruption,
                                train_model)
@@ -52,6 +53,20 @@ class TestScenarioConfig:
             make_config(n_candidates=1)
         with pytest.raises(ConfigError, match="num_clients"):
             make_config(num_clients=0)
+        with pytest.raises(ConfigError, match=r"corrupt_client_ids \[99\]"):
+            make_config(num_clients=3, corrupt_client_ids=[99])
+        with pytest.raises(ConfigError, match=r"corrupt_client_ids \[-1\]"):
+            make_config(corrupt_client_ids=[-1])
+        with pytest.raises(ConfigError, match="'q'"):
+            make_config(method_params={"percentile": {"q": 50}})
+        with pytest.raises(ConfigError, match="'zcut'"):
+            make_config(method_params={"fed_filtered": {"zcut": 0.01}})
+        with pytest.raises(ConfigError, match="'nonsense'"):
+            make_config(method_params={"nonsense": {"q": 1}})
+        with pytest.raises(ConfigError, match="numbers.*'risk'"):
+            make_config(method_params={"pot": {"risk": "tiny"}})
+        # float() coercion as before; None keeps kqe's default bandwidth
+        make_config(method_params={"kqe": {"q": "0.9", "bandwidth": None}})
 
     def test_from_dict_rejects_unknown_keys(self):
         raw = make_config().to_dict()
@@ -151,10 +166,12 @@ class TestRunScenario:
         rows = run_scenario(small_config, artifacts=artifacts)
         assert rows
         for key in ("model", "channel", "plan", "clients", "round_log",
-                    "class_summaries", "global_normal", "global_anomaly"):
+                    "uploads"):
             assert key in artifacts, key
         assert len(artifacts["clients"]) == small_config.num_clients
-        assert len(artifacts["class_summaries"]) == small_config.num_clients
+        assert set(artifacts["uploads"]) == set(small_config.methods)
+        assert len(artifacts["uploads"]["our_method"]) == \
+            small_config.num_clients
         assert len(artifacts["round_log"]) == \
             small_config.rounds * small_config.num_clients
         audit_channel(artifacts["channel"], small_config.num_clients,
@@ -217,6 +234,58 @@ class TestAuditChannel:
         fill_fedavg(channel, 2, 1)
         channel.record("upload", "local_threshold", 1, 0, context="kqe")
         audit_channel(channel, 2, 1)
+
+    def test_error_vector_upload_rejected(self, monkeypatch):
+        """Upload sizes are measured, so a method that labels its error
+        vector as a summary cannot pass the audit."""
+        monkeypatch.setitem(METHODS, "leaky", Method(
+            lambda errors, *_: errors, "summary_stats",
+            lambda uploads, *_: 0.0))
+        errors, labels = method_inputs()
+        channel = Channel()
+        fill_fedavg(channel, 2, 1)
+        _compute_method("leaky", make_config(), errors, labels, channel)
+        with pytest.raises(AssertionError, match="size 40 .*fixed-size"):
+            audit_channel(channel, 2, 1, methods=["leaky"])
+
+
+def method_inputs():
+    """Two clients' validation errors and labels, anomalies above 0.6."""
+    rng = np.random.default_rng(11)
+    errors = [np.concatenate([rng.uniform(0.0, 0.4, 30),
+                              rng.uniform(0.6, 1.0, 10)]) for _ in range(2)]
+    labels = [np.repeat([0, 1], [30, 10]) for _ in range(2)]
+    return errors, labels
+
+
+class TestMethods:
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_upload_sizes_are_measured(self):
+        errors, labels = method_inputs()
+        channel = Channel()
+        for tag in METHOD_TAGS:
+            _compute_method(tag, make_config(n_candidates=50), errors, labels,
+                            channel)
+        uploads = {(m.context, m.kind): m.size
+                   for m in channel.select("upload")}
+        assert uploads == {
+            ("our_method", "summary_stats"): 5,
+            ("our_method", "f1_scores"): 50,
+            ("fed_minmax", "error_range"): 3,
+            ("fed_minmax", "f1_scores"): 50,
+            ("fed_mse_std", "summary_stats"): 5,
+            ("fed_filtered", "summary_stats"): 1,
+            **{(tag, "local_threshold"): 1 for tag in METHOD_TAGS[4:]}}
+        # our_method: a normal and an anomaly summary plus one F1 vector
+        assert channel.count("upload", context="our_method") == 2 * 3
+
+    def test_method_params_reach_the_function(self):
+        errors, labels = method_inputs()
+        cfg = make_config(method_params={"percentile": {"p": "50"}})
+        result = _compute_method("percentile", cfg, errors, labels,
+                                 Channel())
+        assert result.client_thetas == [float(np.median(e[:30]))
+                                        for e in errors]
 
 
 class TestEmitReport:

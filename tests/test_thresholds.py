@@ -6,8 +6,8 @@ from fedthresh.error_stats import (ClassSummaries, generate_candidates,
 from fedthresh.errors import (ConfigError, InsufficientTail,
                               NoAnomalyStatistics)
 from fedthresh.metrics import f1_curve
-from fedthresh.thresholds import (LABEL_BLIND_TAGS, METHOD_DESCRIPTIONS,
-                                  METHOD_TAGS, classify, fed_filtered,
+from fedthresh.harness import METHODS
+from fedthresh.thresholds import (METHOD_TAGS, classify, fed_filtered,
                                   fed_minmax, fed_mse_std, kqe, local_minmax,
                                   local_simple, our_method, pot)
 
@@ -47,9 +47,7 @@ def test_method_registry_complete():
                            "fed_filtered", "local_minmax", "kqe", "iqr",
                            "percentile", "largest_mse", "pot",
                            "local_mse_std")
-    assert set(METHOD_DESCRIPTIONS) == set(METHOD_TAGS)
-    assert set(LABEL_BLIND_TAGS) == {"kqe", "iqr", "percentile",
-                                     "largest_mse", "pot", "local_mse_std"}
+    assert tuple(METHODS) == METHOD_TAGS
 
 
 def test_our_method_separable_single_client(rng):
@@ -181,8 +179,9 @@ def test_pot_exponential_oracle():
 
 
 def test_pot_insufficient_tail():
-    with pytest.raises(InsufficientTail):
-        pot(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+    with pytest.raises(InsufficientTail) as info:
+        pot(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), u_quantile=0.9)
+    assert info.value.u_quantile == 0.9
 
 
 def test_pot_constant_exceedances_fall_back_to_max():
