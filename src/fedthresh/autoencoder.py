@@ -127,28 +127,27 @@ def mse_per_sample(model: ModelParams, data: np.ndarray) -> np.ndarray:
     return np.mean(diff * diff, axis=1)
 
 
-def _loss_and_grads(weights, biases, x):
-    last = len(weights) - 1
+def _loss_and_grads(params, x):
+    """Loss and gradients for params = weights + biases, one list; the
+    gradients come back as one list in the same order."""
+    layers = len(params) // 2
+    last = layers - 1
     acts = [x]  # post-activation per layer, acts[0] is the input
-    pre = []
-    a = x
-    for k, (w, b) in enumerate(zip(weights, biases)):
-        z = a @ w.T + b
-        pre.append(z)
-        a = z if k == last else np.maximum(z, 0.0)
-        acts.append(a)
+    for k in range(layers):
+        z = acts[k] @ params[k].T + params[layers + k]
+        acts.append(z if k == last else np.maximum(z, 0.0))
     diff = acts[-1] - x
     n, d = x.shape
     loss = float(np.mean(diff * diff))
     delta = (2.0 / (n * d)) * diff
-    grad_w = [None] * len(weights)
-    grad_b = [None] * len(weights)
+    grads = [None] * len(params)
     for k in range(last, -1, -1):
-        grad_w[k] = delta.T @ acts[k]
-        grad_b[k] = delta.sum(axis=0)
+        grads[k] = delta.T @ acts[k]
+        grads[layers + k] = delta.sum(axis=0)
         if k > 0:
-            delta = (delta @ weights[k]) * (pre[k - 1] > 0.0)
-    return loss, grad_w, grad_b
+            # acts[k] = max(z, 0), so acts[k] > 0 exactly where z > 0
+            delta = (delta @ params[k]) * (acts[k] > 0.0)
+    return loss, grads
 
 
 def mse_loss_and_grads(model: ModelParams, batch: np.ndarray):
@@ -161,11 +160,13 @@ def mse_loss_and_grads(model: ModelParams, batch: np.ndarray):
     x = _check_batch(model, batch)
     if x.shape[0] == 0:
         raise ConfigError("empty batch")
-    return _loss_and_grads(model.weights, model.biases, x)
+    layers = len(model.weights)
+    loss, grads = _loss_and_grads(model.weights + model.biases, x)
+    return loss, grads[:layers], grads[layers:]
 
 
 def train_local(model: ModelParams, data: np.ndarray, cfg: TrainConfig) -> ModelParams:
-    """Mini-batch gradient descent on MSE for cfg.local_epochs epochs.
+    """Mini-batch SGD or Adam on MSE for cfg.local_epochs epochs.
 
     Deterministic for a fixed cfg.seed (epoch shuffles come from one
     generator). Raises DivergedTraining with the failing epoch index when
@@ -175,45 +176,37 @@ def train_local(model: ModelParams, data: np.ndarray, cfg: TrainConfig) -> Model
     if data.shape[0] == 0:
         raise ConfigError("training data is empty")
     rng = np.random.default_rng(cfg.seed)
-    weights = [np.array(w) for w in model.weights]
-    biases = [np.array(b) for b in model.biases]
-    if cfg.optimizer == "adam":
-        m_w = [np.zeros_like(w) for w in weights]
-        v_w = [np.zeros_like(w) for w in weights]
-        m_b = [np.zeros_like(b) for b in biases]
-        v_b = [np.zeros_like(b) for b in biases]
-        step = 0
+    params = [np.array(p) for p in model.weights + model.biases]
+    adam = cfg.optimizer == "adam"
+    # Adam's first and second moments; SGD skips them, because on a small
+    # client allocating them is a measurable share of its training
+    m = [np.zeros_like(p) for p in params] if adam else None
+    v = [np.zeros_like(p) for p in params] if adam else None
+    lr, b1, b2, eps = cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    t = 0
     n = data.shape[0]
     for epoch in range(cfg.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = data[order[start:start + cfg.batch_size]]
-            loss, gw, gb = _loss_and_grads(weights, biases, batch)
+            loss, grads = _loss_and_grads(params, batch)
             if not math.isfinite(loss):
                 raise DivergedTraining(epoch)
-            if cfg.optimizer == "sgd":
-                for k in range(len(weights)):
-                    weights[k] -= cfg.learning_rate * gw[k]
-                    biases[k] -= cfg.learning_rate * gb[k]
-            else:
-                step += 1
-                b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-                corr1 = 1.0 - b1 ** step
-                corr2 = 1.0 - b2 ** step
-                for k in range(len(weights)):
-                    m_w[k] = b1 * m_w[k] + (1 - b1) * gw[k]
-                    v_w[k] = b2 * v_w[k] + (1 - b2) * gw[k] ** 2
-                    m_b[k] = b1 * m_b[k] + (1 - b1) * gb[k]
-                    v_b[k] = b2 * v_b[k] + (1 - b2) * gb[k] ** 2
-                    weights[k] -= cfg.learning_rate * (m_w[k] / corr1) / (
-                        np.sqrt(v_w[k] / corr2) + eps)
-                    biases[k] -= cfg.learning_rate * (m_b[k] / corr1) / (
-                        np.sqrt(v_b[k] / corr2) + eps)
+            t += 1
+            corr1, corr2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for k, g in enumerate(grads):
+                if adam:
+                    m[k] = b1 * m[k] + (1 - b1) * g
+                    v[k] = b2 * v[k] + (1 - b2) * g ** 2
+                    step = lr * (m[k] / corr1) / (np.sqrt(v[k] / corr2) + eps)
+                else:
+                    step = lr * g
+                params[k] -= step
     # the loss check runs before each update; catch a blow-up on the last one
-    for w, b in zip(weights, biases):
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise DivergedTraining(cfg.local_epochs - 1)
-    return ModelParams(tuple(weights), tuple(biases))
+    if not all(np.all(np.isfinite(p)) for p in params):
+        raise DivergedTraining(cfg.local_epochs - 1)
+    layers = len(model.weights)
+    return ModelParams(tuple(params[:layers]), tuple(params[layers:]))
 
 
 def save_model(model: ModelParams, path) -> None:

@@ -75,7 +75,8 @@ class Dataset:
 
 def load_csv(path, label_column: str, positive_label: str) -> Dataset:
     """Read a headered numeric CSV; label_column equal to positive_label
-    marks the anomaly class. Parse failures report row and column."""
+    marks the anomaly class. Non-numeric and non-finite cells (nan, inf)
+    are rejected with their row and column."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{path}: no such file")
@@ -91,7 +92,7 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
                               f"header {header}")
         label_idx = header.index(label_column)
         feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-        rows, labels, classes = [], [], []
+        rows, row_nos, labels, classes = [], [], [], []
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -113,9 +114,17 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
                         f"{header[col_idx]!r}: non-numeric cell {cell!r}"
                     ) from None
             rows.append(values)
+            row_nos.append(row_no)
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    ds = Dataset(np.array(rows), np.array(labels), feature_names,
+    features = np.array(rows)
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        i, j = bad[0]
+        raise ConfigError(f"{path}: row {row_nos[i]}, column "
+                          f"{feature_names[j]!r}: non-finite cell "
+                          f"{float(features[i, j])}")
+    ds = Dataset(features, np.array(labels), feature_names,
                  path.stem, classes=np.array(classes))
     for hint, (n, n_anom, dim) in KNOWN_DATASET_SHAPES.items():
         if hint in path.stem.lower():
@@ -249,12 +258,17 @@ def partition_even(split_datasets, num_clients: int, seed: int) -> PartitionPlan
     return PartitionPlan("even", assignments, seed)
 
 
+def _sq_dist(points: np.ndarray, centroid: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from every row of points to one centroid."""
+    return ((points - centroid) ** 2).sum(axis=1)
+
+
 def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.ndarray:
     """Lloyd's algorithm with k-means++ seeding; returns the assignment.
 
     Deterministic under seed. Empty clusters are re-seeded with the
     farthest point of the largest cluster, which is force-reassigned.
-    Within-cluster sum of squares is asserted non-increasing.
+    Within-cluster sum of squares is checked to be non-increasing.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
@@ -265,7 +279,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
     rng = np.random.default_rng(seed)
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
-    closest = ((points - centroids[0]) ** 2).sum(axis=1)
+    closest = _sq_dist(points, centroids[0])
     for j in range(1, k):
         total = closest.sum()
         if total > 0.0:
@@ -273,21 +287,24 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
         else:
             pick = int(rng.integers(n))
         centroids[j] = points[pick]
-        closest = np.minimum(closest, ((points - centroids[j]) ** 2).sum(axis=1))
+        closest = np.minimum(closest, _sq_dist(points, centroids[j]))
 
     prev_assign = None
     prev_wcss = np.inf
     for _ in range(max_iters):
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        assign = d2.argmin(axis=1)
-        for j in range(k):
-            if not np.any(assign == j):
-                sizes = np.bincount(assign, minlength=k)
-                donor = int(sizes.argmax())
-                members = np.where(assign == donor)[0]
-                far = members[int(d2[members, donor].argmax())]
-                centroids[j] = points[far]
-                assign[far] = j
+        d2 = np.array([_sq_dist(points, c) for c in centroids])  # k x n
+        assign = d2.argmin(axis=0)
+        sizes = np.bincount(assign, minlength=k)
+        # the largest cluster holds >= 2 points while any is empty, so a
+        # reseed never empties another cluster
+        for j in np.flatnonzero(sizes == 0):
+            donor = int(sizes.argmax())
+            members = np.flatnonzero(assign == donor)
+            far = members[int(d2[donor, members].argmax())]
+            centroids[j] = points[far]
+            assign[far] = j
+            sizes[donor] -= 1
+            sizes[j] = 1
         for j in range(k):
             centroids[j] = points[assign == j].mean(axis=0)
         wcss = float(((points - centroids[assign]) ** 2).sum())
@@ -325,8 +342,9 @@ def partition_noniid(split_datasets, num_clients: int = 6, k: int | None = None,
     Sources with multiple normal classes: classes are grouped per client
     (round-robin over sorted class values) and anomalies are k-means
     clustered (k clusters dealt round-robin to clients). Binary sources:
-    k-means over all features assigns whole clusters to clients. Clients
-    left without train or val samples take one from the largest client.
+    k-means over all features makes k clusters, dealt round-robin to
+    clients as whole clusters. k defaults to num_clients. Clients left
+    without train or val samples take one from the largest client.
     """
     if num_clients < 2:
         raise ConfigError(f"num_clients must be >= 2, got {num_clients}")
@@ -362,12 +380,13 @@ def partition_noniid(split_datasets, num_clients: int = 6, k: int | None = None,
     else:
         pooled = np.vstack([datasets[name].features
                             for name in ("train", "val", "test")])
-        clusters = kmeans(pooled, num_clients, seed)
+        clusters = kmeans(pooled, k, seed)
         offset = 0
         for name in ("train", "val", "test"):
             ds = datasets[name]
             for idx in range(ds.num_samples):
-                assignments[name][clusters[offset + idx]].append(idx)
+                cluster = clusters[offset + idx]
+                assignments[name][cluster % num_clients].append(idx)
             offset += ds.num_samples
 
     # training and the summary protocol need a floor: one train sample and

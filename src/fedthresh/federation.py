@@ -95,7 +95,7 @@ class Channel:
 
 
 def _param_count(model: ModelParams) -> int:
-    return sum(w.size + b.size for w, b in zip(model.weights, model.biases))
+    return sum(p.size for p in model.weights + model.biases)
 
 
 def average_params(params_list, weights) -> ModelParams:
@@ -110,22 +110,17 @@ def average_params(params_list, weights) -> ModelParams:
         raise ConfigError("need one weight per model")
     if np.any(weights < 0) or weights.sum() <= 0:
         raise ConfigError("weights must be non-negative with a positive sum")
-    dims = params_list[0].dims
+    first = params_list[0]
     for p in params_list[1:]:
-        if p.dims != dims:
-            raise ConfigError(f"model dims differ: {p.dims} vs {dims}")
+        if p.dims != first.dims:
+            raise ConfigError(f"model dims differ: {p.dims} vs {first.dims}")
     norm = weights / weights.sum()
-    avg_w = [norm[0] * w for w in params_list[0].weights]
-    avg_b = [norm[0] * b for b in params_list[0].biases]
+    total = [norm[0] * p for p in first.weights + first.biases]
     for coeff, params in zip(norm[1:], params_list[1:]):
-        for k in range(len(avg_w)):
-            avg_w[k] += coeff * params.weights[k]
-            avg_b[k] += coeff * params.biases[k]
-    if len(params_list) == 1:
-        # exact identity: 1.0 * w allocates but never rounds
-        return ModelParams(tuple(np.asarray(w) for w in avg_w),
-                           tuple(np.asarray(b) for b in avg_b))
-    return ModelParams(tuple(avg_w), tuple(avg_b))
+        for acc, p in zip(total, params.weights + params.biases):
+            acc += coeff * p
+    layers = len(first.weights)
+    return ModelParams(tuple(total[:layers]), tuple(total[layers:]))
 
 
 def round_seed(base_seed: int, round_index: int) -> int:
@@ -162,7 +157,6 @@ def run_fedavg(clients, cfg: FedConfig, channel: Channel | None = None,
         model = init_model(input_dim, hidden, cfg.model_seed)
     else:
         model = initial_model
-    size = _param_count(model)
     if cfg.client_weighting == "uniform":
         weights = np.ones(len(clients))
     else:
@@ -173,8 +167,8 @@ def run_fedavg(clients, cfg: FedConfig, channel: Channel | None = None,
         local_models = []
         for c in clients:
             if channel is not None:
-                channel.record("broadcast", "model", size, c.client_id, t,
-                               context="fedavg")
+                channel.record("broadcast", "model", _param_count(model),
+                               c.client_id, t, context="fedavg")
             started = time.perf_counter()
             try:
                 local = train_local(model, c.train_data, cfg_t)
@@ -182,7 +176,8 @@ def run_fedavg(clients, cfg: FedConfig, channel: Channel | None = None,
                 raise FederationError(t, c.client_id, exc) from exc
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             if channel is not None:
-                channel.record("upload", "model_update", size, c.client_id, t,
+                channel.record("upload", "model_update",
+                               _param_count(local), c.client_id, t,
                                context="fedavg")
             if round_log is not None:
                 final_mse = float(np.mean(mse_per_sample(local, c.train_data)))

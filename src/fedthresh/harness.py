@@ -13,6 +13,7 @@ in timing.csv so results.csv stays byte-reproducible.
 import hashlib
 import json
 import time
+import types
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
@@ -145,6 +146,21 @@ def _method_kwargs(tag, given) -> dict:
                           f"got {given!r}") from None
 
 
+def _is_instance(value, annotation) -> bool:
+    """isinstance against a field annotation. JSON has no tuple, so a list
+    passes for one; an int passes for a float; a bool never passes for a
+    number. Nothing is coerced, so a valid config hashes as before."""
+    if isinstance(annotation, types.UnionType):
+        return any(_is_instance(value, a) for a in annotation.__args__)
+    if isinstance(value, bool):
+        return annotation is bool
+    if annotation is float:
+        annotation = (int, float)
+    elif annotation is tuple:
+        annotation = (tuple, list)
+    return isinstance(value, annotation)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a run depends on; hashable to bind result rows to it."""
@@ -180,10 +196,18 @@ class ScenarioConfig:
     scenario_id: str = ""
 
     def __post_init__(self):
-        if not isinstance(self.dataset, dict) or "kind" not in self.dataset:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _is_instance(value, f.type):
+                kind = getattr(f.type, "__name__", f.type)
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+        if "kind" not in self.dataset:
             raise ConfigError("dataset must be a mapping with a 'kind' key")
         if self.scheme not in PARTITION_SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
+        if self.noniid_k is not None and self.scheme != "noniid_kmeans":
+            raise ConfigError(f"noniid_k applies only to scheme "
+                              f"'noniid_kmeans', not {self.scheme!r}")
         object.__setattr__(self, "methods", tuple(self.methods))
         unknown = set(self.methods) - set(METHOD_TAGS)
         if unknown:
@@ -208,8 +232,6 @@ class ScenarioConfig:
         if outside:
             raise ConfigError(f"corrupt_client_ids {outside} outside "
                               f"[0, {self.num_clients})")
-        if not isinstance(self.method_params, dict):
-            raise ConfigError("method_params must be a mapping")
         for tag, given in self.method_params.items():
             _method_kwargs(tag, given)
 

@@ -143,20 +143,6 @@ def aggregate_f1(matrix: F1Matrix, mode: str = "mean"):
     return float(matrix.candidates[best]), float(column[best])
 
 
-# column order of the exported feature dataset; the final column is the label
-STAT_FEATURE_COLUMNS = (
-    "normal_mean", "normal_variance", "normal_skewness", "normal_kurtosis",
-    "normal_count",
-    "anomaly_mean", "anomaly_variance", "anomaly_skewness", "anomaly_kurtosis",
-    "anomaly_count",
-    "normal_aggr_mean", "normal_aggr_variance", "normal_aggr_skewness",
-    "normal_aggr_kurtosis", "normal_proportional_count",
-    "anomaly_aggr_mean", "anomaly_aggr_variance", "anomaly_aggr_skewness",
-    "anomaly_aggr_kurtosis", "anomaly_proportional_count",
-    "f1_difference",
-)
-
-
 @dataclass(frozen=True)
 class StatFeatureRow:
     """One client's local + aggregated summary features and the F1 gap.
@@ -189,6 +175,10 @@ class StatFeatureRow:
 
     def as_array(self) -> np.ndarray:
         return np.array(dataclasses.astuple(self), dtype=np.float64)
+
+
+# column order of the exported feature dataset; the final column is the label
+STAT_FEATURE_COLUMNS = tuple(f.name for f in dataclasses.fields(StatFeatureRow))
 
 
 def collect_stat_features(local, global_normal, global_anomaly,

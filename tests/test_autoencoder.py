@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedthresh.autoencoder import (ModelParams, TrainConfig,
+from fedthresh.autoencoder import (ADAM_EPS, ModelParams, TrainConfig,
                                    default_hidden_dims, forward, init_model,
                                    load_model, mse_loss_and_grads,
                                    mse_per_sample, save_model, train_local)
@@ -149,6 +149,35 @@ def test_train_local_adam_runs_and_differs_from_sgd(rng):
     m_adam = train_local(model, data, adam)
     assert any(not np.array_equal(a, b)
                for a, b in zip(m_sgd.weights, m_adam.weights))
+
+
+def one_step(optimizer, rng):
+    """One row, batch 1, one epoch: the old model, the gradients at that
+    row, and the model after exactly one update."""
+    model = init_model(5, (3, 2), seed=8)
+    row = rng.normal(size=(1, 5))
+    _, gw, gb = mse_loss_and_grads(model, row)
+    cfg = TrainConfig(local_epochs=1, learning_rate=0.05, batch_size=1,
+                      seed=0, optimizer=optimizer)
+    new = train_local(model, row, cfg)
+    return (model.weights + model.biases, gw + gb,
+            new.weights + new.biases, cfg.learning_rate)
+
+
+def test_train_local_sgd_step_is_exact(rng):
+    old, grads, new, lr = one_step("sgd", rng)
+    for p, g, q in zip(old, grads, new):
+        assert np.array_equal(q, p - lr * g)
+
+
+def test_train_local_adam_first_step_is_normalized(rng):
+    # after one step the bias-corrected moments are g and g**2, so Adam
+    # moves every parameter by lr * g / (|g| + eps)
+    old, grads, new, lr = one_step("adam", rng)
+    for p, g, q in zip(old, grads, new):
+        np.testing.assert_allclose(q, p - lr * g / (np.abs(g) + ADAM_EPS),
+                                   rtol=1e-12, atol=0)
+    assert any(np.any(g != 0) for g in grads)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -80,13 +80,17 @@ class TestThresholdCommand:
         assert "invalid JSON" in result.output
 
     def test_unknown_config_method_exits_2(self, runner, tmp_path):
-        raw = make_config().to_dict()
-        raw["methods"] = ["our_method", "crystal_ball"]
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(raw), encoding="utf-8")
-        result = runner.invoke(main, ["threshold", "--config", str(path)])
-        assert result.exit_code == 2
-        assert "crystal_ball" in result.output
+        # a mistyped field is a config error too, not a TypeError (exit 3)
+        for key, value, shown in (
+                ("methods", ["our_method", "crystal_ball"], "crystal_ball"),
+                ("n_candidates", "1000", "n_candidates must be int")):
+            raw = make_config().to_dict()
+            raw[key] = value
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(raw), encoding="utf-8")
+            result = runner.invoke(main, ["threshold", "--config", str(path)])
+            assert result.exit_code == 2
+            assert shown in result.output
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_3(self, runner, tmp_path):

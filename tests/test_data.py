@@ -37,8 +37,15 @@ def test_load_csv_missing_label_column(tmp_path):
 def test_load_csv_nonnumeric_cell_names_row_and_column(tmp_path):
     path = tmp_path / "toy.csv"
     path.write_text("a,b,label\n1.0,oops,normal\n")
-    with pytest.raises(ConfigError, match=r"row 2.*'b'"):
+    with pytest.raises(ConfigError, match=r"row 2.*'b'.*non-numeric"):
         load_csv(path, label_column="label", positive_label="x")
+    # float() parses these, but a model cannot train on them; the blank
+    # line still counts toward the reported row number
+    for cell, shown in (("nan", "nan"), ("-inf", "-inf"), ("1e999", "inf")):
+        path.write_text(f"a,b,label\n1.0,2.0,normal\n\n{cell},3.0,normal\n")
+        with pytest.raises(ConfigError,
+                           match=rf"row 4.*'a'.*non-finite cell {shown}$"):
+            load_csv(path, label_column="label", positive_label="x")
 
 
 # ---- scaling ----
@@ -220,6 +227,32 @@ def test_partition_noniid_binary_clusters_and_floors():
         assert np.any(val.labels[idx] == 0)  # summary floor: a normal each
         assert len(plan.client_indices("train", c)) >= 1
         assert len(plan.client_indices("test", c)) >= 1
+
+
+def test_partition_noniid_binary_k_clusters_dealt_round_robin():
+    splits = blob_splits()
+    pooled = np.vstack([d.features for d in splits])
+    bounds = np.cumsum([0] + [d.num_samples for d in splits])
+    for k in (2, 3, 5):
+        plan = partition_noniid(splits, num_clients=3, k=k, seed=2)
+        clusters = kmeans(pooled, k, 2)
+        for i, split_name in enumerate(("train", "val", "test")):
+            dealt = clusters[bounds[i]:bounds[i + 1]] % 3
+            # every sample sits with client cluster % 3, except the at
+            # most one per client that the floors move
+            moved = sum(int(np.sum(dealt[plan.client_indices(split_name, c)]
+                                   != c)) for c in range(3))
+            assert moved <= 3
+    # k defaults to num_clients
+    default = partition_noniid(splits, num_clients=3, seed=2)
+    same = partition_noniid(splits, num_clients=3, k=3, seed=2)
+    for name in default.assignments:
+        for a, b in zip(default.assignments[name], same.assignments[name]):
+            assert np.array_equal(a, b)
+    # two clusters over three clients: client 2 holds only the one train
+    # sample its floor takes
+    two = partition_noniid(splits, num_clients=3, k=2, seed=2)
+    assert len(two.client_indices("train", 2)) == 1
 
 
 def test_partition_noniid_separated_anomaly_blobs_stay_together():

@@ -65,6 +65,23 @@ class TestScenarioConfig:
             make_config(method_params={"nonsense": {"q": 1}})
         with pytest.raises(ConfigError, match="numbers.*'risk'"):
             make_config(method_params={"pot": {"risk": "tiny"}})
+        # field types come from the annotations; nothing is coerced
+        for field_name, value in (("n_candidates", "1000"),
+                                  ("num_clients", 4.0), ("rounds", True),
+                                  ("learning_rate", "0.1"), ("refine", 1),
+                                  ("scheme", None), ("methods", "iqr"),
+                                  ("hidden_dims", 8), ("noniid_k", "3"),
+                                  ("dataset", ["synth"]),
+                                  ("method_params", [])):
+            with pytest.raises(ConfigError, match=f"^{field_name} must be"):
+                make_config(**{field_name: value})
+        with pytest.raises(ConfigError, match="noniid_k.*'even'"):
+            make_config(noniid_k=3)
+        with pytest.raises(ConfigError, match="noniid_k.*'random'"):
+            make_config(scheme="random", noniid_k=3)
+        make_config(scheme="noniid_kmeans", noniid_k=3)
+        # JSON has no tuples and writes 1.0 as 1: lists and ints pass
+        make_config(methods=["iqr"], hidden_dims=[4, 2], learning_rate=1)
         # float() coercion as before; None keeps kqe's default bandwidth
         make_config(method_params={"kqe": {"q": "0.9", "bandwidth": None}})
 
