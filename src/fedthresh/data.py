@@ -24,7 +24,7 @@ KNOWN_DATASET_SHAPES = {
     "creditcard": (284807, 492, 29),
 }
 
-PARTITION_SCHEMES = ("even", "noniid_kmeans", "random")
+SPLIT_NAMES = ("train", "val", "test")
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,11 @@ class Dataset:
             raise ConfigError("labels must be binary (1 = anomaly)")
         if len(self.feature_names) != features.shape[1]:
             raise ConfigError("one name per feature column required")
+        finite = np.isfinite(features).all(axis=0)
+        if not finite.all():
+            name = self.feature_names[int(finite.argmin())]
+            raise ConfigError(f"feature column {name!r} holds non-finite "
+                              "values")
         if self.classes is not None:
             classes = np.asarray(self.classes, dtype=object)
             object.__setattr__(self, "classes", classes)
@@ -224,11 +229,10 @@ class PartitionPlan:
         return self.assignments[split_name][client_id]
 
 
-def _check_conservation(assignments, split_sizes):
-    for name, per_client in assignments.items():
-        joined = np.concatenate([np.asarray(a) for a in per_client]) \
-            if per_client else np.empty(0, dtype=np.int64)
-        if joined.size != split_sizes[name] or \
+def _check_conservation(assignments, split_datasets):
+    for name, ds in zip(SPLIT_NAMES, split_datasets):
+        joined = np.concatenate(assignments[name])
+        if joined.size != ds.num_samples or \
                 np.unique(joined).size != joined.size:
             raise ConfigError(f"partition does not cover split {name!r} exactly")
 
@@ -242,19 +246,20 @@ def partition_even(split_datasets, num_clients: int, seed: int) -> PartitionPlan
     and the per-client anomaly counts differ by at most one."""
     if num_clients < 1:
         raise ConfigError(f"num_clients must be >= 1, got {num_clients}")
-    train, val, test = split_datasets
+    train_rows = split_datasets[0].num_samples
+    if num_clients > train_rows:
+        raise ConfigError(f"num_clients={num_clients} exceeds the {train_rows} "
+                          "training rows; every client needs one")
     rng = np.random.default_rng(seed)
     assignments = {}
-    for name, ds in (("train", train), ("val", val), ("test", test)):
+    for name, ds in zip(SPLIT_NAMES, split_datasets):
         anom = rng.permutation(np.where(ds.labels == 1)[0])
         norm = rng.permutation(np.where(ds.labels == 0)[0])
         if name != "train" and anom.size < num_clients:
             warnings.warn(f"{name} split: {anom.size} anomalies across "
                           f"{num_clients} clients; some clients hold none")
         assignments[name] = _deal(np.concatenate([anom, norm]), num_clients)
-    _check_conservation(assignments, {"train": train.num_samples,
-                                      "val": val.num_samples,
-                                      "test": test.num_samples})
+    _check_conservation(assignments, split_datasets)
     return PartitionPlan("even", assignments, seed)
 
 
@@ -318,21 +323,18 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
     return assign
 
 
-def _ensure_each_has(per_client, eligible, what: str):
-    """Give every client at least one eligible index, stealing the last
-    eligible index from the client holding the most."""
-    num_clients = len(per_client)
-
-    def eligible_count(c):
-        return sum(1 for i in per_client[c] if eligible[i])
-
-    for cid in range(num_clients):
-        if eligible_count(cid) == 0:
-            donor = max(range(num_clients), key=eligible_count)
-            if eligible_count(donor) < 2:
-                raise ConfigError(f"cannot give every client one {what}")
-            pos = max(p for p, i in enumerate(per_client[donor]) if eligible[i])
-            per_client[cid].append(per_client[donor].pop(pos))
+def _ensure_each_has(owner, eligible, num_clients: int, what: str):
+    """Give every client at least one eligible row: each client without
+    one takes the highest-index eligible row of the first client holding
+    the most. owner (the client of each row) is updated in place."""
+    counts = np.bincount(owner[eligible], minlength=num_clients)
+    for cid in np.flatnonzero(counts == 0):
+        donor = int(counts.argmax())
+        if counts[donor] < 2:
+            raise ConfigError(f"cannot give every client one {what}")
+        owner[np.flatnonzero(eligible & (owner == donor))[-1]] = cid
+        counts[donor] -= 1
+        counts[cid] = 1
 
 
 def partition_noniid(split_datasets, num_clients: int = 6, k: int | None = None,
@@ -351,54 +353,44 @@ def partition_noniid(split_datasets, num_clients: int = 6, k: int | None = None,
     train, val, test = split_datasets
     if k is None:
         k = num_clients
-    datasets = {"train": train, "val": val, "test": test}
     normal_classes = None
     if train.classes is not None:
         normal_classes = np.unique(np.concatenate([
             np.asarray(ds.classes)[ds.labels == 0]
-            for ds in datasets.values() if ds.classes is not None]))
-    assignments = {name: [[] for _ in range(num_clients)] for name in datasets}
+            for ds in split_datasets if ds.classes is not None]))
 
+    # owners[s][i] is the client holding row i of split s; -1 is no client
     if normal_classes is not None and normal_classes.size >= 2:
-        class_client = {c: i % num_clients for i, c in enumerate(normal_classes)}
-        for name, ds in datasets.items():
-            for idx in np.where(ds.labels == 0)[0]:
-                assignments[name][class_client[ds.classes[idx]]].append(idx)
-        anom_features = [ds.features[ds.labels == 1] for ds in (val, test)]
-        pooled = np.vstack(anom_features)
+        owners = []
+        for ds in split_datasets:
+            owner = np.full(ds.num_samples, -1, dtype=np.int64)
+            normal = ds.labels == 0
+            owner[normal] = np.searchsorted(
+                normal_classes, ds.classes[normal]) % num_clients
+            owners.append(owner)
+        val_anom, test_anom = val.labels == 1, test.labels == 1
+        pooled = np.vstack([val.features[val_anom], test.features[test_anom]])
         if k > pooled.shape[0]:
             warnings.warn(f"k={k} exceeds the {pooled.shape[0]} anomalies; "
                           f"reduced to {pooled.shape[0]}")
             k = pooled.shape[0]
-        clusters = kmeans(pooled, k, seed)
-        offsets = {"val": 0, "test": anom_features[0].shape[0]}
-        for name in ("val", "test"):
-            ds = datasets[name]
-            for pos, idx in enumerate(np.where(ds.labels == 1)[0]):
-                cluster = clusters[offsets[name] + pos]
-                assignments[name][cluster % num_clients].append(idx)
+        dealt = kmeans(pooled, k, seed) % num_clients
+        owners[1][val_anom], owners[2][test_anom] = np.split(
+            dealt, [np.count_nonzero(val_anom)])
     else:
-        pooled = np.vstack([datasets[name].features
-                            for name in ("train", "val", "test")])
-        clusters = kmeans(pooled, k, seed)
-        offset = 0
-        for name in ("train", "val", "test"):
-            ds = datasets[name]
-            for idx in range(ds.num_samples):
-                cluster = clusters[offset + idx]
-                assignments[name][cluster % num_clients].append(idx)
-            offset += ds.num_samples
+        pooled = np.vstack([ds.features for ds in split_datasets])
+        owners = np.split(kmeans(pooled, k, seed) % num_clients,
+                          np.cumsum([train.num_samples, val.num_samples]))
 
     # training and the summary protocol need a floor: one train sample and
     # one normal val sample per client; evaluation needs a non-empty test
-    _ensure_each_has(assignments["train"], np.ones(train.num_samples, bool),
-                     "train sample")
-    _ensure_each_has(assignments["val"], val.labels == 0, "normal val sample")
-    _ensure_each_has(assignments["test"], np.ones(test.num_samples, bool),
-                     "test sample")
-    final = {name: [np.array(sorted(a), dtype=np.int64) for a in per_client]
-             for name, per_client in assignments.items()}
-    _check_conservation(final, {n: d.num_samples for n, d in datasets.items()})
+    _ensure_each_has(owners[0], owners[0] >= 0, num_clients, "train sample")
+    _ensure_each_has(owners[1], val.labels == 0, num_clients,
+                     "normal val sample")
+    _ensure_each_has(owners[2], owners[2] >= 0, num_clients, "test sample")
+    final = {name: [np.flatnonzero(owner == c) for c in range(num_clients)]
+             for name, owner in zip(SPLIT_NAMES, owners)}
+    _check_conservation(final, split_datasets)
     return PartitionPlan("noniid_kmeans", final, seed)
 
 
@@ -411,7 +403,6 @@ def partition_random(split_datasets, num_clients: int, seed: int,
         raise ConfigError(f"num_clients must be >= 2, got {num_clients}")
     if not concentration > 0:
         raise ConfigError(f"concentration must be positive, got {concentration}")
-    train, val, test = split_datasets
     rng = np.random.default_rng(seed)
     proportions = rng.dirichlet(np.full(num_clients, concentration))
 
@@ -425,24 +416,15 @@ def partition_random(split_datasets, num_clients: int, seed: int,
         return 1 + largest_remainder(proportions, total - num_clients)
 
     assignments = {}
-    for name, ds in (("train", train), ("val", val), ("test", test)):
+    for name, ds in zip(SPLIT_NAMES, split_datasets):
         norm = rng.permutation(np.where(ds.labels == 0)[0])
         anom = rng.permutation(np.where(ds.labels == 1)[0])
-        need_one = name in ("train", "val")
-        n_counts = apportion(norm.size, need_one)
-        a_counts = largest_remainder(proportions, anom.size) if anom.size \
-            else np.zeros(num_clients, dtype=np.int64)
-        per_client = []
-        n_bounds = np.concatenate([[0], np.cumsum(n_counts)])
-        a_bounds = np.concatenate([[0], np.cumsum(a_counts)])
-        for c in range(num_clients):
-            per_client.append(np.concatenate([
-                norm[n_bounds[c]:n_bounds[c + 1]],
-                anom[a_bounds[c]:a_bounds[c + 1]]]))
-        assignments[name] = per_client
-    _check_conservation(assignments, {"train": train.num_samples,
-                                      "val": val.num_samples,
-                                      "test": test.num_samples})
+        n_counts = apportion(norm.size, name in ("train", "val"))
+        a_counts = largest_remainder(proportions, anom.size)
+        assignments[name] = [np.concatenate(parts) for parts in zip(
+            np.split(norm, np.cumsum(n_counts)[:-1]),
+            np.split(anom, np.cumsum(a_counts)[:-1]))]
+    _check_conservation(assignments, split_datasets)
     return PartitionPlan("random", assignments, seed)
 
 

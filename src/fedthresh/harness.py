@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .autoencoder import TrainConfig, mse_per_sample, save_model
-from .data import (PARTITION_SCHEMES, CorruptionSpec, apply_scaler, corrupt,
-                   fit_scaler, load_csv, partition_even, partition_noniid,
+from .data import (CorruptionSpec, apply_scaler, corrupt, fit_scaler,
+                   load_csv, partition_even, partition_noniid,
                    partition_random, split, synth, synth_blobs, write_plan)
 from .error_stats import (AGGREGATION_MODES, ClassSummaries, ErrorSummary,
                           aggregate, summarize)
@@ -146,12 +146,41 @@ def _method_kwargs(tag, given) -> dict:
                           f"got {given!r}") from None
 
 
+# Each entry calls through this module's globals when it runs, as METHODS
+# does, so replacing `harness.synth` (say) reaches every later load.
+# kind -> (load(spec, seed), spec key -> type)
+DATASET_KINDS = {
+    "synth": (lambda spec, seed: synth(**spec, seed=seed),
+              {"num_normal": int, "num_anomaly": int, "dim": int,
+               "separation": float}),
+    "blobs": (lambda spec, seed: synth_blobs(**spec, seed=seed),
+              {"num_normal": int, "anomaly_blob_sizes": tuple[int, ...],
+               "dim": int, "separations": tuple[float, ...]}),
+    "csv": (lambda spec, seed: load_csv(**spec),
+            {"path": str, "label_column": str, "positive_label": str}),
+}
+
+# scheme -> partition(splits, cfg)
+PARTITIONS = {
+    "even": lambda splits, cfg: partition_even(
+        splits, cfg.num_clients, cfg.partition_seed),
+    "noniid_kmeans": lambda splits, cfg: partition_noniid(
+        splits, cfg.num_clients, cfg.noniid_k, cfg.partition_seed),
+    "random": lambda splits, cfg: partition_random(
+        splits, cfg.num_clients, cfg.partition_seed, cfg.concentration),
+}
+
+
 def _is_instance(value, annotation) -> bool:
     """isinstance against a field annotation. JSON has no tuple, so a list
     passes for one; an int passes for a float; a bool never passes for a
-    number. Nothing is coerced, so a valid config hashes as before."""
+    number; `tuple[int, ...]` also checks every element. Nothing is
+    coerced, so a valid config hashes as before."""
     if isinstance(annotation, types.UnionType):
         return any(_is_instance(value, a) for a in annotation.__args__)
+    if isinstance(annotation, types.GenericAlias):
+        return _is_instance(value, annotation.__origin__) and \
+            all(_is_instance(v, annotation.__args__[0]) for v in value)
     if isinstance(value, bool):
         return annotation is bool
     if annotation is float:
@@ -159,6 +188,13 @@ def _is_instance(value, annotation) -> bool:
     elif annotation is tuple:
         annotation = (tuple, list)
     return isinstance(value, annotation)
+
+
+def _check_type(name: str, value, annotation) -> None:
+    if not _is_instance(value, annotation):
+        shown = annotation.__name__ if isinstance(annotation, type) \
+            else annotation
+        raise ConfigError(f"{name} must be {shown}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -197,13 +233,10 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not _is_instance(value, f.type):
-                kind = getattr(f.type, "__name__", f.type)
-                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+            _check_type(f.name, getattr(self, f.name), f.type)
         if "kind" not in self.dataset:
             raise ConfigError("dataset must be a mapping with a 'kind' key")
-        if self.scheme not in PARTITION_SCHEMES:
+        if self.scheme not in PARTITIONS:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.noniid_k is not None and self.scheme != "noniid_kmeans":
             raise ConfigError(f"noniid_k applies only to scheme "
@@ -303,42 +336,21 @@ def _stage(name, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
-def _take(spec: dict, kind: str, *keys):
-    missing = [k for k in keys if k not in spec]
-    if missing:
-        raise ConfigError(f"dataset kind {kind!r} is missing keys {missing}")
-    values = [spec.pop(k) for k in keys]
-    if spec:
-        raise ConfigError(f"dataset kind {kind!r} got unknown keys "
-                          f"{sorted(spec)}")
-    return values
-
-
 def _build_dataset(cfg: ScenarioConfig):
     spec = dict(cfg.dataset)
     kind = spec.pop("kind")
-    if kind == "synth":
-        args = _take(spec, kind, "num_normal", "num_anomaly", "dim",
-                     "separation")
-        return synth(*args, seed=cfg.data_seed)
-    if kind == "blobs":
-        args = _take(spec, kind, "num_normal", "anomaly_blob_sizes", "dim",
-                     "separations")
-        return synth_blobs(*args, seed=cfg.data_seed)
-    if kind == "csv":
-        return load_csv(*_take(spec, kind, "path", "label_column",
-                               "positive_label"))
-    raise ConfigError(f"unknown dataset kind {kind!r}")
-
-
-def _partition(cfg: ScenarioConfig, splits):
-    if cfg.scheme == "even":
-        return partition_even(splits, cfg.num_clients, cfg.partition_seed)
-    if cfg.scheme == "noniid_kmeans":
-        return partition_noniid(splits, cfg.num_clients, cfg.noniid_k,
-                                cfg.partition_seed)
-    return partition_random(splits, cfg.num_clients, cfg.partition_seed,
-                            cfg.concentration)
+    if not isinstance(kind, str) or kind not in DATASET_KINDS:
+        raise ConfigError(f"unknown dataset kind {kind!r}")
+    load, key_types = DATASET_KINDS[kind]
+    missing = [k for k in key_types if k not in spec]
+    if missing:
+        raise ConfigError(f"dataset kind {kind!r} is missing keys {missing}")
+    unknown = sorted(set(spec) - set(key_types))
+    if unknown:
+        raise ConfigError(f"dataset kind {kind!r} got unknown keys {unknown}")
+    for key, value in spec.items():
+        _check_type(f"dataset.{key}", value, key_types[key])
+    return load(spec, cfg.data_seed)
 
 
 def build_client_states(plan, train_ds, val_ds, test_ds):
@@ -470,14 +482,14 @@ def _prepare_clients(cfg: ScenarioConfig):
         scaler = fit_scaler(splits[0].features, cfg.scale_method)
         return tuple(apply_scaler(ds, scaler) for ds in splits)
     splits = _stage("scale", _scale, splits)
-    plan = _stage("partition", _partition, cfg, splits)
+    plan = _stage("partition", PARTITIONS[cfg.scheme], splits, cfg)
     clients = _stage("partition", build_client_states, plan, *splits)
-    return splits, plan, clients
+    return plan, clients
 
 
 def train_model(cfg: ScenarioConfig, out_dir=None):
     """Data prep + FedAvg only; optionally saves the model and round log."""
-    _, plan, clients = _prepare_clients(cfg)
+    plan, clients = _prepare_clients(cfg)
     clients = _stage("corrupt", _apply_corruption, cfg, clients)
     round_log = []
     model = _stage("train", _train, cfg, clients, Channel(), round_log)
@@ -498,7 +510,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, artifacts=None):
     receive internals (model, channel, plan, clients, round log, and each
     method's client uploads under "uploads") for auditing.
     """
-    _, plan, clients = _prepare_clients(cfg)
+    plan, clients = _prepare_clients(cfg)
     clients = _stage("corrupt", _apply_corruption, cfg, clients)
     channel = Channel()
     round_log = []
@@ -641,7 +653,7 @@ def sweep_corruption(base_cfg: ScenarioConfig, corrupt_counts, out_dir=None,
     if any(c < 0 or c > base_cfg.num_clients for c in corrupt_counts):
         raise ConfigError(f"corrupt counts must lie in [0, "
                           f"{base_cfg.num_clients}]")
-    _, _, clean_clients = _prepare_clients(base_cfg)
+    _, clean_clients = _prepare_clients(base_cfg)
     channel = Channel()
     model = None
     if not retrain:

@@ -81,9 +81,25 @@ class TestThresholdCommand:
 
     def test_unknown_config_method_exits_2(self, runner, tmp_path):
         # a mistyped field is a config error too, not a TypeError (exit 3)
+        synth = {"kind": "synth", "num_normal": 600, "num_anomaly": 60,
+                 "dim": 6, "separation": 6.0}
+        blobs = {"kind": "blobs", "num_normal": 600,
+                 "anomaly_blob_sizes": [30, 30], "dim": 6,
+                 "separations": [4.0, 8.0]}
+        csv = {"kind": "csv", "path": "data.csv", "label_column": "label",
+               "positive_label": "1"}
         for key, value, shown in (
                 ("methods", ["our_method", "crystal_ball"], "crystal_ball"),
-                ("n_candidates", "1000", "n_candidates must be int")):
+                ("n_candidates", "1000", "n_candidates must be int"),
+                ("dataset", {**synth, "dim": "6"}, "dataset.dim must be int"),
+                ("dataset", {**csv, "path": 5}, "dataset.path must be str"),
+                ("dataset", {**blobs, "anomaly_blob_sizes": ["a"]},
+                 "dataset.anomaly_blob_sizes must be tuple[int, ...]"),
+                ("dataset", {**csv, "positive_label": 1},
+                 "dataset.positive_label must be str"),
+                # JSON's Infinity: a config error, not an all-zero F1 run
+                ("dataset", {**synth, "separation": float("inf")},
+                 "column 'f0' holds non-finite values")):
             raw = make_config().to_dict()
             raw[key] = value
             path = tmp_path / "scenario.json"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,13 @@ def test_load_csv_nonnumeric_cell_names_row_and_column(tmp_path):
         with pytest.raises(ConfigError,
                            match=rf"row 4.*'a'.*non-finite cell {shown}$"):
             load_csv(path, label_column="label", positive_label="x")
+
+
+def test_dataset_rejects_non_finite_features_naming_the_column():
+    for bad in (np.nan, np.inf, -np.inf):
+        features = np.array([[1.0, 2.0, 3.0], [4.0, bad, 6.0]])
+        with pytest.raises(ConfigError, match="column 'b'.*non-finite"):
+            Dataset(features, [0, 1], ("a", "b", "c"), "x")
 
 
 # ---- scaling ----
@@ -152,6 +161,14 @@ def test_partition_even_stratifies_anomalies():
                   for c in range(3)]
     assert max(per_client) - min(per_client) <= 1
     assert sum(per_client) == val.num_anomalies
+
+
+def test_partition_even_rejects_more_clients_than_train_rows():
+    splits = split(toy_dataset(20, 20), 0.5, 0.25, seed=1)  # 10 train rows
+    partition_even(splits, 10, seed=0)
+    with pytest.raises(ConfigError,
+                       match="num_clients=11 exceeds the 10 training rows"):
+        partition_even(splits, 11, seed=0)
 
 
 def test_partition_even_warns_with_more_clients_than_anomalies():
@@ -287,6 +304,60 @@ def test_partition_noniid_multiclass_round_robin():
     # normal classes are dealt to clients as whole groups
     assert c0.isdisjoint(c1)
     assert c0 | c1 == {"0", "1", "2", "3"}
+
+
+def plan_digest(plan):
+    """sha256 over every client's index array, values and dtype."""
+    h = hashlib.sha256()
+    for name in ("train", "val", "test"):
+        for indices in plan.assignments[name]:
+            h.update(f"{name}:{indices.dtype}:{indices.size};".encode())
+            h.update(indices.tobytes())
+    return h.hexdigest()
+
+
+def multiclass_splits(num_classes, num_anomaly, seed):
+    rng = np.random.default_rng(seed)
+    n = 30 * num_classes + num_anomaly
+    labels = np.zeros(n, dtype=np.int64)
+    labels[n - num_anomaly:] = 1
+    classes = [f"c{i % num_classes}" if i < n - num_anomaly else "attack"
+               for i in range(n)]
+    features = rng.normal(size=(n, 3)) + 4.0 * labels[:, None]
+    ds = Dataset(features, labels, ("a", "b", "c"), "multi", classes=classes)
+    return split(ds, 0.5, 0.25, seed=seed)
+
+
+def test_partition_noniid_plans_are_pinned():
+    """Digests of plans written by the per-index implementation that the
+    owner-array one replaced; a change here changes partition_plan.csv."""
+    cases = (
+        # two clusters over five clients: floors move rows in every split
+        (lambda: partition_noniid(blob_splits(), 5, k=2, seed=2),
+         "cb86cb6af41b98ffb6d4147e3878cbcc26f3d9bfb84d14944178cb47f0ceeed5"),
+        (lambda: partition_noniid(blob_splits(), 3, seed=2),
+         "c88ef54a07eb89f0f3ec69b69da39b6021cae8be742f022522a49dc4059af64a"),
+        # three normal classes over four clients: client 3 takes floors
+        (lambda: partition_noniid(multiclass_splits(3, 12, 1), 4, seed=3),
+         "479a18c7d92ec5f0e85dc3229bbd5f87d9744ebbd2413683cc340432d2e4a438"),
+        (lambda: partition_noniid(multiclass_splits(5, 20, 2), 2, k=3,
+                                  seed=4),
+         "6ab679f954dccb49c6cf8ea9d018dd2394ae225963739e1e216e2cdebb0631d3"),
+    )
+    for make, expected in cases:
+        assert plan_digest(make()) == expected
+    with pytest.warns(UserWarning, match="k=9 exceeds the 6 anomalies"):
+        plan = partition_noniid(multiclass_splits(4, 6, 3), 3, k=9, seed=5)
+    assert plan_digest(plan) == \
+        "d164ccec97e09726fa667f940afb56b4f421cbd1c2c25d187bc758237c5b1890"
+    tiny = split(synth(10, 4, 2, 5.0, seed=0), 0.5, 0.25, seed=0)
+    with pytest.raises(ConfigError,
+                       match="^cannot give every client one train sample$"):
+        partition_noniid(tiny, 6, k=1, seed=0)
+    small = split(synth(40, 4, 2, 5.0, seed=0), 0.6, 0.1, seed=0)
+    with pytest.raises(ConfigError, match="^cannot give every client one "
+                                          "normal val sample$"):
+        partition_noniid(small, 6, k=1, seed=0)
 
 
 # ---- partition_random ----
