@@ -8,7 +8,8 @@ scenario harness round out the package.
 """
 from .autoencoder import (ModelParams, TrainConfig, default_hidden_dims,
                           forward, init_model, load_model, mse_loss_and_grads,
-                          mse_per_sample, save_model, train_local)
+                          mse_per_sample, save_model, train_clients,
+                          train_local)
 from .data import (Dataset, PartitionPlan, Scaler, fit_scaler, load_csv,
                    partition_even, partition_noniid, partition_random, scale,
                    split, synth, synth_blobs)
@@ -33,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ModelParams", "TrainConfig", "default_hidden_dims", "forward",
     "init_model", "load_model", "mse_loss_and_grads", "mse_per_sample",
-    "save_model", "train_local",
+    "save_model", "train_clients", "train_local",
     "Dataset", "PartitionPlan", "Scaler", "fit_scaler", "load_csv",
     "partition_even", "partition_noniid", "partition_random", "scale",
     "split", "synth", "synth_blobs",

@@ -129,21 +129,28 @@ def mse_per_sample(model: ModelParams, data: np.ndarray) -> np.ndarray:
 
 def _loss_and_grads(params, x):
     """Loss and gradients for params = weights + biases, one list; the
-    gradients come back as one list in the same order."""
+    gradients come back as one list in the same order.
+
+    Every array may carry a leading client axis: x of shape (clients, n, d)
+    with weights (clients, out, in) and biases (clients, out) gives one
+    loss per client. Each client's slice gets the float ops that its
+    2-D arrays alone would get, in the same order.
+    """
     layers = len(params) // 2
     last = layers - 1
     acts = [x]  # post-activation per layer, acts[0] is the input
     for k in range(layers):
-        z = acts[k] @ params[k].T + params[layers + k]
+        z = (acts[k] @ params[k].swapaxes(-1, -2)
+             + params[layers + k][..., None, :])
         acts.append(z if k == last else np.maximum(z, 0.0))
     diff = acts[-1] - x
-    n, d = x.shape
-    loss = float(np.mean(diff * diff))
+    n, d = x.shape[-2:]
+    loss = np.mean(diff * diff, axis=(-2, -1))
     delta = (2.0 / (n * d)) * diff
     grads = [None] * len(params)
     for k in range(last, -1, -1):
-        grads[k] = delta.T @ acts[k]
-        grads[layers + k] = delta.sum(axis=0)
+        grads[k] = delta.swapaxes(-1, -2) @ acts[k]
+        grads[layers + k] = delta.sum(axis=-2)
         if k > 0:
             # acts[k] = max(z, 0), so acts[k] > 0 exactly where z > 0
             delta = (delta @ params[k]) * (acts[k] > 0.0)
@@ -162,7 +169,7 @@ def mse_loss_and_grads(model: ModelParams, batch: np.ndarray):
         raise ConfigError("empty batch")
     layers = len(model.weights)
     loss, grads = _loss_and_grads(model.weights + model.biases, x)
-    return loss, grads[:layers], grads[layers:]
+    return float(loss), grads[:layers], grads[layers:]
 
 
 def train_local(model: ModelParams, data: np.ndarray, cfg: TrainConfig) -> ModelParams:
@@ -172,41 +179,97 @@ def train_local(model: ModelParams, data: np.ndarray, cfg: TrainConfig) -> Model
     generator). Raises DivergedTraining with the failing epoch index when
     the loss goes non-finite.
     """
-    data = _check_batch(model, data)
-    if data.shape[0] == 0:
+    return train_clients(model, [data], cfg)[0]
+
+
+def _batch_schedule(sizes, batch_size: int) -> list:
+    """One epoch's steps for clients sorted largest first, as (lo, hi,
+    start, rows): clients lo..hi-1 train on rows start..start+rows-1 of
+    their permutation. The clients with a full batch at a step are a
+    prefix; a final partial batch runs grouped with the clients of the
+    same size, so no step holds padding rows."""
+    schedule = []
+    for start in range(0, sizes[0], batch_size):
+        full = sum(n >= start + batch_size for n in sizes)
+        if full:
+            schedule.append((0, full, start, batch_size))
+        lo = full
+        while lo < len(sizes) and sizes[lo] > start:
+            hi = lo + sizes[lo:].count(sizes[lo])
+            schedule.append((lo, hi, start, sizes[lo] - start))
+            lo = hi
+    return schedule
+
+
+def train_clients(model: ModelParams, datas, cfg: TrainConfig) -> list:
+    """train_local for every client at once, one model per entry of datas.
+
+    All clients start from `model` and share cfg. Their parameters (and
+    Adam moments) sit on a leading client axis, so a step is one batched
+    matmul for every client with a batch at that step. Each client keeps
+    its own shuffle generator, step count and float ops, so its result is
+    bit-identical to training it alone. Raises DivergedTraining for the
+    first client in list order that would fail alone: the first epoch with
+    a non-finite loss, or the last epoch if its final parameters are
+    non-finite.
+    """
+    datas = [_check_batch(model, d) for d in datas]
+    if not datas or any(d.shape[0] == 0 for d in datas):
         raise ConfigError("training data is empty")
-    rng = np.random.default_rng(cfg.seed)
-    params = [np.array(p) for p in model.weights + model.biases]
+    order = sorted(range(len(datas)), key=lambda i: -datas[i].shape[0])
+    sizes = [datas[i].shape[0] for i in order]
+    offsets = np.cumsum([0] + sizes[:-1])
+    pool = np.concatenate([datas[i] for i in order])
+    rngs = [np.random.default_rng(cfg.seed) for _ in order]
+    schedule = _batch_schedule(sizes, cfg.batch_size)
+    params = [np.repeat(p[None], len(order), axis=0)
+              for p in model.weights + model.biases]
     adam = cfg.optimizer == "adam"
     # Adam's first and second moments; SGD skips them, because on a small
     # client allocating them is a measurable share of its training
     m = [np.zeros_like(p) for p in params] if adam else None
     v = [np.zeros_like(p) for p in params] if adam else None
     lr, b1, b2, eps = cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-    t = 0
-    n = data.shape[0]
+    t = np.zeros(len(order), dtype=np.int64)
+    diverged = {}  # list index -> first epoch with a non-finite loss
+    perm = np.empty((len(order), sizes[0]), dtype=np.intp)  # rows of pool
     for epoch in range(cfg.local_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = data[order[start:start + cfg.batch_size]]
-            loss, grads = _loss_and_grads(params, batch)
-            if not math.isfinite(loss):
-                raise DivergedTraining(epoch)
-            t += 1
-            corr1, corr2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for j, (rng, n) in enumerate(zip(rngs, sizes)):
+            perm[j, :n] = offsets[j] + rng.permutation(n)
+        for lo, hi, start, rows in schedule:
+            batch = pool[perm[lo:hi, start:start + rows]]
+            loss, grads = _loss_and_grads([p[lo:hi] for p in params], batch)
+            for j in np.flatnonzero(~np.isfinite(loss)):
+                diverged.setdefault(order[lo + j], epoch)
+            t[lo:hi] += 1
+            if adam:
+                steps = t[lo:hi].tolist()
+                corr1 = np.array([1.0 - b1 ** s for s in steps])
+                corr2 = np.array([1.0 - b2 ** s for s in steps])
             for k, g in enumerate(grads):
                 if adam:
-                    m[k] = b1 * m[k] + (1 - b1) * g
-                    v[k] = b2 * v[k] + (1 - b2) * g ** 2
-                    step = lr * (m[k] / corr1) / (np.sqrt(v[k] / corr2) + eps)
+                    mk, vk = m[k][lo:hi], v[k][lo:hi]
+                    shape = (-1,) + (1,) * (g.ndim - 1)
+                    mk[...] = b1 * mk + (1 - b1) * g
+                    vk[...] = b2 * vk + (1 - b2) * g ** 2
+                    step = lr * (mk / corr1.reshape(shape)) / (
+                        np.sqrt(vk / corr2.reshape(shape)) + eps)
                 else:
                     step = lr * g
-                params[k] -= step
+                params[k][lo:hi] -= step
     # the loss check runs before each update; catch a blow-up on the last one
-    if not all(np.all(np.isfinite(p)) for p in params):
-        raise DivergedTraining(cfg.local_epochs - 1)
+    for j, i in enumerate(order):
+        if not all(np.all(np.isfinite(p[j])) for p in params):
+            diverged.setdefault(i, cfg.local_epochs - 1)
+    if diverged:
+        first = min(diverged)
+        raise DivergedTraining(diverged[first], client=first)
     layers = len(model.weights)
-    return ModelParams(tuple(params[:layers]), tuple(params[layers:]))
+    models = [None] * len(order)
+    for j, i in enumerate(order):
+        models[i] = ModelParams(tuple(p[j] for p in params[:layers]),
+                                tuple(p[j] for p in params[layers:]))
+    return models
 
 
 def save_model(model: ModelParams, path) -> None:

@@ -250,6 +250,13 @@ def partition_even(split_datasets, num_clients: int, seed: int) -> PartitionPlan
     if num_clients > train_rows:
         raise ConfigError(f"num_clients={num_clients} exceeds the {train_rows} "
                           "training rows; every client needs one")
+    # the deal gives every client a val normal only if there are enough;
+    # the summary protocol needs one on each client
+    val_normals = int(np.count_nonzero(split_datasets[1].labels == 0))
+    if num_clients > val_normals:
+        raise ConfigError(f"num_clients={num_clients} exceeds the "
+                          f"{val_normals} validation normals; every client "
+                          "needs one")
     rng = np.random.default_rng(seed)
     assignments = {}
     for name, ds in zip(SPLIT_NAMES, split_datasets):

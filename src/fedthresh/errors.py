@@ -6,10 +6,13 @@ class ConfigError(ValueError):
 
 
 class DivergedTraining(RuntimeError):
-    """Training loss became non-finite."""
+    """Training loss became non-finite; `client` is the index of the
+    failing client in the list handed to train_clients."""
 
-    def __init__(self, epoch: int, message: str | None = None):
+    def __init__(self, epoch: int, message: str | None = None,
+                 client: int = 0):
         self.epoch = epoch
+        self.client = client
         super().__init__(message or f"training diverged (non-finite loss) in epoch {epoch}")
 
 

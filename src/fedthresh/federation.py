@@ -4,7 +4,9 @@ Single-process simulation with an instrumented channel so tests can audit
 exactly what crosses the client->server boundary. Determinism contract:
 client order is list order, aggregation order is fixed, and every client
 derives the same per-round training seed, so N identical clients behave
-exactly like centralized training.
+exactly like centralized training. A round trains one copy per client,
+all of them in one stacked pass (`train_clients`); each copy is
+bit-identical to training that client alone.
 """
 import time
 from dataclasses import dataclass, field, replace
@@ -12,7 +14,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autoencoder import (ModelParams, TrainConfig, default_hidden_dims,
-                          init_model, mse_per_sample, train_local)
+                          init_model, mse_per_sample, train_clients)
+# not called here any more; perfbench/tracing.py replaces this attribute
+# by name, so it stays importable from this module
+from .autoencoder import train_local  # noqa: F401
 from .errors import ConfigError, DivergedTraining, FederationError
 from .util import derive_seed
 
@@ -139,10 +144,13 @@ def run_fedavg(clients, cfg: FedConfig, channel: Channel | None = None,
     """FedAvg for cfg.rounds rounds; returns the final global model.
 
     Per round: broadcast the global model, train one copy per client for
-    cfg.train_cfg.local_epochs epochs, replace the global model with the
-    weighted average. A diverging client aborts with the round and client
-    index. Pass a Channel to audit synchronization (2 messages per client
-    per round) and a list as round_log to collect per-client round rows.
+    cfg.train_cfg.local_epochs epochs (every client in one stacked pass),
+    replace the global model with the weighted average. A diverging client
+    aborts with the round and client index; it names the client that
+    training the clients one by one in list order would. Pass a Channel to
+    audit synchronization (2 messages per client per round) and a list as
+    round_log to collect per-client round rows; each row's wall_time_ms is
+    the whole round's stacked training time.
     """
     clients = list(clients)
     if not clients:
@@ -164,17 +172,19 @@ def run_fedavg(clients, cfg: FedConfig, channel: Channel | None = None,
                            dtype=np.float64)
     for t in range(cfg.rounds):
         cfg_t = replace(cfg.train_cfg, seed=round_seed(cfg.train_cfg.seed, t))
-        local_models = []
-        for c in clients:
-            if channel is not None:
+        if channel is not None:
+            for c in clients:
                 channel.record("broadcast", "model", _param_count(model),
                                c.client_id, t, context="fedavg")
-            started = time.perf_counter()
-            try:
-                local = train_local(model, c.train_data, cfg_t)
-            except DivergedTraining as exc:
-                raise FederationError(t, c.client_id, exc) from exc
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
+        started = time.perf_counter()
+        try:
+            local_models = train_clients(
+                model, [c.train_data for c in clients], cfg_t)
+        except DivergedTraining as exc:
+            raise FederationError(t, clients[exc.client].client_id,
+                                  exc) from exc
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        for c, local in zip(clients, local_models):
             if channel is not None:
                 channel.record("upload", "model_update",
                                _param_count(local), c.client_id, t,
@@ -184,13 +194,16 @@ def run_fedavg(clients, cfg: FedConfig, channel: Channel | None = None,
                 round_log.append({"round": t, "client_id": c.client_id,
                                   "local_final_mse": final_mse,
                                   "wall_time_ms": elapsed_ms})
-            local_models.append(local)
         model = average_params(local_models, weights)
     return model
 
 
 def write_round_log(rows, path) -> None:
-    """Round log CSV: round, client_id, local_final_mse, wall_time_ms."""
+    """Round log CSV: round, client_id, local_final_mse, wall_time_ms.
+
+    Clients train in one stacked pass, so wall_time_ms is that round's
+    training time for all clients together, repeated on each client row.
+    """
     lines = ["round,client_id,local_final_mse,wall_time_ms"]
     for row in rows:
         lines.append(f"{row['round']},{row['client_id']},"

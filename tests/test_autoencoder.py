@@ -1,11 +1,18 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fedthresh.autoencoder import (ADAM_EPS, ModelParams, TrainConfig,
+from fedthresh.autoencoder import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
+                                   ModelParams, TrainConfig,
                                    default_hidden_dims, forward, init_model,
                                    load_model, mse_loss_and_grads,
-                                   mse_per_sample, save_model, train_local)
-from fedthresh.errors import ConfigError, DivergedTraining
+                                   mse_per_sample, save_model, train_clients,
+                                   train_local)
+from fedthresh.errors import ConfigError, DivergedTraining, FederationError
+from fedthresh.federation import (ClientState, FedConfig, average_params,
+                                  round_seed, run_fedavg)
 
 
 def test_default_hidden_dims_halves_and_quarters():
@@ -223,3 +230,176 @@ def test_load_model_rejects_bad_header(tmp_path):
     path.write_text("not-a-model\n")
     with pytest.raises(ConfigError):
         load_model(path)
+
+
+# ---- stacked training against the one-client-at-a-time reference ----
+
+def reference_loss_and_grads(params, x):
+    """The 2-D forward/backward pass that trained one client at a time."""
+    layers = len(params) // 2
+    last = layers - 1
+    acts = [x]  # post-activation per layer, acts[0] is the input
+    for k in range(layers):
+        z = acts[k] @ params[k].T + params[layers + k]
+        acts.append(z if k == last else np.maximum(z, 0.0))
+    diff = acts[-1] - x
+    n, d = x.shape
+    loss = float(np.mean(diff * diff))
+    delta = (2.0 / (n * d)) * diff
+    grads = [None] * len(params)
+    for k in range(last, -1, -1):
+        grads[k] = delta.T @ acts[k]
+        grads[layers + k] = delta.sum(axis=0)
+        if k > 0:
+            # acts[k] = max(z, 0), so acts[k] > 0 exactly where z > 0
+            delta = (delta @ params[k]) * (acts[k] > 0.0)
+    return loss, grads
+
+
+def reference_train_local(model, data, cfg):
+    """The per-client training loop that train_clients replaced."""
+    rng = np.random.default_rng(cfg.seed)
+    params = [np.array(p) for p in model.weights + model.biases]
+    adam = cfg.optimizer == "adam"
+    m = [np.zeros_like(p) for p in params] if adam else None
+    v = [np.zeros_like(p) for p in params] if adam else None
+    lr, b1, b2, eps = cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    t = 0
+    n = data.shape[0]
+    for epoch in range(cfg.local_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = data[order[start:start + cfg.batch_size]]
+            loss, grads = reference_loss_and_grads(params, batch)
+            if not math.isfinite(loss):
+                raise DivergedTraining(epoch)
+            t += 1
+            corr1, corr2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for k, g in enumerate(grads):
+                if adam:
+                    m[k] = b1 * m[k] + (1 - b1) * g
+                    v[k] = b2 * v[k] + (1 - b2) * g ** 2
+                    step = lr * (m[k] / corr1) / (np.sqrt(v[k] / corr2) + eps)
+                else:
+                    step = lr * g
+                params[k] -= step
+    # the loss check runs before each update; catch a blow-up on the last one
+    if not all(np.all(np.isfinite(p)) for p in params):
+        raise DivergedTraining(cfg.local_epochs - 1)
+    layers = len(model.weights)
+    return ModelParams(tuple(params[:layers]), tuple(params[layers:]))
+
+
+def reference_fedavg(clients, cfg, model):
+    """FedAvg training the clients one by one in list order; returns the
+    model, or (round, client id, epoch) of the first divergence."""
+    weights = [c.train_data.shape[0] for c in clients]
+    for t in range(cfg.rounds):
+        cfg_t = TrainConfig(local_epochs=cfg.train_cfg.local_epochs,
+                            learning_rate=cfg.train_cfg.learning_rate,
+                            batch_size=cfg.train_cfg.batch_size,
+                            seed=round_seed(cfg.train_cfg.seed, t),
+                            optimizer=cfg.train_cfg.optimizer)
+        local_models = []
+        for c in clients:
+            try:
+                local_models.append(
+                    reference_train_local(model, c.train_data, cfg_t))
+            except DivergedTraining as exc:
+                return t, c.client_id, exc.epoch
+        model = average_params(local_models, weights)
+    return model
+
+
+# unsorted; batch 16: one row, fewer rows than a batch, an exact multiple,
+# sizes that differ by one, and 37/21/21/5 sharing the remainder 5
+RAGGED_SIZES = (5, 32, 1, 37, 21, 36, 21)
+
+
+def assert_same_params(a: ModelParams, b: ModelParams):
+    for x, y in zip(a.weights + a.biases, b.weights + b.biases):
+        assert x.shape == y.shape
+        assert np.array_equal(x, y)
+
+
+def ragged_clients(rng, sizes, dim=5, scales=None):
+    scales = scales or [1.0] * len(sizes)
+    clients = []
+    for i, (n, scale) in enumerate(zip(sizes, scales)):
+        val = rng.normal(size=(4, dim))
+        clients.append(ClientState(10 + i, rng.normal(size=(n, dim)) * scale,
+                                   val, np.array([0, 0, 0, 1]), val,
+                                   np.array([0, 0, 0, 1])))
+    return clients
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_train_clients_matches_reference_bit_for_bit(rng, optimizer):
+    datas = [c.train_data for c in ragged_clients(rng, RAGGED_SIZES)]
+    model = init_model(5, (3, 2), seed=9)
+    cfg = TrainConfig(local_epochs=3, learning_rate=0.05, batch_size=16,
+                      seed=4, optimizer=optimizer)
+    stacked = train_clients(model, datas, cfg)
+    assert len(stacked) == len(datas)
+    for data, got in zip(datas, stacked):
+        assert_same_params(got, reference_train_local(model, data, cfg))
+        assert_same_params(train_local(model, data, cfg), got)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_run_fedavg_matches_reference_bit_for_bit(rng, optimizer):
+    clients = ragged_clients(rng, RAGGED_SIZES)
+    cfg = FedConfig(rounds=3,
+                    train_cfg=TrainConfig(local_epochs=3, learning_rate=0.05,
+                                          batch_size=16, seed=2,
+                                          optimizer=optimizer),
+                    model_seed=6, hidden_dims=(3, 2))
+    expected = reference_fedavg(clients, cfg, init_model(5, (3, 2), seed=6))
+    assert_same_params(run_fedavg(clients, cfg), expected)
+
+
+def test_train_clients_rejects_empty_input():
+    model = init_model(3, (2,), seed=0)
+    with pytest.raises(ConfigError, match="empty"):
+        train_clients(model, [], TrainConfig())
+    with pytest.raises(ConfigError, match="empty"):
+        train_clients(model, [np.ones((4, 3)), np.empty((0, 3))],
+                      TrainConfig())
+
+
+# Under lr 1e200 a client's loss overflows on its second step, so a client
+# with one batch per epoch diverges in epoch 1 and a larger one in epoch 0;
+# an all-zero client has zero gradients and never diverges.
+DIVERGENCE_CASES = {
+    # client 11 is larger, sorted first and fails first, but sequential
+    # training fails on client 10 before it reaches client 11
+    "later_larger_client_fails_earlier": ((1, 40, 8), (1.0, 1.0, 0.0)),
+    "only_a_later_client_fails": ((40, 5, 33), (0.0, 1.0, 0.0)),
+    "all_clients_fail": ((40, 40), (1.0, 1.0)),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(DIVERGENCE_CASES))
+def test_divergence_names_the_client_sequential_training_would(rng, case):
+    sizes, scales = DIVERGENCE_CASES[case]
+    clients = ragged_clients(rng, sizes, scales=scales)
+    cfg = FedConfig(rounds=2,
+                    train_cfg=TrainConfig(local_epochs=3, learning_rate=1e200,
+                                          batch_size=16, seed=1),
+                    model_seed=3, hidden_dims=(3, 2))
+    expected = reference_fedavg(clients, cfg, init_model(5, (3, 2), seed=3))
+    assert isinstance(expected, tuple), "reference training did not diverge"
+    with pytest.raises(FederationError) as excinfo:
+        run_fedavg(clients, cfg)
+    err = excinfo.value
+    assert isinstance(err.cause, DivergedTraining)
+    assert (err.round_index, err.client_id, err.cause.epoch) == expected
+    if case == "later_larger_client_fails_earlier":
+        # the premise: alone, client 11 fails in an earlier epoch
+        with pytest.raises(DivergedTraining) as alone:
+            reference_train_local(init_model(5, (3, 2), seed=3),
+                                  clients[1].train_data,
+                                  replace(cfg.train_cfg,
+                                          seed=round_seed(1, 0)))
+        assert alone.value.epoch < expected[2]

@@ -164,11 +164,24 @@ def test_partition_even_stratifies_anomalies():
 
 
 def test_partition_even_rejects_more_clients_than_train_rows():
-    splits = split(toy_dataset(20, 20), 0.5, 0.25, seed=1)  # 10 train rows
+    # 10 train rows and 20 val normals, so the train rows bind first
+    splits = split(toy_dataset(40, 20), 0.25, 0.5, seed=1)
     partition_even(splits, 10, seed=0)
     with pytest.raises(ConfigError,
                        match="num_clients=11 exceeds the 10 training rows"):
         partition_even(splits, 11, seed=0)
+
+
+def test_partition_even_rejects_more_clients_than_val_normals():
+    # 30 train rows but 15 val normals: a 16th client would get no val
+    # normal, and the summary protocol needs one on every client
+    splits = split(toy_dataset(60, 10), 0.5, 0.25, seed=1)
+    plan = partition_even(splits, 15, seed=0)
+    val_labels = splits[1].labels
+    assert all(np.any(val_labels[rows] == 0) for rows in plan.assignments["val"])
+    with pytest.raises(ConfigError, match="num_clients=16 exceeds the 15 "
+                                          "validation normals"):
+        partition_even(splits, 16, seed=0)
 
 
 def test_partition_even_warns_with_more_clients_than_anomalies():

@@ -76,3 +76,34 @@ def test_traced_boundaries_are_reached(tmp_path):
             expected = {"data.load", "data.partition"} | (
                 {"data.kmeans"} if scheme == "noniid_kmeans" else set())
             assert expected <= names, (dataset["kind"], scheme)
+
+
+def test_traced_training_boundaries_are_reached():
+    """The stacked trainer must call `_loss_and_grads` and `average_params`
+    through their module globals; a name bound at import would bypass the
+    traced attribute and leave the per-layer step metrics at 0."""
+    tracing = load_tracing()
+    cfg = harness.ScenarioConfig(
+        dataset={"kind": "synth", "num_normal": 270, "num_anomaly": 30,
+                 "dim": 3, "separation": 4.0},
+        scheme="random", num_clients=3, rounds=2, n_candidates=20,
+        methods=("largest_mse",))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        harness.run_scenario(cfg)
+    finally:
+        tracer.restore()
+    spans = tracer.spans
+
+    def under_fedavg(span):
+        while span[tracing.PARENT] >= 0:
+            span = spans[span[tracing.PARENT]]
+            if span[tracing.NAME] == "federation.run_fedavg":
+                return True
+        return False
+
+    steps = [s for s in spans if s[tracing.NAME] == "autoencoder.step"]
+    assert steps and all(under_fedavg(s) for s in steps)
+    averages = [s for s in spans if s[tracing.NAME] == "federation.average"]
+    assert len(averages) == cfg.rounds
