@@ -11,8 +11,8 @@ from .autoencoder import (ModelParams, TrainConfig, default_hidden_dims,
                           mse_per_sample, save_model, train_clients,
                           train_local)
 from .data import (Dataset, PartitionPlan, Scaler, fit_scaler, load_csv,
-                   partition_even, partition_noniid, partition_random, scale,
-                   split, synth, synth_blobs)
+                   partition_even, partition_noniid, partition_random, split,
+                   synth, synth_blobs)
 from .error_stats import (ClassSummaries, ErrorSummary, GlobalSummary,
                           OverlapRegion, aggregate, generate_candidates,
                           overlap_region, summarize)
@@ -23,8 +23,7 @@ from .federation import Channel, ClientState, FedConfig, Message, \
 from .harness import (ResultRow, ScenarioConfig, audit_channel,
                       build_followup_dataset, emit_report, run_scenario,
                       sweep_clients, sweep_corruption, train_model)
-from .metrics import (Confusion, F1Matrix, aggregate_f1, confusion, f1,
-                      f1_curve)
+from .metrics import Confusion, aggregate_f1, confusion, f1, f1_curve
 from .thresholds import (METHOD_TAGS, classify, fed_filtered, fed_minmax,
                          fed_mse_std, kqe, local_minmax, local_simple,
                          our_method, pot)
@@ -36,8 +35,8 @@ __all__ = [
     "init_model", "load_model", "mse_loss_and_grads", "mse_per_sample",
     "save_model", "train_clients", "train_local",
     "Dataset", "PartitionPlan", "Scaler", "fit_scaler", "load_csv",
-    "partition_even", "partition_noniid", "partition_random", "scale",
-    "split", "synth", "synth_blobs",
+    "partition_even", "partition_noniid", "partition_random", "split",
+    "synth", "synth_blobs",
     "ClassSummaries", "ErrorSummary", "GlobalSummary", "OverlapRegion",
     "aggregate", "generate_candidates", "overlap_region", "summarize",
     "ConfigError", "DivergedTraining", "FederationError", "InsufficientTail",
@@ -47,7 +46,7 @@ __all__ = [
     "ResultRow", "ScenarioConfig", "audit_channel", "build_followup_dataset",
     "emit_report", "run_scenario", "sweep_clients", "sweep_corruption",
     "train_model",
-    "Confusion", "F1Matrix", "aggregate_f1", "confusion", "f1", "f1_curve",
+    "Confusion", "aggregate_f1", "confusion", "f1", "f1_curve",
     "METHOD_TAGS", "classify", "fed_filtered",
     "fed_minmax", "fed_mse_std", "kqe", "local_minmax", "local_simple",
     "our_method", "pot",

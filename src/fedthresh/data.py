@@ -3,8 +3,8 @@
 Datasets are immutable values: features + binary anomaly labels (1 =
 anomaly), with the raw source class retained when one exists so the
 class-grouped partitioner can use it. Partitioning produces a
-PartitionPlan of per-split index lists, serializable to CSV for exact
-replay.
+PartitionPlan of per-split index lists, written to partition_plan.csv
+with every run.
 """
 import csv
 import warnings
@@ -143,7 +143,7 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
 @dataclass(frozen=True)
 class Scaler:
     """Per-feature affine map (x - offset) / scale; constant features
-    (scale 0) map to 0 and invert back to their offset."""
+    (scale 0) map to 0."""
 
     method: str
     offset: np.ndarray
@@ -154,9 +154,6 @@ class Scaler:
         out = (features - self.offset) / safe
         out[:, self.scale == 0.0] = 0.0
         return out
-
-    def inverse_transform(self, features: np.ndarray) -> np.ndarray:
-        return features * self.scale + self.offset
 
 
 def fit_scaler(features: np.ndarray, method: str = "minmax") -> Scaler:
@@ -173,14 +170,6 @@ def fit_scaler(features: np.ndarray, method: str = "minmax") -> Scaler:
 
 def apply_scaler(dataset: Dataset, scaler: Scaler) -> Dataset:
     return replace(dataset, features=scaler.transform(dataset.features))
-
-
-def scale(dataset: Dataset, method: str, fit_on) -> Dataset:
-    """Fit on the rows indexed by fit_on (the training split), apply to all."""
-    fit_on = np.asarray(fit_on, dtype=np.int64)
-    if fit_on.size == 0:
-        raise ConfigError("fit indices are empty")
-    return apply_scaler(dataset, fit_scaler(dataset.features[fit_on], method))
 
 
 def split(dataset: Dataset, train_frac: float, val_frac: float, seed: int):
@@ -444,30 +433,6 @@ def write_plan(plan: PartitionPlan, path) -> None:
             for client_id, indices in enumerate(plan.assignments[split_name]):
                 for idx in indices:
                     writer.writerow([split_name, client_id, int(idx)])
-
-
-def read_plan(path) -> PartitionPlan:
-    with open(path, newline="", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        if not first.startswith("# scheme="):
-            raise ConfigError(f"{path}: missing plan header")
-        meta = dict(part.split("=") for part in first[2:].split())
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["split", "client_id", "sample_index"]:
-            raise ConfigError(f"{path}: unexpected columns {header}")
-        raw = {}
-        max_client = -1
-        for split_name, client_id, idx in reader:
-            raw.setdefault(split_name, {}).setdefault(int(client_id), []) \
-                .append(int(idx))
-            max_client = max(max_client, int(client_id))
-    # file order is meaningful: it fixes each client's local sample order
-    assignments = {
-        name: [np.array(clients.get(c, []), dtype=np.int64)
-               for c in range(max_client + 1)]
-        for name, clients in raw.items()}
-    return PartitionPlan(meta["scheme"], assignments, int(meta["seed"]))
 
 
 @dataclass(frozen=True)

@@ -50,10 +50,6 @@ class ClassSummaries:
     normal: ErrorSummary
     anomaly: ErrorSummary | None = None
 
-    @property
-    def total_count(self) -> int:
-        return self.normal.count + (self.anomaly.count if self.anomaly else 0)
-
 
 @dataclass(frozen=True)
 class GlobalSummary:
@@ -184,36 +180,21 @@ def aggregate(summaries, mode: str = "exact_pooled") -> GlobalSummary:
                          float(kurt_num / total), int(total), mode)
 
 
-def _bounds(g: GlobalSummary, refine: bool):
-    lo = g.mean - 3.0 * g.std
-    hi = g.mean + 3.0 * g.std
-    if refine:
-        # heuristic Cornish-Fisher-style adjustment: shift both bounds
-        # toward the long tail, widen for heavy tails; not part of the
-        # aggregation contract and off by default
-        shift = g.std * (4.0 * g.skewness / 3.0)
-        widen = 3.0 * g.std * max(0.0, (g.kurtosis - 3.0) / 24.0)
-        lo = lo + shift - widen
-        hi = hi + shift + widen
-    return lo, hi
-
-
-def overlap_region(normal: GlobalSummary, anomaly: GlobalSummary,
-                   refine: bool = False) -> OverlapRegion:
+def overlap_region(normal: GlobalSummary,
+                   anomaly: GlobalSummary) -> OverlapRegion:
     """Intersection of the two classes' +-3 sigma intervals.
 
     When the intervals do not intersect (fully separated distributions)
     the region degenerates to the gap between them, so candidates still
     fall between the two classes.
     """
-    lo_n, hi_n = _bounds(normal, refine)
-    lo_a, hi_a = _bounds(anomaly, refine)
+    lo_n, hi_n = normal.mean - 3.0 * normal.std, normal.mean + 3.0 * normal.std
+    lo_a, hi_a = (anomaly.mean - 3.0 * anomaly.std,
+                  anomaly.mean + 3.0 * anomaly.std)
     lower = max(lo_n, lo_a)
     upper = min(hi_n, hi_a)
     if lower >= upper:
-        raw_hi_n = normal.mean + 3.0 * normal.std
-        raw_lo_a = anomaly.mean - 3.0 * anomaly.std
-        return OverlapRegion(min(raw_hi_n, raw_lo_a), max(raw_hi_n, raw_lo_a),
+        return OverlapRegion(min(hi_n, lo_a), max(hi_n, lo_a),
                              degenerate=True)
     return OverlapRegion(lower, upper)
 

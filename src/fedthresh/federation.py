@@ -21,23 +21,17 @@ from .autoencoder import train_local  # noqa: F401
 from .errors import ConfigError, DivergedTraining, FederationError
 from .util import derive_seed
 
-CLIENT_WEIGHTINGS = ("uniform", "by_sample_count")
-
 
 @dataclass(frozen=True)
 class FedConfig:
     rounds: int
     train_cfg: TrainConfig
-    client_weighting: str = "by_sample_count"
     hidden_dims: tuple | None = None  # None -> shrinking-bottleneck default
     model_seed: int = 0
 
     def __post_init__(self):
         if self.rounds < 1:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
-        if self.client_weighting not in CLIENT_WEIGHTINGS:
-            raise ConfigError(f"unknown client weighting "
-                              f"{self.client_weighting!r}")
 
 
 @dataclass(frozen=True)
@@ -139,13 +133,13 @@ def round_seed(base_seed: int, round_index: int) -> int:
 
 
 def run_fedavg(clients, cfg: FedConfig, channel: Channel | None = None,
-               round_log: list | None = None,
-               initial_model: ModelParams | None = None) -> ModelParams:
+               round_log: list | None = None) -> ModelParams:
     """FedAvg for cfg.rounds rounds; returns the final global model.
 
     Per round: broadcast the global model, train one copy per client for
     cfg.train_cfg.local_epochs epochs (every client in one stacked pass),
-    replace the global model with the weighted average. A diverging client
+    replace the global model with the average weighted by each client's
+    training-sample count (McMahan et al. 2017). A diverging client
     aborts with the round and client index; it names the client that
     training the clients one by one in list order would. Pass a Channel to
     audit synchronization (2 messages per client per round) and a list as
@@ -160,16 +154,10 @@ def run_fedavg(clients, cfg: FedConfig, channel: Channel | None = None,
         if c.train_data.shape[1] != input_dim:
             raise ConfigError(f"client {c.client_id}: feature dimension "
                               f"{c.train_data.shape[1]} != {input_dim}")
-    if initial_model is None:
-        hidden = cfg.hidden_dims or default_hidden_dims(input_dim)
-        model = init_model(input_dim, hidden, cfg.model_seed)
-    else:
-        model = initial_model
-    if cfg.client_weighting == "uniform":
-        weights = np.ones(len(clients))
-    else:
-        weights = np.array([c.train_data.shape[0] for c in clients],
-                           dtype=np.float64)
+    hidden = cfg.hidden_dims or default_hidden_dims(input_dim)
+    model = init_model(input_dim, hidden, cfg.model_seed)
+    weights = np.array([c.train_data.shape[0] for c in clients],
+                       dtype=np.float64)
     for t in range(cfg.rounds):
         cfg_t = replace(cfg.train_cfg, seed=round_seed(cfg.train_cfg.seed, t))
         if channel is not None:

@@ -59,9 +59,8 @@ def _class_summaries(errors, labels, i, cfg, params):
 
 
 def _fed_minmax_server(uploads, client_eval, cfg, params):
-    lows, highs, counts = zip(*uploads)
-    return fed_minmax(min(lows), max(highs), cfg.n_candidates, client_eval,
-                      cfg.aggregation, client_counts=np.array(counts))
+    lows, highs = zip(*uploads)
+    return fed_minmax(min(lows), max(highs), cfg.n_candidates, client_eval)
 
 
 def _mean_plus_std(errors, labels, i, cfg, params):
@@ -101,9 +100,9 @@ METHODS = {
     "our_method": Method(_class_summaries, "summary_stats",
                          lambda uploads, client_eval, cfg, _: our_method(
                              uploads, client_eval, cfg.n_candidates,
-                             cfg.aggregation, cfg.formula_mode, cfg.refine)),
+                             cfg.formula_mode)),
     "fed_minmax": Method(lambda errors, *_: (float(errors.min()),
-                                             float(errors.max()), errors.size),
+                                             float(errors.max())),
                          "error_range", _fed_minmax_server),
     "fed_mse_std": Method(lambda errors, *_: summarize(errors), "summary_stats",
                           lambda uploads, *_: fed_mse_std(uploads)),
@@ -209,19 +208,16 @@ class ScenarioConfig:
     learning_rate: float = 0.05
     batch_size: int = 64
     optimizer: str = "sgd"
-    client_weighting: str = "by_sample_count"
-    hidden_dims: tuple | None = None
+    hidden_dims: tuple[int, ...] | None = None
     scale_method: str = "minmax"
     train_frac: float = 0.6
     val_frac: float = 0.2
-    methods: tuple = METHOD_TAGS
+    methods: tuple[str, ...] = METHOD_TAGS
     n_candidates: int = 1000
-    aggregation: str = "mean"
     formula_mode: str = "exact_pooled"
-    refine: bool = False
     concentration: float = 0.5
     noniid_k: int | None = None
-    corrupt_client_ids: tuple = ()
+    corrupt_client_ids: tuple[int, ...] = ()
     noise_sigma_scale: float = 2.0
     method_params: dict = field(default_factory=dict)
     data_seed: int = 1
@@ -248,8 +244,10 @@ class ScenarioConfig:
                               f"valid tags: {METHOD_TAGS}")
         if not self.methods:
             raise ConfigError("at least one method required")
-        if self.aggregation not in ("mean", "weighted_mean"):
-            raise ConfigError(f"unknown aggregation {self.aggregation!r}")
+        repeated = sorted({t for t in self.methods
+                           if self.methods.count(t) > 1})
+        if repeated:
+            raise ConfigError(f"methods lists {repeated} more than once")
         if self.formula_mode not in AGGREGATION_MODES:
             raise ConfigError(f"unknown formula_mode {self.formula_mode!r}")
         if self.n_candidates < 2:
@@ -257,9 +255,12 @@ class ScenarioConfig:
         if self.num_clients < 1:
             raise ConfigError("num_clients must be >= 1")
         if self.hidden_dims is not None:
+            if not self.hidden_dims or min(self.hidden_dims) < 1:
+                raise ConfigError(f"hidden_dims must be non-empty widths, "
+                                  f"each >= 1, got {list(self.hidden_dims)}")
             object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         object.__setattr__(self, "corrupt_client_ids",
-                           tuple(int(c) for c in self.corrupt_client_ids))
+                           tuple(self.corrupt_client_ids))
         outside = [c for c in self.corrupt_client_ids
                    if not 0 <= c < self.num_clients]
         if outside:
@@ -383,7 +384,6 @@ def _train(cfg: ScenarioConfig, clients, channel, round_log=None):
                               learning_rate=cfg.learning_rate,
                               batch_size=cfg.batch_size, seed=cfg.train_seed,
                               optimizer=cfg.optimizer),
-        client_weighting=cfg.client_weighting,
         hidden_dims=cfg.hidden_dims, model_seed=cfg.model_seed)
     return run_fedavg(clients, fed_cfg, channel=channel, round_log=round_log)
 
@@ -569,8 +569,7 @@ def _write_lines(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def emit_report(rows, out_dir, cfg: ScenarioConfig | None = None,
-                dataset_name: str | None = None):
+def emit_report(rows, out_dir, cfg: ScenarioConfig | None = None):
     """Write results.csv, timing.csv, methods_summary.csv, summary_table.txt.
 
     results.csv carries no timing, so identical configs reproduce it byte
@@ -597,9 +596,8 @@ def emit_report(rows, out_dir, cfg: ScenarioConfig | None = None,
         summary.append(f"{r.method},{r.f1!r},{r.threshold!r}")
     _write_lines(out / "methods_summary.csv", summary)
 
-    name = dataset_name or (cfg.dataset.get("path", cfg.dataset["kind"])
-                            if cfg is not None else "dataset")
-    name = Path(str(name)).stem
+    name = Path(str(cfg.dataset.get("path", cfg.dataset["kind"]))).stem \
+        if cfg is not None else "dataset"
     width = max([len("Method")] + [len(r.method) for r in global_rows]) + 2
     table = [f"{'Method':<{width}}{name}",
              "-" * (width + max(len(name), 6))]

@@ -100,47 +100,25 @@ def naive_f1_curve(errors, labels, candidates) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class F1Matrix:
-    """clients x candidates grid of F1 scores plus per-client eval counts."""
+def aggregate_f1(candidates, scores):
+    """Mean F1 over clients per candidate; returns (theta, score) at the
+    argmax.
 
-    candidates: np.ndarray
-    scores: np.ndarray
-    client_counts: np.ndarray
-
-    def __post_init__(self):
-        candidates = np.asarray(self.candidates, dtype=np.float64)
-        scores = np.asarray(self.scores, dtype=np.float64)
-        counts = np.asarray(self.client_counts)
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "client_counts", counts)
-        if scores.ndim != 2 or scores.shape[1] != candidates.size:
-            raise ConfigError(f"scores grid {scores.shape} does not match "
-                              f"{candidates.size} candidates")
-        if counts.size != scores.shape[0]:
-            raise ConfigError("one count per client row required")
-        if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
-            raise ConfigError("F1 scores must lie in [0, 1]")
-
-
-def aggregate_f1(matrix: F1Matrix, mode: str = "mean"):
-    """Column-aggregate the grid; returns (theta, score) at the argmax.
-
-    Ties break toward the smallest candidate (argmax takes the first hit
-    of an ascending grid).
+    scores holds one row per client, one column per candidate. The rows
+    come from clients, so their shape and range are checked. Ties break
+    toward the smallest candidate (argmax takes the first hit of an
+    ascending grid).
     """
-    if mode == "mean":
-        column = matrix.scores.mean(axis=0)
-    elif mode == "weighted_mean":
-        weights = np.asarray(matrix.client_counts, dtype=np.float64)
-        if weights.sum() <= 0:
-            raise ConfigError("weighted_mean needs a positive count total")
-        column = (matrix.scores * weights[:, None]).sum(axis=0) / weights.sum()
-    else:
-        raise ConfigError(f"unknown aggregation {mode!r}")
+    candidates = np.asarray(candidates, dtype=np.float64)
+    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    if scores.ndim != 2 or scores.shape[1] != candidates.size:
+        raise ConfigError(f"scores grid {scores.shape} does not match "
+                          f"{candidates.size} candidates")
+    if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
+        raise ConfigError("F1 scores must lie in [0, 1]")
+    column = scores.mean(axis=0)
     best = int(np.argmax(column))
-    return float(matrix.candidates[best]), float(column[best])
+    return float(candidates[best]), float(column[best])
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from scipy.special import ndtr
 
 from .errors import ConfigError, InsufficientTail, NoAnomalyStatistics
 from .error_stats import aggregate, generate_candidates, overlap_region
-from .metrics import F1Matrix, aggregate_f1, f1_curve
+from .metrics import aggregate_f1, f1_curve
 
 # the tags of harness.METHODS, which runs each method, in report order
 METHOD_TAGS = (
@@ -26,9 +26,8 @@ METHOD_TAGS = (
 
 
 def our_method(client_class_summaries, client_eval, n: int = 1000,
-               aggregation: str = "mean", mode: str = "exact_pooled",
-               refine: bool = False) -> float:
-    """Threshold with the best aggregate F1 over the overlap region.
+               mode: str = "exact_pooled") -> float:
+    """Threshold with the best mean client F1 over the overlap region.
 
     client_class_summaries: per-client ClassSummaries. client_eval maps a
     candidate grid to the clients x candidates F1 matrix (in the federated
@@ -48,29 +47,21 @@ def our_method(client_class_summaries, client_eval, n: int = 1000,
             "requires both class distributions")
     global_normal = aggregate(normals, mode)
     global_anomaly = aggregate(anomalies, mode)
-    region = overlap_region(global_normal, global_anomaly, refine=refine)
+    region = overlap_region(global_normal, global_anomaly)
     candidates = generate_candidates(region, n)
-    scores = np.atleast_2d(np.asarray(client_eval(candidates), dtype=np.float64))
-    counts = np.array([cs.total_count for cs in client_class_summaries])
-    theta, _ = aggregate_f1(F1Matrix(candidates, scores, counts), aggregation)
+    theta, _ = aggregate_f1(candidates, client_eval(candidates))
     return theta
 
 
-def fed_minmax(global_min: float, global_max: float, n: int, client_eval,
-               aggregation: str = "mean", client_counts=None) -> float:
-    """Aggregate-F1 argmax over n candidates spanning [min, max] errors."""
+def fed_minmax(global_min: float, global_max: float, n: int,
+               client_eval) -> float:
+    """Mean-F1 argmax over n candidates spanning [min, max] errors."""
     if not global_min < global_max:
         raise ConfigError(f"need min < max, got [{global_min}, {global_max}]")
     if n < 2:
         raise ConfigError(f"candidate count must be >= 2, got {n}")
     candidates = np.linspace(global_min, global_max, n)
-    scores = np.atleast_2d(np.asarray(client_eval(candidates), dtype=np.float64))
-    if client_counts is None:
-        if aggregation != "mean":
-            raise ConfigError("weighted aggregation needs client_counts")
-        client_counts = np.ones(scores.shape[0], dtype=np.int64)
-    theta, _ = aggregate_f1(F1Matrix(candidates, scores, client_counts),
-                            aggregation)
+    theta, _ = aggregate_f1(candidates, client_eval(candidates))
     return theta
 
 

@@ -153,7 +153,7 @@ def test_criterion_04_brute_force_threshold_oracle():
     for _ in range(200):
         # Gaussian class pairs, 1.5-3sigma apart: the operating regime of
         # the 3sigma overlap region (heavier separations or tails push the
-        # in-sample optimum outside the region and belong to refine=True)
+        # in-sample optimum outside the region)
         n = int(rng.integers(20, 201))
         n_anom = int(rng.integers(3, max(4, n // 4)))
         sigma = rng.uniform(0.1, 0.3)

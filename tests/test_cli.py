@@ -66,6 +66,22 @@ class TestThresholdCommand:
         assert base.output == same.output
         assert base.output != other.output
 
+    def test_repeated_method_flag_exits_2(self, runner, config_file):
+        result = runner.invoke(main, ["threshold", "--config",
+                                      str(config_file), "--method", "iqr",
+                                      "--method", "iqr"])
+        assert result.exit_code == 2
+        assert "methods lists ['iqr'] more than once" in result.output
+
+    def test_removed_option_exits_2(self, runner, tmp_path):
+        raw = make_config().to_dict()
+        raw["refine"] = False
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        result = runner.invoke(main, ["threshold", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "unknown config keys ['refine']" in result.output
+
     def test_missing_config_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["threshold", "--config",
                                       str(tmp_path / "none.json")])

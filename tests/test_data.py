@@ -1,12 +1,14 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 
-from fedthresh.data import (CorruptionSpec, Dataset, corrupt, fit_scaler,
-                            apply_scaler, kmeans, load_csv, partition_even,
-                            partition_noniid, partition_random, read_plan,
-                            scale, split, synth, synth_blobs, write_plan)
+from fedthresh.data import (KNOWN_DATASET_SHAPES, CorruptionSpec, Dataset,
+                            corrupt, fit_scaler, apply_scaler, kmeans,
+                            load_csv, partition_even,
+                            partition_noniid, partition_random, split, synth,
+                            synth_blobs)
 from fedthresh.errors import ConfigError
 from fedthresh.federation import ClientState
 
@@ -57,6 +59,22 @@ def test_dataset_rejects_non_finite_features_naming_the_column():
             Dataset(features, [0, 1], ("a", "b", "c"), "x")
 
 
+def test_load_csv_warns_on_a_published_name_with_the_wrong_shape(tmp_path):
+    path = tmp_path / "shuttle_toy.csv"
+    path.write_text("a,b,label\n1.0,2.0,1\n3.0,4.0,4\n")
+    published = KNOWN_DATASET_SHAPES["shuttle"]
+    with pytest.warns(UserWarning, match=r"shape \(2, 1, 2\) differs from "
+                      rf"the published \({', '.join(map(str, published))}\)"):
+        ds = load_csv(path, label_column="label", positive_label="4")
+    assert ds.num_samples == 2
+    # a name that matches no published dataset loads without a warning
+    other = tmp_path / "toy.csv"
+    other.write_bytes(path.read_bytes())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        load_csv(other, label_column="label", positive_label="4")
+
+
 # ---- scaling ----
 
 def test_minmax_scaler_maps_train_range():
@@ -86,14 +104,14 @@ def test_zscore_scaler_moments(rng):
 def test_scale_inverse_roundtrip(rng):
     features = rng.normal(size=(50, 4)) * np.array([1.0, 10.0, 0.1, 3.0])
     scaler = fit_scaler(features, "minmax")
-    back = scaler.inverse_transform(scaler.transform(features))
+    back = scaler.transform(features) * scaler.scale + scaler.offset
     assert np.allclose(back, features, rtol=1e-9)
 
 
 def test_scale_operation_fits_on_train_only():
     ds = toy_dataset()
     fit_idx = np.arange(10)
-    scaled = scale(ds, "minmax", fit_on=fit_idx)
+    scaled = apply_scaler(ds, fit_scaler(ds.features[fit_idx], "minmax"))
     fit_block = ds.features[fit_idx]
     expected_min = fit_block.min(axis=0)
     got = scaled.features * (fit_block.max(axis=0) - expected_min) + expected_min
@@ -413,21 +431,6 @@ def test_partition_random_two_by_two():
     plan = partition_random(splits, num_clients=2, seed=1, concentration=0.2)
     train_sizes = [len(plan.client_indices("train", c)) for c in range(2)]
     assert min(train_sizes) >= 1
-
-
-# ---- plan round trip ----
-
-def test_plan_roundtrip(tmp_path):
-    splits = blob_splits()
-    plan = partition_even(splits, 3, seed=12)
-    path = tmp_path / "plan.csv"
-    write_plan(plan, path)
-    back = read_plan(path)
-    assert back.scheme == plan.scheme and back.seed == plan.seed
-    for split_name in ("train", "val", "test"):
-        for c in range(3):
-            assert np.array_equal(back.client_indices(split_name, c),
-                                  plan.client_indices(split_name, c))
 
 
 # ---- corruption ----

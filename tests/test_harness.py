@@ -1,5 +1,7 @@
 """Tests for scenario configuration, orchestration, audit, and reports."""
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,8 +47,8 @@ class TestScenarioConfig:
             make_config(methods=("our_method", "oracle"))
         with pytest.raises(ConfigError, match="at least one method"):
             make_config(methods=())
-        with pytest.raises(ConfigError, match="aggregation"):
-            make_config(aggregation="median")
+        with pytest.raises(ConfigError, match=r"methods lists \['iqr'\]"):
+            make_config(methods=["iqr", "kqe", "iqr"])
         with pytest.raises(ConfigError, match="formula_mode"):
             make_config(formula_mode="verbatim")
         with pytest.raises(ConfigError, match="n_candidates"):
@@ -57,6 +59,10 @@ class TestScenarioConfig:
             make_config(num_clients=3, corrupt_client_ids=[99])
         with pytest.raises(ConfigError, match=r"corrupt_client_ids \[-1\]"):
             make_config(corrupt_client_ids=[-1])
+        # an empty or zero-width architecture fails here, not in training
+        for widths in ([], [4, 0]):
+            with pytest.raises(ConfigError, match="^hidden_dims must be"):
+                make_config(hidden_dims=widths)
         with pytest.raises(ConfigError, match="'q'"):
             make_config(method_params={"percentile": {"q": 50}})
         with pytest.raises(ConfigError, match="'zcut'"):
@@ -68,9 +74,17 @@ class TestScenarioConfig:
         # field types come from the annotations; nothing is coerced
         for field_name, value in (("n_candidates", "1000"),
                                   ("num_clients", 4.0), ("rounds", True),
-                                  ("learning_rate", "0.1"), ("refine", 1),
+                                  ("learning_rate", "0.1"),
                                   ("scheme", None), ("methods", "iqr"),
-                                  ("hidden_dims", 8), ("noniid_k", "3"),
+                                  ("methods", [1, "iqr"]),
+                                  ("methods", [["iqr"]]),
+                                  ("hidden_dims", 8), ("hidden_dims", [2.7]),
+                                  ("hidden_dims", ["a"]),
+                                  ("hidden_dims", [True]),
+                                  ("corrupt_client_ids", ["1"]),
+                                  ("corrupt_client_ids", [True]),
+                                  ("corrupt_client_ids", [1.9]),
+                                  ("noniid_k", "3"),
                                   ("dataset", ["synth"]),
                                   ("method_params", [])):
             with pytest.raises(ConfigError, match=f"^{field_name} must be"):
@@ -90,6 +104,14 @@ class TestScenarioConfig:
         raw["learning_rte"] = 0.1
         with pytest.raises(ConfigError, match="learning_rte"):
             ScenarioConfig.from_dict(raw)
+        # options that no longer exist are unknown keys too
+        for key, value in (("refine", False), ("aggregation", "mean"),
+                           ("client_weighting", "by_sample_count")):
+            raw = make_config().to_dict()
+            raw[key] = value
+            with pytest.raises(ConfigError,
+                               match=rf"unknown config keys \['{key}'\]"):
+                ScenarioConfig.from_dict(raw)
 
     def test_dict_roundtrip_preserves_hash(self):
         cfg = make_config(hidden_dims=(8, 4), corrupt_client_ids=(1, 2),
@@ -168,6 +190,28 @@ class TestRunScenario:
         a = (tmp_path / "a" / "results.csv").read_bytes()
         b = (tmp_path / "b" / "results.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("overrides, digest", [
+        ({}, "fb540b1d05acc60511bda3bf592a3973"
+             "7edd126e971df7279e486e0f1617603a"),
+        ({"scheme": "random", "num_clients": 5, "optimizer": "adam",
+          "learning_rate": 0.01}, "00b37af7e1efc09c7376378cdd01b048"
+                                  "56670ce79213f5daaef0aa15cda462f1"),
+    ], ids=["even_sgd", "random_adam"])
+    def test_results_csv_columns_are_pinned(self, overrides, digest, tmp_path):
+        # the results.csv contract: for a fixed config, every column but
+        # scenario_id and config_hash (which hash the config's keys) keeps
+        # these bytes
+        cfg = make_config(methods=METHOD_TAGS, **overrides)
+        run_scenario(cfg, out_dir=tmp_path)
+        lines = (tmp_path / "results.csv").read_text().splitlines()
+        assert lines[0].split(",")[1:6] == ["method", "client_id", "split",
+                                            "f1", "threshold"]
+        columns = "".join(",".join(line.split(",")[1:6]) + "\n"
+                          for line in lines)
+        assert len(lines) == 1 + len(METHOD_TAGS) * (cfg.num_clients + 1)
+        assert hashlib.sha256(columns.encode()).hexdigest() == digest
 
     def test_output_files(self, small_config, tmp_path):
         run_scenario(small_config, out_dir=tmp_path)
@@ -288,7 +332,7 @@ class TestMethods:
         assert uploads == {
             ("our_method", "summary_stats"): 5,
             ("our_method", "f1_scores"): 50,
-            ("fed_minmax", "error_range"): 3,
+            ("fed_minmax", "error_range"): 2,
             ("fed_minmax", "f1_scores"): 50,
             ("fed_mse_std", "summary_stats"): 5,
             ("fed_filtered", "summary_stats"): 1,
@@ -335,8 +379,10 @@ class TestEmitReport:
 
     def test_summary_table_uses_dataset_stem(self, small_config, tmp_path):
         rows = run_scenario(small_config)
-        emit_report(rows, tmp_path, cfg=small_config,
-                    dataset_name="data/machine_logs.csv")
+        csv_cfg = replace(small_config, dataset={
+            "kind": "csv", "path": "data/machine_logs.csv",
+            "label_column": "label", "positive_label": "1"})
+        emit_report(rows, tmp_path, cfg=csv_cfg)
         table = (tmp_path / "summary_table.txt").read_text()
         assert "machine_logs" in table.splitlines()[0]
         ours = next(r for r in rows

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedthresh.errors import ConfigError
-from fedthresh.metrics import (Confusion, F1Matrix, aggregate_f1,
+from fedthresh.metrics import (Confusion, aggregate_f1,
                                collect_stat_features, confusion,
                                correlation_matrix, f1, f1_curve,
                                naive_f1_curve)
@@ -73,28 +73,19 @@ def test_aggregate_f1_mean_and_ties():
     candidates = np.array([1.0, 2.0, 3.0])
     scores = np.array([[0.5, 0.9, 0.9],
                        [0.7, 0.9, 0.9]])
-    matrix = F1Matrix(candidates, scores, np.array([10, 10]))
-    theta, score = aggregate_f1(matrix, "mean")
+    theta, score = aggregate_f1(candidates, scores)
     # ties break toward the smallest candidate
     assert theta == 2.0 and score == pytest.approx(0.9)
 
 
-def test_aggregate_f1_weighted_mean():
-    candidates = np.array([1.0, 2.0])
-    scores = np.array([[1.0, 0.0],
-                       [0.0, 1.0]])
-    matrix = F1Matrix(candidates, scores, np.array([1, 99]))
-    theta, score = aggregate_f1(matrix, "weighted_mean")
-    assert theta == 2.0 and score == pytest.approx(0.99)
-    with pytest.raises(ConfigError):
-        aggregate_f1(matrix, "median")
-
-
-def test_f1_matrix_validation():
-    with pytest.raises(ConfigError):
-        F1Matrix(np.array([1.0, 2.0]), np.array([[0.5]]), np.array([3]))
-    with pytest.raises(ConfigError):
-        F1Matrix(np.array([1.0]), np.array([[1.5]]), np.array([3]))
+def test_aggregate_f1_validation():
+    # client F1 rows are outside input: grid shape and range are checked
+    with pytest.raises(ConfigError, match="does not match"):
+        aggregate_f1(np.array([1.0, 2.0]), np.array([[0.5]]))
+    with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+        aggregate_f1(np.array([1.0]), np.array([[1.5]]))
+    with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+        aggregate_f1(np.array([1.0]), np.array([[-0.1]]))
 
 
 def _global(mean=1.0, count=100):
