@@ -16,8 +16,9 @@ from .data import (Dataset, PartitionPlan, Scaler, fit_scaler, load_csv,
 from .error_stats import (ClassSummaries, ErrorSummary, GlobalSummary,
                           OverlapRegion, aggregate, generate_candidates,
                           overlap_region, summarize)
-from .errors import (ConfigError, DivergedTraining, FederationError,
-                     InsufficientTail, NoAnomalyStatistics, StageError)
+from .errors import (AuditError, ConfigError, DivergedTraining,
+                     FederationError, InsufficientTail, NoAnomalyStatistics,
+                     StageError)
 from .federation import Channel, ClientState, FedConfig, Message, \
     average_params, run_fedavg
 from .harness import (ResultRow, ScenarioConfig, audit_channel,
@@ -39,8 +40,8 @@ __all__ = [
     "synth", "synth_blobs",
     "ClassSummaries", "ErrorSummary", "GlobalSummary", "OverlapRegion",
     "aggregate", "generate_candidates", "overlap_region", "summarize",
-    "ConfigError", "DivergedTraining", "FederationError", "InsufficientTail",
-    "NoAnomalyStatistics", "StageError",
+    "AuditError", "ConfigError", "DivergedTraining", "FederationError",
+    "InsufficientTail", "NoAnomalyStatistics", "StageError",
     "Channel", "ClientState", "FedConfig", "Message", "average_params",
     "run_fedavg",
     "ResultRow", "ScenarioConfig", "audit_channel", "build_followup_dataset",

@@ -7,6 +7,7 @@ training returns a new value, so a shared model can be evaluated from
 multiple threads.
 """
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,10 +53,6 @@ class ModelParams:
         """Layer size chain: (input_dim, out_dim of every layer)."""
         return (self.input_dim,) + tuple(w.shape[0] for w in self.weights)
 
-    @property
-    def activations(self) -> tuple:
-        return ("relu",) * (len(self.weights) - 1) + ("identity",)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -86,7 +83,11 @@ def init_model(input_dim: int, hidden_dims, seed: int) -> ModelParams:
 
     Layer chain: input -> hidden_dims... -> reversed(hidden_dims[:-1]) -> input.
     """
-    hidden_dims = tuple(int(h) for h in hidden_dims)
+    try:
+        hidden_dims = tuple(operator.index(h) for h in hidden_dims)
+    except TypeError:
+        raise ConfigError(f"hidden_dims must hold integer widths, got "
+                          f"{list(hidden_dims)}") from None
     if input_dim < 1 or not hidden_dims or any(h < 1 for h in hidden_dims):
         raise ConfigError(f"bad architecture: input_dim={input_dim}, hidden={hidden_dims}")
     chain = (input_dim,) + hidden_dims + tuple(reversed(hidden_dims[:-1])) + (input_dim,)

@@ -267,9 +267,15 @@ def _sq_dist(points: np.ndarray, centroid: np.ndarray) -> np.ndarray:
 def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.ndarray:
     """Lloyd's algorithm with k-means++ seeding; returns the assignment.
 
-    Deterministic under seed. Empty clusters are re-seeded with the
-    farthest point of the largest cluster, which is force-reassigned.
-    Within-cluster sum of squares is checked to be non-increasing.
+    Each point goes to the centroid nearest by `_sq_dist`, ties to the
+    lowest index. Each iteration screens all points with the expanded
+    distance ‖x‖² − 2·c·xᵀ + ‖c‖² (one matrix product), then recomputes
+    with `_sq_dist` every point whose best and second-best expanded
+    distances lie within the rounding bound of each other; the rest cannot
+    change their argmin. Deterministic under seed. Empty clusters are
+    re-seeded with the farthest point of the largest cluster, which is
+    force-reassigned. Within-cluster sum of squares is checked to be
+    non-increasing.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
@@ -290,25 +296,67 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
         centroids[j] = points[pick]
         closest = np.minimum(closest, _sq_dist(points, centroids[j]))
 
+    # Rounding bound of the screen, with u = eps/2 and D = ‖x‖² + ‖c‖²:
+    # ‖x‖², ‖c‖² and x·c are sums of d products, off by at most d·u·‖x‖²,
+    # d·u·‖c‖² and d·u·‖x‖‖c‖ <= d·u·D/2 in any summation order; doubling
+    # is exact and the two additions, on values below 2D, add 4u·D. So
+    # the expanded distance is within E = (2d+4)·u·D = (d+2)·eps·D of the
+    # true one, and `_sq_dist` (d differences, squares and additions of a
+    # true value below 2D) is within E as well. If the best expanded
+    # distance beats every other by more than 4E, its `_sq_dist` beats
+    # theirs too, so only points with a second centroid that close need
+    # the exact recheck. The slack below is 4x that, for second-order terms.
+    n_features = points.shape[1]
+    slack = 16.0 * (n_features + 3) * np.finfo(np.float64).eps
+    sq_norms = np.einsum("ij,ij->i", points, points)
+    points_t = np.ascontiguousarray(points.T)
+    ids = np.arange(k)
+    d2 = np.empty((k, n))
+    resid = np.empty_like(points)
     prev_assign = None
     prev_wcss = np.inf
     for _ in range(max_iters):
-        d2 = np.array([_sq_dist(points, c) for c in centroids])  # k x n
-        assign = d2.argmin(axis=0)
+        centroid_sq = np.einsum("ij,ij->i", centroids, centroids)
+        np.matmul(centroids, points_t, out=d2)
+        d2 *= -2.0
+        d2 += sq_norms
+        d2 += centroid_sq[:, None]
+        close = d2 <= d2.min(axis=0) + slack * (sq_norms + centroid_sq.max())
+        # a point with one close centroid takes it (the sum of the close
+        # ids is that id); one with several, or none for a NaN distance,
+        # is rechecked
+        assign = np.einsum("j,jn->n", ids, close)
+        near = np.flatnonzero(np.count_nonzero(close, axis=0) != 1)
+        if near.size:
+            rows = points[near]
+            assign[near] = np.array(
+                [_sq_dist(rows, c) for c in centroids]).argmin(axis=0)
         sizes = np.bincount(assign, minlength=k)
         # the largest cluster holds >= 2 points while any is empty, so a
         # reseed never empties another cluster
         for j in np.flatnonzero(sizes == 0):
             donor = int(sizes.argmax())
             members = np.flatnonzero(assign == donor)
-            far = members[int(d2[donor, members].argmax())]
+            far = members[int(_sq_dist(points[members],
+                                       centroids[donor]).argmax())]
             centroids[j] = points[far]
             assign[far] = j
             sizes[donor] -= 1
             sizes[j] = 1
-        for j in range(k):
-            centroids[j] = points[assign == j].mean(axis=0)
-        wcss = float(((points - centroids[assign]) ** 2).sum())
+        if n_features == 1:
+            # numpy sums a single column pairwise, not in index order as
+            # bincount does, so 1-D input keeps the per-cluster mean
+            for j in range(k):
+                centroids[j] = points[assign == j].mean(axis=0)
+        else:
+            # bincount sums each cluster's rows in index order, as the mean
+            # over the cluster's rows does, so the centroids keep their bits
+            for f in range(n_features):
+                centroids[:, f] = np.bincount(assign, weights=points_t[f],
+                                              minlength=k) / sizes
+        np.take(centroids, assign, axis=0, out=resid)
+        np.subtract(points, resid, out=resid)
+        wcss = float(np.einsum("ij,ij->", resid, resid))
         if wcss > prev_wcss * (1.0 + 1e-9) + 1e-12:
             raise RuntimeError(
                 f"within-cluster SS increased: {prev_wcss} -> {wcss}")

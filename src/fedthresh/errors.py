@@ -5,6 +5,12 @@ class ConfigError(ValueError):
     """Invalid configuration: bad field values, malformed files, impossible splits."""
 
 
+class AuditError(AssertionError):
+    """Channel traffic, or a method's declared upload, breaks the privacy
+    contract. An AssertionError, so the CLI reports it as a runtime
+    failure (exit 3)."""
+
+
 class DivergedTraining(RuntimeError):
     """Training loss became non-finite; `client` is the index of the
     failing client in the list handed to train_clients."""

@@ -27,7 +27,7 @@ from .data import (CorruptionSpec, apply_scaler, corrupt, fit_scaler,
                    partition_random, split, synth, synth_blobs, write_plan)
 from .error_stats import (AGGREGATION_MODES, ClassSummaries, ErrorSummary,
                           aggregate, summarize)
-from .errors import ConfigError, InsufficientTail, StageError
+from .errors import AuditError, ConfigError, InsufficientTail, StageError
 from .federation import Channel, ClientState, FedConfig, run_fedavg, \
     write_round_log
 from .metrics import (STAT_FEATURE_COLUMNS, Confusion, collect_stat_features,
@@ -50,6 +50,13 @@ class Method:
     upload: str
     server: Callable | None = None
     params: tuple = ()
+
+    def __post_init__(self):
+        # client_eval alone sends these kinds, one F1 vector per grid, and
+        # audit_channel relies on that pairing
+        if self.upload in ("candidates", "f1_scores"):
+            raise AuditError(f"upload kind {self.upload!r} is reserved for "
+                             "client_eval")
 
 
 def _class_summaries(errors, labels, i, cfg, params):
@@ -540,29 +547,43 @@ def _run_thresholds(cfg, clients, model, channel, artifacts=None):
 
 def audit_channel(channel: Channel, num_clients: int, rounds: int,
                   methods=AUDITED_METHODS):
-    """Raise unless the channel traffic matches the privacy contract.
+    """Raise AuditError unless the channel traffic matches the privacy
+    contract.
 
     FedAvg synchronizes exactly twice per client per round. For the
-    summary-protocol methods, client uploads are fixed-size statistics
-    records (size <= 5) and candidate-length F1 vectors; raw error
-    vectors never appear.
+    summary-protocol methods, clients upload only fixed-size statistics
+    records (size <= 5) and F1 vectors, the server broadcasts only
+    candidate grids, and each client's n-th F1 vector has the size of the
+    n-th grid broadcast to it, so no other vector can pass as F1 scores.
     """
     fedavg = channel.count(context="fedavg")
     expected = 2 * num_clients * rounds
     if fedavg != expected:
-        raise AssertionError(f"FedAvg exchanged {fedavg} messages, expected "
-                             f"2*{num_clients}*{rounds} = {expected}")
+        raise AuditError(f"FedAvg exchanged {fedavg} messages, expected "
+                         f"2*{num_clients}*{rounds} = {expected}")
     for tag in methods:
-        kinds = channel.upload_kinds(context=tag)
+        sent = channel.select(context=tag)
+        kinds = {m.kind for m in sent if m.direction == "upload"}
         if not kinds <= {"summary_stats", "f1_scores"}:
-            raise AssertionError(f"{tag} uploaded {sorted(kinds)}; only "
-                                 "summary_stats and f1_scores are allowed")
-        if channel.count(kind="raw_errors", context=tag):
-            raise AssertionError(f"{tag} leaked raw errors")
-        for m in channel.select("upload", kind="summary_stats", context=tag):
-            if m.size > 5:
-                raise AssertionError(f"{tag} summary payload of size {m.size} "
-                                     "is not a fixed-size statistic")
+            raise AuditError(f"{tag} uploaded {sorted(kinds)}; only "
+                             "summary_stats and f1_scores are allowed")
+        kinds = {m.kind for m in sent if m.direction == "broadcast"}
+        if not kinds <= {"candidates"}:
+            raise AuditError(f"{tag} broadcast {sorted(kinds)}; only "
+                             "candidates are allowed")
+        grids, scores = {}, {}
+        for m in sent:
+            if m.kind == "summary_stats" and m.size > 5:
+                raise AuditError(f"{tag} summary payload of size {m.size} "
+                                 "is not a fixed-size statistic")
+            if m.kind in ("candidates", "f1_scores"):
+                sizes = grids if m.kind == "candidates" else scores
+                sizes.setdefault(m.client_id, []).append(m.size)
+        for cid in sorted(grids.keys() | scores.keys()):
+            if scores.get(cid, []) != grids.get(cid, []):
+                raise AuditError(f"{tag} client {cid} uploaded f1_scores of "
+                                 f"sizes {scores.get(cid, [])} for candidate "
+                                 f"grids of sizes {grids.get(cid, [])}")
 
 
 def _write_lines(path: Path, lines) -> None:

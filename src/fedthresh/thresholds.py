@@ -11,8 +11,6 @@ break score ties toward the smallest candidate.
 import warnings
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr
 
 from .errors import ConfigError, InsufficientTail, NoAnomalyStatistics
 from .error_stats import aggregate, generate_candidates, overlap_region
@@ -158,6 +156,10 @@ def kqe(errors, q: float = 0.99, bandwidth: float | None = None) -> float:
     if not bandwidth > 0.0:
         return float(np.quantile(errors, q))
     h = float(bandwidth)
+    # imported here: scipy takes about half a second to import, and every
+    # CLI call, --help and config errors included, would pay it
+    from scipy.optimize import brentq
+    from scipy.special import ndtr
 
     def smoothed_cdf(x):
         return float(np.mean(ndtr((x - errors) / h)))

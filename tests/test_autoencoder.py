@@ -30,7 +30,14 @@ def test_init_model_architecture_and_bounds():
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         assert np.all(np.abs(w) <= limit)
         assert np.all(b == 0.0)
-    assert model.activations == ("relu", "relu", "relu", "identity")
+
+
+def test_init_model_rejects_non_integer_widths():
+    # int() used to truncate these silently: (2.7,) built width 2
+    for hidden in ((2.7,), (4, 2.0), ("3",)):
+        with pytest.raises(ConfigError, match="hidden_dims"):
+            init_model(4, hidden, seed=0)
+    assert init_model(4, (np.int64(3),), seed=0).dims == (4, 3, 4)
 
 
 def test_init_model_deterministic_by_seed():

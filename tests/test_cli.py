@@ -1,9 +1,14 @@
 """CLI exit codes, output, and artifact writing."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import fedthresh
 from conftest import make_config
 from fedthresh.cli import main
 
@@ -192,3 +197,13 @@ class TestHelp:
         for cmd in ("train", "threshold", "sweep-clients",
                     "sweep-corruption", "followup-dataset"):
             assert cmd in result.output
+
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        # scipy takes about half a second to import; only kqe needs it
+        src = Path(fedthresh.__file__).resolve().parents[1]
+        code = ("import sys, fedthresh.cli; "
+                "print('scipy.optimize' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.stdout.strip() == "False"

@@ -9,6 +9,7 @@ from fedthresh.data import (KNOWN_DATASET_SHAPES, CorruptionSpec, Dataset,
                             load_csv, partition_even,
                             partition_noniid, partition_random, split, synth,
                             synth_blobs)
+from fedthresh import data as data_module
 from fedthresh.errors import ConfigError
 from fedthresh.federation import ClientState
 
@@ -240,6 +241,117 @@ def test_kmeans_deterministic(rng):
     a = kmeans(points, 4, seed=11)
     b = kmeans(points, 4, seed=11)
     assert np.array_equal(a, b)
+
+
+def _reference_kmeans(points, k, seed, max_iters=100):
+    """The per-centroid Lloyd loop that `kmeans` replaced: every distance
+    from `((x - c) ** 2).sum(axis=1)`, argmin over the k x n matrix."""
+    def sq_dist(rows, centroid):
+        return ((rows - centroid) ** 2).sum(axis=1)
+
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim == 1:
+        points = points[:, None]
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    closest = sq_dist(points, centroids[0])
+    for j in range(1, k):
+        total = closest.sum()
+        if total > 0.0:
+            pick = rng.choice(n, p=closest / total)
+        else:
+            pick = int(rng.integers(n))
+        centroids[j] = points[pick]
+        closest = np.minimum(closest, sq_dist(points, centroids[j]))
+    prev_assign = None
+    for _ in range(max_iters):
+        d2 = np.array([sq_dist(points, c) for c in centroids])
+        assign = d2.argmin(axis=0)
+        sizes = np.bincount(assign, minlength=k)
+        for j in np.flatnonzero(sizes == 0):
+            donor = int(sizes.argmax())
+            members = np.flatnonzero(assign == donor)
+            far = members[int(d2[donor, members].argmax())]
+            centroids[j] = points[far]
+            assign[far] = j
+            sizes[donor] -= 1
+            sizes[j] = 1
+        for j in range(k):
+            centroids[j] = points[assign == j].mean(axis=0)
+        if prev_assign is not None and np.array_equal(assign, prev_assign):
+            break
+        prev_assign = assign.copy()
+    return assign
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_kmeans_matches_reference_on_blobs(k):
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        centres = rng.normal(0.0, 4.0, size=(5, 4))
+        points = centres[rng.integers(5, size=400)] + rng.normal(size=(400, 4))
+        # far from the origin the expanded distance cancels badly, so the
+        # screen must send (nearly) every point to the exact recheck
+        for offset in (0.0, 1e6):
+            assert np.array_equal(kmeans(points + offset, k, seed),
+                                  _reference_kmeans(points + offset, k, seed))
+
+
+@pytest.mark.parametrize("step", [1.0, 0.1])
+def test_kmeans_matches_reference_on_grids(step):
+    # grid coordinates put many points at equal distances; on the 0.1 grid
+    # the two distance forms round those ties differently, so the screen's
+    # argmin alone would flip about one run in two
+    for seed in range(20):
+        points = np.random.default_rng(seed).integers(
+            0, 4, size=(300, 3)) * step
+        for k in (2, 5, 9):
+            assert np.array_equal(kmeans(points, k, seed),
+                                  _reference_kmeans(points, k, seed))
+
+
+def test_kmeans_rechecks_exact_ties(monkeypatch):
+    """With centroids on 0 and 2, the point 1 is exactly equidistant: the
+    recheck must compute it with `_sq_dist` and give it centroid 0's
+    cluster, as the lowest-index argmin did."""
+    points = np.array([0.0, 1.0, 2.0])
+    exact_rows = []
+    real_sq_dist = data_module._sq_dist
+
+    def spy(rows, centroid):
+        exact_rows.append(rows.ravel().tolist())
+        return real_sq_dist(rows, centroid)
+
+    monkeypatch.setattr(data_module, "_sq_dist", spy)
+    fired = 0
+    for seed in range(20):
+        exact_rows.clear()
+        assert np.array_equal(kmeans(points, 2, seed),
+                              _reference_kmeans(points, 2, seed))
+        fired += [1.0] in exact_rows
+    assert fired > 0
+
+
+def test_kmeans_matches_reference_on_reseed_and_1d_inputs(rng):
+    for k in (2, 3, 7):
+        assert np.array_equal(kmeans(np.zeros((7, 2)), k, 0),
+                              _reference_kmeans(np.zeros((7, 2)), k, 0))
+    line = rng.normal(size=200)
+    for k in (2, 4):
+        assert np.array_equal(kmeans(line, k, 5), _reference_kmeans(line, k, 5))
+    # numpy sums a lone column pairwise: a centroid summed in index order
+    # differs in its last bits, and on these few-valued lines (seeds 11
+    # and 23) that moves points that sit on a midpoint
+    for seed in range(30):
+        draw = np.random.default_rng(seed)
+        values = draw.choice([0.1, 0.2, 0.3, 0.7, 1.1, 1.3, 2.9],
+                             size=draw.integers(3, 6), replace=False)
+        line = draw.choice(values, size=int(draw.integers(20, 200)))
+        k = int(draw.integers(2, 5))
+        assert np.array_equal(kmeans(line, k, seed),
+                              _reference_kmeans(line, k, seed))
 
 
 def test_kmeans_recovers_separated_blobs(rng):

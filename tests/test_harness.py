@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_config
 from fedthresh.autoencoder import MODEL_FORMAT_HEADER, load_model
-from fedthresh.errors import ConfigError, StageError
+from fedthresh.errors import AuditError, ConfigError, StageError
 from fedthresh.federation import Channel
 from fedthresh.harness import (AUDITED_METHODS, METHODS, Method,
                                ScenarioConfig, _compute_method, audit_channel,
@@ -259,6 +259,7 @@ class TestAuditChannel:
         fill_fedavg(channel, 3, 2)
         for tag in AUDITED_METHODS:
             channel.record("upload", "summary_stats", 5, 0, context=tag)
+            channel.record("broadcast", "candidates", 100, 0, context=tag)
             channel.record("upload", "f1_scores", 100, 0, context=tag)
         audit_channel(channel, 3, 2)
 
@@ -280,7 +281,8 @@ class TestAuditChannel:
         fill_fedavg(channel, 2, 1)
         channel.record("broadcast", "raw_errors", 500, 0,
                        context="fed_mse_std")
-        with pytest.raises(AssertionError, match="leaked raw errors"):
+        with pytest.raises(AssertionError,
+                           match=r"fed_mse_std broadcast \['raw_errors'\]"):
             audit_channel(channel, 2, 1)
 
     def test_oversized_summary_rejected(self):
@@ -308,6 +310,29 @@ class TestAuditChannel:
         _compute_method("leaky", make_config(), errors, labels, channel)
         with pytest.raises(AssertionError, match="size 40 .*fixed-size"):
             audit_channel(channel, 2, 1, methods=["leaky"])
+
+    def test_error_vector_as_f1_scores_rejected(self):
+        """An F1 vector must answer a grid the server broadcast to that
+        client, so whole error vectors cannot pass as F1 scores."""
+        with pytest.raises(AuditError, match="'f1_scores' is reserved"):
+            Method(lambda errors, *_: errors, "f1_scores")
+        with pytest.raises(AuditError, match="'candidates' is reserved"):
+            Method(lambda errors, *_: errors, "candidates")
+        errors, _ = method_inputs()
+        for grid in (None, 100):
+            channel = Channel()
+            fill_fedavg(channel, 2, 1)
+            for cid, client_errors in enumerate(errors):
+                channel.record("upload", "summary_stats", 5, cid,
+                               context="our_method")
+                if grid is not None:
+                    channel.record("broadcast", "candidates", grid, cid,
+                                   context="our_method")
+                channel.record("upload", "f1_scores", client_errors.size,
+                               cid, context="our_method")
+            with pytest.raises(AuditError, match=r"our_method client 0 "
+                               r"uploaded f1_scores of sizes \[40\]"):
+                audit_channel(channel, 2, 1)
 
 
 def method_inputs():
