@@ -13,9 +13,9 @@ from .autoencoder import (ModelParams, TrainConfig, default_hidden_dims,
 from .data import (Dataset, PartitionPlan, Scaler, fit_scaler, load_csv,
                    partition_even, partition_noniid, partition_random, split,
                    synth, synth_blobs)
-from .error_stats import (ClassSummaries, ErrorSummary, GlobalSummary,
-                          OverlapRegion, aggregate, generate_candidates,
-                          overlap_region, summarize)
+from .error_stats import (ClassSummaries, ErrorSummary, OverlapRegion,
+                          aggregate, generate_candidates, overlap_region,
+                          summarize)
 from .errors import (AuditError, ConfigError, DivergedTraining,
                      FederationError, InsufficientTail, NoAnomalyStatistics,
                      StageError)
@@ -38,7 +38,7 @@ __all__ = [
     "Dataset", "PartitionPlan", "Scaler", "fit_scaler", "load_csv",
     "partition_even", "partition_noniid", "partition_random", "split",
     "synth", "synth_blobs",
-    "ClassSummaries", "ErrorSummary", "GlobalSummary", "OverlapRegion",
+    "ClassSummaries", "ErrorSummary", "OverlapRegion",
     "aggregate", "generate_candidates", "overlap_region", "summarize",
     "AuditError", "ConfigError", "DivergedTraining", "FederationError",
     "InsufficientTail", "NoAnomalyStatistics", "StageError",

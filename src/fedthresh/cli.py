@@ -1,8 +1,8 @@
 """Command-line front end for training, thresholding, and sweeps.
 
 Exit codes: 0 success, 2 configuration problems (bad config file, unknown
-method tags, invalid values), 3 runtime failures (diverged training,
-unwritable paths, and so on).
+method tags, invalid values), 3 runtime failures (diverged training, a
+failed privacy audit, unwritable paths, and so on).
 """
 import functools
 import sys
@@ -11,9 +11,8 @@ from dataclasses import replace
 import click
 
 from .errors import ConfigError, StageError
-from .harness import (ScenarioConfig, audit_channel, build_followup_dataset,
-                      run_scenario, sweep_clients, sweep_corruption,
-                      train_model)
+from .harness import (ScenarioConfig, build_followup_dataset, run_scenario,
+                      sweep_clients, sweep_corruption, train_model)
 from .thresholds import METHOD_TAGS
 from .util import derive_seed
 
@@ -101,9 +100,7 @@ def train(config_path, seed, out_dir):
 def threshold(config_path, seed, out_dir, methods):
     """Run one full scenario: train, select thresholds, score test F1."""
     cfg = _load(config_path, seed, methods)
-    artifacts = {}
-    rows = run_scenario(cfg, out_dir=out_dir, artifacts=artifacts)
-    audit_channel(artifacts["channel"], cfg.num_clients, cfg.rounds)
+    rows = run_scenario(cfg, out_dir=out_dir)
     width = max(len(m) for m in cfg.methods) + 2
     click.echo(f"{'method':<{width}}{'global_f1':>10}{'threshold':>14}")
     for row in rows:
@@ -140,13 +137,11 @@ def sweep_clients_cmd(config_path, seed, out_dir, counts):
 @out_option
 @click.option("--counts", required=True,
               help="Comma-separated corrupt-client counts.")
-@click.option("--retrain", is_flag=True,
-              help="Retrain the model at each corruption level.")
 @_guard
-def sweep_corruption_cmd(config_path, seed, out_dir, counts, retrain):
+def sweep_corruption_cmd(config_path, seed, out_dir, counts):
     """Corrupt growing client sets and redo threshold selection."""
     cfg = _load(config_path, seed)
-    results = sweep_corruption(cfg, _parse_counts(counts), out_dir, retrain)
+    results = sweep_corruption(cfg, _parse_counts(counts), out_dir)
     for count, rows in results.items():
         ours = [r for r in rows
                 if r.client_id == "global" and r.method == "our_method"]

@@ -42,6 +42,10 @@ class ErrorSummary:
     def degenerate(self) -> bool:
         return self.variance == 0.0
 
+    @property
+    def std(self) -> float:
+        return float(np.sqrt(self.variance))
+
 
 @dataclass(frozen=True)
 class ClassSummaries:
@@ -49,21 +53,6 @@ class ClassSummaries:
 
     normal: ErrorSummary
     anomaly: ErrorSummary | None = None
-
-
-@dataclass(frozen=True)
-class GlobalSummary:
-    mean: float
-    variance: float
-    skewness: float
-    kurtosis: float
-    count: int
-    mode: str
-    degenerate: bool = False
-
-    @property
-    def std(self) -> float:
-        return float(np.sqrt(self.variance))
 
 
 @dataclass(frozen=True)
@@ -124,17 +113,17 @@ def _combine(a, b):
     return n, mu, m2, m3, m4
 
 
-def _finish(n, mu, big_m2, big_m3, big_m4, mode) -> GlobalSummary:
+def _finish(n, mu, big_m2, big_m3, big_m4) -> ErrorSummary:
     m2 = big_m2 / n
     if m2 <= 0.0:
-        return GlobalSummary(mu, max(m2, 0.0), 0.0, 0.0, n, mode, degenerate=True)
+        return ErrorSummary(mu, 0.0, 0.0, 0.0, n)
     skew = (big_m3 / n) / m2 ** 1.5
     kurt = (big_m4 / n) / (m2 * m2)
-    return GlobalSummary(mu, m2, skew, kurt, n, mode)
+    return ErrorSummary(mu, m2, skew, kurt, n)
 
 
-def aggregate(summaries, mode: str = "exact_pooled") -> GlobalSummary:
-    """Pool per-client five-tuples into one global summary.
+def aggregate(summaries, mode: str = "exact_pooled") -> ErrorSummary:
+    """Pool per-client five-tuples into one global five-tuple.
 
     mode="exact_pooled" merges reconstructed central power sums pairwise
     and reproduces the moments of the concatenated error vector. mode=
@@ -154,7 +143,7 @@ def aggregate(summaries, mode: str = "exact_pooled") -> GlobalSummary:
         acc = _central_sums(summaries[0])
         for s in summaries[1:]:
             acc = _combine(acc, _central_sums(s))
-        return _finish(*acc, mode)
+        return _finish(*acc)
     counts = np.array([s.count for s in summaries], dtype=np.float64)
     means = np.array([s.mean for s in summaries])
     variances = np.array([s.variance for s in summaries])
@@ -162,8 +151,7 @@ def aggregate(summaries, mode: str = "exact_pooled") -> GlobalSummary:
     mu_g = float((counts * means).sum() / total)
     var_g = float((counts * (variances + (means - mu_g) ** 2)).sum() / total)
     if var_g <= 0.0:
-        return GlobalSummary(mu_g, max(var_g, 0.0), 0.0, 0.0, int(total), mode,
-                             degenerate=True)
+        return ErrorSummary(mu_g, 0.0, 0.0, 0.0, int(total))
     sigma_g = np.sqrt(var_g)
     skew_num = kurt_num = 0.0
     for s in summaries:
@@ -176,12 +164,12 @@ def aggregate(summaries, mode: str = "exact_pooled") -> GlobalSummary:
         ratio = sigma_g / sigma_i
         skew_num += s.count * s.skewness * np.sqrt(s.count) * ratio ** 3
         kurt_num += s.count * s.kurtosis * s.count * ratio ** 4
-    return GlobalSummary(mu_g, var_g, float(skew_num / total),
-                         float(kurt_num / total), int(total), mode)
+    return ErrorSummary(mu_g, var_g, float(skew_num / total),
+                        float(kurt_num / total), int(total))
 
 
-def overlap_region(normal: GlobalSummary,
-                   anomaly: GlobalSummary) -> OverlapRegion:
+def overlap_region(normal: ErrorSummary,
+                   anomaly: ErrorSummary) -> OverlapRegion:
     """Intersection of the two classes' +-3 sigma intervals.
 
     When the intervals do not intersect (fully separated distributions)
@@ -206,7 +194,7 @@ def generate_candidates(region: OverlapRegion, n: int) -> np.ndarray:
     if region.upper < region.lower:
         raise ConfigError(f"region bounds inverted: [{region.lower}, {region.upper}]")
     if region.upper == region.lower:
-        warnings.warn("zero-width overlap region; single candidate")
+        warnings.warn("zero-width candidate range; single candidate")
         return np.array([region.lower])
     return np.linspace(region.lower, region.upper, n)
 

@@ -89,9 +89,6 @@ class Channel:
               context: str | None = None) -> int:
         return len(self.select(direction, kind, context))
 
-    def upload_kinds(self, context: str | None = None) -> set:
-        return {m.kind for m in self.select("upload", context=context)}
-
 
 def _param_count(model: ModelParams) -> int:
     return sum(p.size for p in model.weights + model.biases)

@@ -275,6 +275,10 @@ class ScenarioConfig:
                               f"[0, {self.num_clients})")
         for tag, given in self.method_params.items():
             _method_kwargs(tag, given)
+        # built here so that bad training and corruption settings fail at
+        # load, before any data is read
+        _fed_config(self)
+        CorruptionSpec(self.corrupt_client_ids, self.noise_sigma_scale)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -384,15 +388,19 @@ def _apply_corruption(cfg: ScenarioConfig, clients):
     return [corrupt(c, spec, cfg.corruption_seed) for c in clients]
 
 
-def _train(cfg: ScenarioConfig, clients, channel, round_log=None):
-    fed_cfg = FedConfig(
+def _fed_config(cfg: ScenarioConfig) -> FedConfig:
+    return FedConfig(
         rounds=cfg.rounds,
         train_cfg=TrainConfig(local_epochs=cfg.local_epochs,
                               learning_rate=cfg.learning_rate,
                               batch_size=cfg.batch_size, seed=cfg.train_seed,
                               optimizer=cfg.optimizer),
         hidden_dims=cfg.hidden_dims, model_seed=cfg.model_seed)
-    return run_fedavg(clients, fed_cfg, channel=channel, round_log=round_log)
+
+
+def _train(cfg: ScenarioConfig, clients, channel, round_log=None):
+    return run_fedavg(clients, _fed_config(cfg), channel=channel,
+                      round_log=round_log)
 
 
 def _timed_per_client(fn, client_ms):
@@ -495,11 +503,15 @@ def _prepare_clients(cfg: ScenarioConfig):
 
 
 def train_model(cfg: ScenarioConfig, out_dir=None):
-    """Data prep + FedAvg only; optionally saves the model and round log."""
+    """Data prep + FedAvg only; optionally saves the model and round log.
+
+    Corruption touches validation data only, so it is not applied here.
+    """
     plan, clients = _prepare_clients(cfg)
-    clients = _stage("corrupt", _apply_corruption, cfg, clients)
     round_log = []
-    model = _stage("train", _train, cfg, clients, Channel(), round_log)
+    channel = Channel()
+    model = _stage("train", _train, cfg, clients, channel, round_log)
+    audit_channel(channel, cfg.num_clients, cfg.rounds)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -512,10 +524,11 @@ def train_model(cfg: ScenarioConfig, out_dir=None):
 def run_scenario(cfg: ScenarioConfig, out_dir=None, artifacts=None):
     """Execute one scenario; returns its ResultRows.
 
-    Any failure surfaces as StageError naming the stage; nothing is
-    written unless every stage succeeded. Pass a dict as `artifacts` to
-    receive internals (model, channel, plan, clients, round log, and each
-    method's client uploads under "uploads") for auditing.
+    Any failure surfaces as StageError naming the stage, and a channel
+    that breaks the privacy contract as AuditError; nothing is written
+    unless every stage and the audit succeeded. Pass a dict as `artifacts`
+    to receive internals (model, channel, plan, clients, round log, and
+    each method's client uploads under "uploads").
     """
     plan, clients = _prepare_clients(cfg)
     clients = _stage("corrupt", _apply_corruption, cfg, clients)
@@ -523,6 +536,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, artifacts=None):
     round_log = []
     model = _stage("train", _train, cfg, clients, channel, round_log)
     rows = _run_thresholds(cfg, clients, model, channel, artifacts)
+    audit_channel(channel, cfg.num_clients, cfg.rounds)
     if artifacts is not None:
         artifacts.update(model=model, channel=channel, plan=plan,
                          clients=clients, round_log=round_log)
@@ -644,57 +658,56 @@ def sweep_clients(base_cfg: ScenarioConfig, client_counts, out_dir=None):
                       scenario_id=f"{base_cfg.effective_id}-n{count}")
         results[count] = run_scenario(cfg)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        sweep = ["client_count,method,f1,threshold"]
+        _write_sweep(out_dir, "clients_sweep.csv", "client_count", results)
         timing = ["client_count,method,client_id,wall_time_ms"]
         for count, rows in results.items():
-            for r in rows:
-                if r.client_id == "global":
-                    sweep.append(f"{count},{r.method},{r.f1!r},{r.threshold!r}")
-                timing.append(f"{count},{r.method},{r.client_id},"
-                              f"{r.wall_time_ms!r}")
-        _write_lines(out / "clients_sweep.csv", sweep)
-        _write_lines(out / "timing_by_clients.csv", timing)
+            timing += [f"{count},{r.method},{r.client_id},{r.wall_time_ms!r}"
+                       for r in rows]
+        _write_lines(Path(out_dir) / "timing_by_clients.csv", timing)
     return results
 
 
-def sweep_corruption(base_cfg: ScenarioConfig, corrupt_counts, out_dir=None,
-                     retrain: bool = False):
+def _write_sweep(out_dir, name, level_column, results) -> None:
+    """One line per sweep level and method: the global row's F1 and
+    threshold."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    lines = [f"{level_column},method,f1,threshold"]
+    for level, rows in results.items():
+        lines += [f"{level},{r.method},{r.f1!r},{r.threshold!r}"
+                  for r in rows if r.client_id == "global"]
+    _write_lines(out / name, lines)
+
+
+def sweep_corruption(base_cfg: ScenarioConfig, corrupt_counts, out_dir=None):
     """Corrupt nested client sets (0..c-1) and redo threshold selection.
 
     The model is trained once on the base clients and reused across
-    corruption levels (corruption touches validation data only, so this
-    isolates thresholding robustness); retrain=True re-runs FedAvg per
-    level instead.
+    corruption levels: corruption touches validation data only, so every
+    level would train the same model. The sweep sets corrupt_client_ids
+    itself, so the base config must leave it empty.
     """
+    if base_cfg.corrupt_client_ids:
+        raise ConfigError(f"corrupt_client_ids must be [] in a corruption "
+                          f"sweep, which sets it per level; got "
+                          f"{list(base_cfg.corrupt_client_ids)}")
     corrupt_counts = [int(c) for c in corrupt_counts]
     if any(c < 0 or c > base_cfg.num_clients for c in corrupt_counts):
         raise ConfigError(f"corrupt counts must lie in [0, "
                           f"{base_cfg.num_clients}]")
     _, clean_clients = _prepare_clients(base_cfg)
     channel = Channel()
-    model = None
-    if not retrain:
-        model = _stage("train", _train, base_cfg, clean_clients, channel)
+    model = _stage("train", _train, base_cfg, clean_clients, channel)
     results = {}
     for count in corrupt_counts:
         cfg = replace(base_cfg, corrupt_client_ids=tuple(range(count)),
                       scenario_id=f"{base_cfg.effective_id}-corrupt{count}")
         clients = _stage("corrupt", _apply_corruption, cfg, clean_clients)
-        level_model = model
-        if retrain:
-            level_model = _stage("train", _train, cfg, clients, channel)
-        results[count] = _run_thresholds(cfg, clients, level_model, channel)
+        results[count] = _run_thresholds(cfg, clients, model, channel)
+    audit_channel(channel, base_cfg.num_clients, base_cfg.rounds)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        sweep = ["corrupt_count,method,f1,threshold"]
-        for count, rows in results.items():
-            for r in rows:
-                if r.client_id == "global":
-                    sweep.append(f"{count},{r.method},{r.f1!r},{r.threshold!r}")
-        _write_lines(out / "corruption_sweep.csv", sweep)
+        _write_sweep(out_dir, "corruption_sweep.csv", "corrupt_count",
+                     results)
     return results
 
 

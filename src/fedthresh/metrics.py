@@ -27,10 +27,6 @@ class Confusion:
         if min(self.tp, self.fp, self.tn, self.fn) < 0:
             raise ConfigError("confusion counts must be non-negative")
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 def confusion(labels, predicted) -> Confusion:
     """Counts with anomaly (label 1) as the positive class."""

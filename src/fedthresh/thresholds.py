@@ -5,15 +5,18 @@ summaries, F1 vectors, scalar statistics); local methods run entirely on
 one client's validation errors. Methods that ignore labels consume
 normal-only validation errors; the harness enforces that feed.
 
-All F1-searching methods use the strict "error > theta" decision rule and
-break score ties toward the smallest candidate.
+All F1-searching methods search one evenly spaced grid through
+_grid_search, use the strict "error > theta" decision rule, and break
+score ties toward the smallest candidate. A zero-width range gives a
+one-point grid, with a warning.
 """
 import warnings
 
 import numpy as np
 
 from .errors import ConfigError, InsufficientTail, NoAnomalyStatistics
-from .error_stats import aggregate, generate_candidates, overlap_region
+from .error_stats import (OverlapRegion, aggregate, generate_candidates,
+                          overlap_region)
 from .metrics import aggregate_f1, f1_curve
 
 # the tags of harness.METHODS, which runs each method, in report order
@@ -46,6 +49,11 @@ def our_method(client_class_summaries, client_eval, n: int = 1000,
     global_normal = aggregate(normals, mode)
     global_anomaly = aggregate(anomalies, mode)
     region = overlap_region(global_normal, global_anomaly)
+    return _grid_search(region, n, client_eval)
+
+
+def _grid_search(region: OverlapRegion, n: int, client_eval) -> float:
+    """Mean client F1 argmax over n candidates spanning the region."""
     candidates = generate_candidates(region, n)
     theta, _ = aggregate_f1(candidates, client_eval(candidates))
     return theta
@@ -54,13 +62,7 @@ def our_method(client_class_summaries, client_eval, n: int = 1000,
 def fed_minmax(global_min: float, global_max: float, n: int,
                client_eval) -> float:
     """Mean-F1 argmax over n candidates spanning [min, max] errors."""
-    if not global_min < global_max:
-        raise ConfigError(f"need min < max, got [{global_min}, {global_max}]")
-    if n < 2:
-        raise ConfigError(f"candidate count must be >= 2, got {n}")
-    candidates = np.linspace(global_min, global_max, n)
-    theta, _ = aggregate_f1(candidates, client_eval(candidates))
-    return theta
+    return _grid_search(OverlapRegion(global_min, global_max), n, client_eval)
 
 
 def fed_mse_std(summaries) -> float:
@@ -94,17 +96,11 @@ def local_minmax(errors, labels, n: int) -> float:
     """Local F1 argmax over n candidates spanning this client's errors."""
     errors = np.asarray(errors, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel()
-    if n < 2:
-        raise ConfigError(f"candidate count must be >= 2, got {n}")
     if not (np.any(labels != 0) and np.any(labels == 0)):
         raise ConfigError("local_minmax needs both classes in the labels")
-    lo, hi = float(errors.min()), float(errors.max())
-    if lo == hi:
-        warnings.warn("constant errors; local_minmax returns the constant")
-        return lo
-    candidates = np.linspace(lo, hi, n)
-    scores = f1_curve(errors, labels, candidates)
-    return float(candidates[int(np.argmax(scores))])
+    region = OverlapRegion(float(errors.min()), float(errors.max()))
+    return _grid_search(region, n, lambda candidates: f1_curve(
+        errors, labels, candidates)[None, :])
 
 
 def local_simple(method: str, errors, params=None) -> float:

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES, make_config
 from fedthresh.autoencoder import ModelParams, init_model, mse_loss_and_grads
-from fedthresh.error_stats import (ClassSummaries, GlobalSummary, aggregate,
+from fedthresh.error_stats import (ClassSummaries, ErrorSummary, aggregate,
                                    overlap_region, summarize)
 from fedthresh.harness import (ScenarioConfig, audit_channel, run_scenario,
                                sweep_clients, sweep_corruption)
@@ -122,7 +122,7 @@ def test_criterion_02_gradient_check():
 
 def test_criterion_03_overlap_worked_examples():
     def g(mean, variance):
-        return GlobalSummary(mean, variance, 0.0, 3.0, 100, "exact_pooled")
+        return ErrorSummary(mean, variance, 0.0, 3.0, 100)
 
     a = overlap_region(g(1.0, 0.25), g(5.0, 1.0))
     ex_a = a.lower == 2.0 and a.upper == 2.5 and not a.degenerate
@@ -293,7 +293,7 @@ def test_criterion_11_privacy_audit(desk_run):
     expected = 2 * cfg.num_clients * cfg.rounds
     kinds = set()
     for tag in ("our_method", "fed_mse_std", "fed_filtered"):
-        kinds |= channel.upload_kinds(context=tag)
+        kinds |= {m.kind for m in channel.select("upload", context=tag)}
     ok = (raw == 0 and fedavg == expected
           and kinds <= {"summary_stats", "f1_scores"})
     record(11, ok, f"uploads {sorted(kinds)} only; raw error payloads "

@@ -129,6 +129,41 @@ class TestThresholdCommand:
             assert result.exit_code == 2
             assert shown in result.output
 
+    @pytest.mark.parametrize("field_name, value, message", [
+        ("rounds", 0, "rounds must be >= 1, got 0"),
+        ("local_epochs", 0, "local_epochs must be >= 1, got 0"),
+        ("learning_rate", -0.5, "learning_rate must be >= 0, got -0.5"),
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("optimizer", "adamw", "unknown optimizer 'adamw'"),
+        ("noise_sigma_scale", -1.0, "noise_sigma_scale must be >= 0"),
+    ])
+    def test_training_and_corruption_settings_fail_at_load(
+            self, runner, tmp_path, field_name, value, message):
+        # the dataset file does not exist: the setting must fail first
+        raw = make_config().to_dict()
+        raw["dataset"] = {"kind": "csv", "path": str(tmp_path / "none.csv"),
+                          "label_column": "label", "positive_label": "1"}
+        raw[field_name] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        result = runner.invoke(main, ["threshold", "--config", str(path)])
+        assert result.exit_code == 2
+        assert result.output == f"error: {message}\n"
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_fed_minmax_on_constant_features_exits_0(self, runner, tmp_path):
+        # every error is the same, so [min, max] has zero width
+        data = tmp_path / "constant.csv"
+        rows = "1.5,2.5,0\n" * 90 + "1.5,2.5,1\n" * 30
+        data.write_text("a,b,label\n" + rows, encoding="utf-8")
+        path = write_config(tmp_path, dataset={
+            "kind": "csv", "path": str(data), "label_column": "label",
+            "positive_label": "1"}, num_clients=3)
+        result = runner.invoke(main, ["threshold", "--config", str(path),
+                                      "--method", "fed_minmax"])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[1].startswith("fed_minmax")
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_3(self, runner, tmp_path):
         path = write_config(tmp_path, learning_rate=1e200, rounds=1)
@@ -175,6 +210,23 @@ class TestSweepCommands:
         assert result.exit_code == 0, result.output
         assert "0 corrupt" in result.output
         assert (out / "corruption_sweep.csv").exists()
+
+    def test_sweep_corruption_rejects_corrupt_client_ids(self, runner,
+                                                         tmp_path):
+        path = write_config(tmp_path, corrupt_client_ids=[3])
+        result = runner.invoke(main, ["sweep-corruption", "--config",
+                                      str(path), "--counts", "0,1"])
+        assert result.exit_code == 2
+        assert "corrupt_client_ids must be []" in result.output
+
+    def test_retrain_option_is_gone(self, runner, config_file):
+        # every level trained the same model: corruption touches
+        # validation data only
+        result = runner.invoke(main, ["sweep-corruption", "--config",
+                                      str(config_file), "--counts", "0",
+                                      "--retrain"])
+        assert result.exit_code == 2
+        assert "No such option '--retrain'" in result.output
 
 
 class TestFollowupCommand:

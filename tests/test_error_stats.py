@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedthresh.error_stats import (AGGREGATION_MODES, ErrorSummary,
-                                   GlobalSummary, OverlapRegion, aggregate,
+                                   OverlapRegion, aggregate,
                                    generate_candidates, overlap_region,
                                    summarize)
 from fedthresh.errors import ConfigError
@@ -149,8 +149,8 @@ def test_aggregate_single_summary_identity_by_mode(rng):
 
 
 def gs(mean, var):
-    return GlobalSummary(mean=mean, variance=var, skewness=0.0, kurtosis=3.0,
-                         count=100, mode="exact_pooled")
+    return ErrorSummary(mean=mean, variance=var, skewness=0.0, kurtosis=3.0,
+                        count=100)
 
 
 def test_overlap_region_worked_examples():

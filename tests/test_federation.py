@@ -273,7 +273,8 @@ class TestChannelAudit:
         assert channel.count(context="fedavg") == 2 * n * r
         assert channel.count("broadcast", "model", "fedavg") == n * r
         assert channel.count("upload", "model_update", "fedavg") == n * r
-        assert channel.upload_kinds("fedavg") == {"model_update"}
+        assert {m.kind for m in channel.select("upload", context="fedavg")} \
+            == {"model_update"}
         assert {m.round_index for m in channel.messages} == set(range(r))
         size = sum(w.size + b.size
                    for w, b in zip(model.weights, model.biases))

@@ -1,13 +1,17 @@
 """Tests for scenario configuration, orchestration, audit, and reports."""
+import copy
 import hashlib
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from conftest import make_config
+from fedthresh import harness
 from fedthresh.autoencoder import MODEL_FORMAT_HEADER, load_model
+from fedthresh.cli import main
 from fedthresh.errors import AuditError, ConfigError, StageError
 from fedthresh.federation import Channel
 from fedthresh.harness import (AUDITED_METHODS, METHODS, Method,
@@ -458,11 +462,13 @@ class TestSweepCorruption:
         assert sweep[0] == "corrupt_count,method,f1,threshold"
         assert len(sweep) == 1 + 2 * len(small_config.methods)
 
-    def test_retrain_smoke(self, small_config):
-        results = sweep_corruption(small_config, [1], retrain=True)
-        assert sorted(results) == [1]
-        assert len(results[1]) == len(small_config.methods) * \
-            (small_config.num_clients + 1)
+    def test_base_corrupt_client_ids_rejected(self, small_config):
+        # the sweep sets corrupt_client_ids per level; a base value would
+        # be silently overridden
+        cfg = replace(small_config, corrupt_client_ids=(3,))
+        with pytest.raises(ConfigError, match=r"^corrupt_client_ids must "
+                           r"be \[\] .* got \[3\]"):
+            sweep_corruption(cfg, [0, 1])
 
 
 class TestFollowupDataset:
@@ -501,3 +507,139 @@ class TestTrainModel:
         rounds_csv = (tmp_path / "fedavg_rounds.csv").read_text().splitlines()
         assert rounds_csv[0] == "round,client_id,local_final_mse,wall_time_ms"
         assert (tmp_path / "partition_plan.csv").exists()
+
+    def test_never_corrupts(self, monkeypatch):
+        # corruption touches validation data only, which training never
+        # reads
+        calls = []
+
+        def spy(client, *args):
+            calls.append(client.client_id)
+            return client
+        monkeypatch.setattr(harness, "corrupt", spy)
+        train_model(make_config(corrupt_client_ids=[0, 1]))
+        assert calls == []
+
+
+class TestPipelineAudit:
+    """Every entry point audits the channel it built, so a method that
+    uploads its error vector as a summary fails whoever calls it."""
+
+    @pytest.fixture(autouse=True)
+    def leak(self, monkeypatch):
+        monkeypatch.setitem(METHODS, "our_method", Method(
+            lambda errors, *_: errors, "summary_stats",
+            lambda uploads, *_: 0.0))
+
+    @pytest.mark.parametrize("run", [
+        lambda cfg: run_scenario(cfg),
+        lambda cfg: sweep_corruption(cfg, [0]),
+        lambda cfg: sweep_clients(cfg, [2]),
+        lambda cfg: build_followup_dataset(cfg, 1),
+    ], ids=["run_scenario", "sweep_corruption", "sweep_clients",
+            "build_followup_dataset"])
+    def test_leaky_upload_raises(self, run, small_config):
+        with pytest.raises(AuditError, match="our_method summary payload "
+                           "of size .* not a fixed-size statistic"):
+            run(small_config)
+
+    def test_nothing_written_on_audit_failure(self, small_config, tmp_path):
+        with pytest.raises(AuditError):
+            run_scenario(small_config, out_dir=tmp_path)
+        assert not (tmp_path / "results.csv").exists()
+
+
+_CORRUPT_ONE = {"corrupt_client_ids": [0]}
+# Every option and an output it must move: option -> (a non-default value,
+# overrides both runs share, output). Options are the ScenarioConfig
+# fields, the method_params keys as "tag.key", and the CLI flags that
+# select behaviour; test_source.py checks that the table lists each one.
+OPTION_EFFECTS = {
+    "dataset": ({"kind": "blobs", "num_normal": 600,
+                 "anomaly_blob_sizes": [30, 30], "dim": 6,
+                 "separations": [4.0, 8.0]}, {}, "results"),
+    "scheme": ("random", {}, "results"),
+    "num_clients": (3, {}, "results"),
+    "rounds": (3, {}, "results"),
+    "local_epochs": (2, {}, "results"),
+    "learning_rate": (0.01, {}, "results"),
+    "batch_size": (16, {}, "results"),
+    "optimizer": ("adam", {}, "results"),
+    "hidden_dims": ([5], {}, "results"),
+    "scale_method": ("zscore", {}, "results"),
+    "train_frac": (0.5, {}, "results"),
+    "val_frac": (0.3, {}, "results"),
+    "methods": (["our_method"], {}, "results"),
+    # our_method's best candidate here is its grid's lower end at any size
+    "n_candidates": (7, {"methods": ["fed_minmax"]}, "results"),
+    "formula_mode": ("weighted", {}, "pooled_moments"),
+    "concentration": (5.0, {"scheme": "random"}, "results"),
+    "noniid_k": (2, {"scheme": "noniid_kmeans"}, "results"),
+    "corrupt_client_ids": ([0], {}, "results"),
+    "noise_sigma_scale": (5.0, _CORRUPT_ONE, "results"),
+    "method_params": ({"percentile": {"p": 50}}, {"methods": ["percentile"]},
+                      "results"),
+    "data_seed": (11, {}, "results"),
+    "model_seed": (12, {}, "results"),
+    "partition_seed": (13, {}, "results"),
+    "train_seed": (14, {}, "results"),
+    "corruption_seed": (15, _CORRUPT_ONE, "results"),
+    "scenario_id": ("other", {}, "results"),
+    # the corrupted client's mean + std lies at z = 1.7, the rest below 0
+    "fed_filtered.z_cut": (2.0, {**_CORRUPT_ONE, "noise_sigma_scale": 5.0,
+                                 "methods": ["fed_filtered"]}, "results"),
+    "kqe.q": (0.9, {"methods": ["kqe"]}, "results"),
+    "kqe.bandwidth": (0.0, {"methods": ["kqe"]}, "results"),
+    "percentile.p": (50.0, {"methods": ["percentile"]}, "results"),
+    "pot.u_quantile": (0.9, {"methods": ["pot"]}, "results"),
+    # risk is read only with 8 or more exceedances above u
+    "pot.risk": (0.01, {"methods": ["pot"],
+                        "method_params": {"pot": {"u_quantile": 0.7}}},
+                 "results"),
+    "--seed": ("99", {}, "threshold"),
+    "--method": ("iqr", {}, "threshold"),
+    "--counts": ("3", {}, "sweep-clients"),
+    "--runs": ("3", {}, "followup-dataset"),
+}
+# arguments a command always gets; the flag under test replaces its own
+CLI_ARGS = {"threshold": {}, "sweep-clients": {"--counts": "2"},
+            "followup-dataset": {"--runs": "2"}}
+
+
+def option_output(option, value, overrides, output, tmp_path):
+    """The named output of a toy run with `option` at `value`, or at its
+    default when value is None."""
+    overrides = copy.deepcopy(overrides)
+    if value is not None and not option.startswith("--"):
+        if "." in option:
+            tag, key = option.split(".")
+            params = overrides.setdefault("method_params", {})
+            params.setdefault(tag, {})[key] = value
+        else:
+            overrides[option] = value
+    cfg = make_config(**overrides)
+    if output == "results":  # config_hash aside, which any option moves
+        return [row_key(r)[:-1] for r in run_scenario(cfg)]
+    if output == "pooled_moments":
+        rows, _, _ = build_followup_dataset(cfg, 2)
+        return [(r.normal_aggr_skewness, r.normal_aggr_kurtosis,
+                 r.anomaly_aggr_skewness, r.anomaly_aggr_kurtosis)
+                for r in rows]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+    args = dict(CLI_ARGS[output])
+    if value is not None:
+        args[option] = value
+    flags = [arg for pair in args.items() for arg in pair]
+    result = CliRunner().invoke(main, [output, "--config", str(path), *flags])
+    assert result.exit_code == 0, result.output
+    return result.output
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("option", list(OPTION_EFFECTS))
+def test_every_option_changes_its_output(option, tmp_path):
+    value, overrides, output = OPTION_EFFECTS[option]
+    default = option_output(option, None, overrides, output, tmp_path)
+    assert option_output(option, value, overrides, output, tmp_path) != \
+        default

@@ -8,7 +8,7 @@ from fedthresh.metrics import (Confusion, aggregate_f1,
                                collect_stat_features, confusion,
                                correlation_matrix, f1, f1_curve,
                                naive_f1_curve)
-from fedthresh.error_stats import ClassSummaries, GlobalSummary, summarize
+from fedthresh.error_stats import ClassSummaries, ErrorSummary, summarize
 
 
 def test_confusion_counts():
@@ -16,7 +16,7 @@ def test_confusion_counts():
     preds = np.array([1, 0, 0, 1, 1])
     c = confusion(labels, preds)
     assert (c.tp, c.fp, c.tn, c.fn) == (2, 1, 1, 1)
-    assert c.total == 5
+    assert c.tp + c.fp + c.tn + c.fn == 5
 
 
 def test_confusion_rejects_misaligned():
@@ -89,8 +89,8 @@ def test_aggregate_f1_validation():
 
 
 def _global(mean=1.0, count=100):
-    return GlobalSummary(mean=mean, variance=1.0, skewness=0.1, kurtosis=3.0,
-                         count=count, mode="exact_pooled")
+    return ErrorSummary(mean=mean, variance=1.0, skewness=0.1, kurtosis=3.0,
+                        count=count)
 
 
 def test_collect_stat_features_row_layout(rng):

@@ -2,12 +2,14 @@
 import ast
 import importlib.util
 import inspect
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 import fedthresh
-from fedthresh import harness
+from fedthresh import cli, harness
+from test_harness import OPTION_EFFECTS
 
 PACKAGE_DIR = Path(fedthresh.__file__).resolve().parent
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -21,6 +23,19 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in package source: {found}"
+
+
+def test_every_option_has_an_effect_test():
+    """Each option earns its place through a test that shows what it
+    changes: a new option fails here until OPTION_EFFECTS lists it, and a
+    deleted one until its entry goes."""
+    options = {f.name for f in fields(harness.ScenarioConfig)}
+    options |= {f"{tag}.{key}" for tag, method in harness.METHODS.items()
+                for key in method.params}
+    options |= {opt for command in cli.main.commands.values()
+                for param in command.params for opt in param.opts}
+    options -= {"--config", "--out", "--help"}
+    assert sorted(options ^ set(OPTION_EFFECTS)) == []
 
 
 def load_tracing():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,8 +88,25 @@ def test_fed_minmax_separable(rng):
     theta = fed_minmax(float(errors.min()), float(errors.max()), 2000,
                        single_client_eval(errors, labels))
     assert f1_curve(errors, labels, np.array([theta]))[0] == 1.0
-    with pytest.raises(ConfigError):
-        fed_minmax(1.0, 1.0, 100, single_client_eval(errors, labels))
+    with pytest.warns(UserWarning, match="zero-width candidate range"):
+        assert fed_minmax(1.0, 1.0, 100,
+                          single_client_eval(errors, labels)) == 1.0
+
+
+def test_zero_width_range_returns_the_constant_with_one_warning():
+    errors = np.full(10, 0.5)
+    labels = np.repeat([0, 1], 5)
+    summaries = [ClassSummaries(summarize(errors[:5]), summarize(errors[5:]))]
+    client_eval = single_client_eval(errors, labels)
+    for tag, search in (
+            ("our_method", lambda: our_method(summaries, client_eval, 100)),
+            ("fed_minmax", lambda: fed_minmax(0.5, 0.5, 100, client_eval)),
+            ("local_minmax", lambda: local_minmax(errors, labels, 100))):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert search() == 0.5, tag
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (UserWarning, "zero-width candidate range; single candidate")], tag
 
 
 def test_fed_minmax_spacing_wider_than_our_method(rng):
