@@ -6,9 +6,10 @@ mean-squared error. Everything is numpy; models are immutable values and
 training returns a new value, so a shared model can be evaluated from
 multiple threads.
 """
+import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +22,15 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Layered weights/biases. weights[k] has shape (out_dim, in_dim)."""
+    """Layered weights/biases. weights[k] has shape (out_dim, in_dim).
+
+    `flat` holds every parameter in one read-only float64 vector: the
+    weight matrices in layer order, each row-major, then the biases in
+    layer order. `weights` and `biases` are views into it."""
 
     weights: tuple
     biases: tuple
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
@@ -37,12 +43,16 @@ class ModelParams:
                     f"layer {k}: in_dim {w.shape[1]} != previous out_dim "
                     f"{self.weights[k - 1].shape[0]}"
                 )
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ConfigError(f"layer {k}: non-finite parameter")
-            w.setflags(write=False)
-            b.setflags(write=False)
         if self.input_dim != self.weights[-1].shape[0]:
             raise ConfigError("autoencoder must reconstruct its input dimension")
+        flat = np.concatenate([np.ravel(p) for p in (*self.weights, *self.biases)],
+                              dtype=np.float64)
+        if not np.isfinite(flat).all():
+            raise ConfigError("non-finite parameter")
+        flat.setflags(write=False)
+        object.__setattr__(self, "flat", flat)
+        for name, views in zip(("weights", "biases"), _split(flat, self.dims)):
+            object.__setattr__(self, name, views)
 
     @property
     def input_dim(self) -> int:
@@ -52,6 +62,23 @@ class ModelParams:
     def dims(self) -> tuple:
         """Layer size chain: (input_dim, out_dim of every layer)."""
         return (self.input_dim,) + tuple(w.shape[0] for w in self.weights)
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(dims) -> tuple:
+    """(start, end, shape) of each array of the chain `dims` in ModelParams.flat."""
+    shapes = [(o, i) for i, o in zip(dims, dims[1:])] + [(o,) for o in dims[1:]]
+    ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+    return tuple(zip([0] + ends[:-1], ends, shapes))
+
+
+def _split(flat, dims) -> tuple:
+    """(weights, biases) of the layer chain `dims` as views into a (..., P)
+    parameter buffer laid out like ModelParams.flat; leading axes stay in
+    front, so a (clients, P) buffer gives (clients, out, in) weights."""
+    views = tuple(flat[..., start:end].reshape(flat.shape[:-1] + shape)
+                  for start, end, shape in _layout(tuple(dims)))
+    return views[:len(dims) - 1], views[len(dims) - 1:]
 
 
 @dataclass(frozen=True)
@@ -87,7 +114,7 @@ def init_model(input_dim: int, hidden_dims, seed: int) -> ModelParams:
         hidden_dims = tuple(operator.index(h) for h in hidden_dims)
     except TypeError:
         raise ConfigError(f"hidden_dims must hold integer widths, got "
-                          f"{list(hidden_dims)}") from None
+                          f"{hidden_dims!r}") from None
     if input_dim < 1 or not hidden_dims or any(h < 1 for h in hidden_dims):
         raise ConfigError(f"bad architecture: input_dim={input_dim}, hidden={hidden_dims}")
     chain = (input_dim,) + hidden_dims + tuple(reversed(hidden_dims[:-1])) + (input_dim,)
@@ -128,49 +155,34 @@ def mse_per_sample(model: ModelParams, data: np.ndarray) -> np.ndarray:
     return np.mean(diff * diff, axis=1)
 
 
-def _loss_and_grads(params, x):
-    """Loss and gradients for params = weights + biases, one list; the
-    gradients come back as one list in the same order.
+def _loss_and_grads(flat, dims, x):
+    """Loss and gradients for the parameter vector `flat` of the layer
+    chain `dims`; the gradients come back as one array laid out like flat.
 
-    Every array may carry a leading client axis: x of shape (clients, n, d)
-    with weights (clients, out, in) and biases (clients, out) gives one
-    loss per client. Each client's slice gets the float ops that its
-    2-D arrays alone would get, in the same order.
+    flat may carry a leading client axis: x of shape (clients, n, d) with
+    flat of shape (clients, P) gives one loss per client. Each client's
+    slice gets the float ops that its 2-D arrays alone would get, in the
+    same order.
     """
-    layers = len(params) // 2
-    last = layers - 1
+    weights, biases = _split(flat, dims)
+    grads = np.empty_like(flat)
+    grad_w, grad_b = _split(grads, dims)
+    last = len(weights) - 1
     acts = [x]  # post-activation per layer, acts[0] is the input
-    for k in range(layers):
-        z = (acts[k] @ params[k].swapaxes(-1, -2)
-             + params[layers + k][..., None, :])
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        z = acts[k] @ w.swapaxes(-1, -2) + b[..., None, :]
         acts.append(z if k == last else np.maximum(z, 0.0))
     diff = acts[-1] - x
     n, d = x.shape[-2:]
     loss = np.mean(diff * diff, axis=(-2, -1))
     delta = (2.0 / (n * d)) * diff
-    grads = [None] * len(params)
     for k in range(last, -1, -1):
-        grads[k] = delta.swapaxes(-1, -2) @ acts[k]
-        grads[layers + k] = delta.sum(axis=-2)
+        np.matmul(delta.swapaxes(-1, -2), acts[k], out=grad_w[k])
+        np.sum(delta, axis=-2, out=grad_b[k])
         if k > 0:
             # acts[k] = max(z, 0), so acts[k] > 0 exactly where z > 0
-            delta = (delta @ params[k]) * (acts[k] > 0.0)
+            delta = (delta @ weights[k]) * (acts[k] > 0.0)
     return loss, grads
-
-
-def mse_loss_and_grads(model: ModelParams, batch: np.ndarray):
-    """MSE loss (mean over samples and features) and its parameter gradients.
-
-    Returns (loss, grad_weights, grad_biases); grads are lists parallel to
-    model.weights / model.biases. Backprop with delta = 2*(xhat - x)/(n*d)
-    at the identity output, masked by ReLU derivatives on the way down.
-    """
-    x = _check_batch(model, batch)
-    if x.shape[0] == 0:
-        raise ConfigError("empty batch")
-    layers = len(model.weights)
-    loss, grads = _loss_and_grads(model.weights + model.biases, x)
-    return float(loss), grads[:layers], grads[layers:]
 
 
 def train_local(model: ModelParams, data: np.ndarray, cfg: TrainConfig) -> ModelParams:
@@ -223,13 +235,13 @@ def train_clients(model: ModelParams, datas, cfg: TrainConfig) -> list:
     pool = np.concatenate([datas[i] for i in order])
     rngs = [np.random.default_rng(cfg.seed) for _ in order]
     schedule = _batch_schedule(sizes, cfg.batch_size)
-    params = [np.repeat(p[None], len(order), axis=0)
-              for p in model.weights + model.biases]
+    dims = model.dims
+    params = np.repeat(model.flat[None], len(order), axis=0)
     adam = cfg.optimizer == "adam"
     # Adam's first and second moments; SGD skips them, because on a small
     # client allocating them is a measurable share of its training
-    m = [np.zeros_like(p) for p in params] if adam else None
-    v = [np.zeros_like(p) for p in params] if adam else None
+    m = np.zeros_like(params) if adam else None
+    v = np.zeros_like(params) if adam else None
     lr, b1, b2, eps = cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     t = np.zeros(len(order), dtype=np.int64)
     diverged = {}  # list index -> first epoch with a non-finite loss
@@ -239,38 +251,30 @@ def train_clients(model: ModelParams, datas, cfg: TrainConfig) -> list:
             perm[j, :n] = offsets[j] + rng.permutation(n)
         for lo, hi, start, rows in schedule:
             batch = pool[perm[lo:hi, start:start + rows]]
-            loss, grads = _loss_and_grads([p[lo:hi] for p in params], batch)
+            loss, grads = _loss_and_grads(params[lo:hi], dims, batch)
             for j in np.flatnonzero(~np.isfinite(loss)):
                 diverged.setdefault(order[lo + j], epoch)
             t[lo:hi] += 1
             if adam:
+                # Python's float power per step count; numpy's power of
+                # an int array rounds differently
                 steps = t[lo:hi].tolist()
-                corr1 = np.array([1.0 - b1 ** s for s in steps])
-                corr2 = np.array([1.0 - b2 ** s for s in steps])
-            for k, g in enumerate(grads):
-                if adam:
-                    mk, vk = m[k][lo:hi], v[k][lo:hi]
-                    shape = (-1,) + (1,) * (g.ndim - 1)
-                    mk[...] = b1 * mk + (1 - b1) * g
-                    vk[...] = b2 * vk + (1 - b2) * g ** 2
-                    step = lr * (mk / corr1.reshape(shape)) / (
-                        np.sqrt(vk / corr2.reshape(shape)) + eps)
-                else:
-                    step = lr * g
-                params[k][lo:hi] -= step
+                corr1 = np.array([[1.0 - b1 ** s] for s in steps])
+                corr2 = np.array([[1.0 - b2 ** s] for s in steps])
+                m[lo:hi] = b1 * m[lo:hi] + (1 - b1) * grads
+                v[lo:hi] = b2 * v[lo:hi] + (1 - b2) * grads ** 2
+                params[lo:hi] -= lr * (m[lo:hi] / corr1) / (
+                    np.sqrt(v[lo:hi] / corr2) + eps)
+            else:
+                params[lo:hi] -= lr * grads
     # the loss check runs before each update; catch a blow-up on the last one
-    for j, i in enumerate(order):
-        if not all(np.all(np.isfinite(p[j])) for p in params):
-            diverged.setdefault(i, cfg.local_epochs - 1)
+    for j in np.flatnonzero(~np.isfinite(params).all(axis=1)):
+        diverged.setdefault(order[j], cfg.local_epochs - 1)
     if diverged:
         first = min(diverged)
         raise DivergedTraining(diverged[first], client=first)
-    layers = len(model.weights)
-    models = [None] * len(order)
-    for j, i in enumerate(order):
-        models[i] = ModelParams(tuple(p[j] for p in params[:layers]),
-                                tuple(p[j] for p in params[layers:]))
-    return models
+    # row j of params belongs to client order[j]
+    return [ModelParams(*_split(params[j], dims)) for j in np.argsort(order)]
 
 
 def save_model(model: ModelParams, path) -> None:
@@ -290,26 +294,30 @@ def load_model(path) -> ModelParams:
         raise ConfigError(f"{path}: not a {MODEL_FORMAT_HEADER} checkpoint")
     if len(lines) < 2 or not lines[1].startswith("dims "):
         raise ConfigError(f"{path}: missing dims line")
-    dims = [int(t) for t in lines[1].split()[1:]]
-    if len(dims) < 2:
-        raise ConfigError(f"{path}: dims line needs at least two entries")
-    weights, biases = [], []
-    cursor = 2
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        need = fan_out + 1
-        if cursor + need > len(lines):
-            raise ConfigError(f"{path}: truncated checkpoint")
-        rows = [np.array([float(t) for t in lines[cursor + r].split()])
-                for r in range(fan_out)]
-        w = np.vstack(rows)
-        if w.shape != (fan_out, fan_in):
-            raise ConfigError(f"{path}: layer block has shape {w.shape}, "
-                              f"expected {(fan_out, fan_in)}")
-        b = np.array([float(t) for t in lines[cursor + fan_out].split()])
-        if b.shape != (fan_out,):
-            raise ConfigError(f"{path}: bias line has {b.shape[0]} entries, "
-                              f"expected {fan_out}")
-        weights.append(w)
-        biases.append(b)
-        cursor += need
+    try:
+        dims = [int(t) for t in lines[1].split()[1:]]
+    except ValueError as exc:
+        raise ConfigError(f"{path}: line 2: {exc}") from None
+    if len(dims) < 2 or min(dims) < 1:
+        raise ConfigError(f"{path}: line 2: dims needs at least two widths, "
+                          f"each >= 1, got {dims}")
+    # entries per line: each layer's fan_out weight rows, then its bias row
+    want = [n for i, o in zip(dims, dims[1:]) for n in [i] * o + [o]]
+    if len(lines) != 2 + len(want):
+        raise ConfigError(f"{path}: line {min(len(lines), 2 + len(want)) + 1}: "
+                          f"dims {dims} need {2 + len(want)} lines, got {len(lines)}")
+    rows = []
+    for no, (line, n) in enumerate(zip(lines[2:], want), start=3):
+        try:
+            rows.append([float(t) for t in line.split()])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: line {no}: {exc}") from None
+        if len(rows[-1]) != n:
+            raise ConfigError(f"{path}: line {no} has {len(rows[-1])} "
+                              f"entries, expected {n}")
+    weights, biases, k = [], [], 0
+    for fan_out in dims[1:]:
+        weights.append(np.array(rows[k:k + fan_out]))
+        biases.append(np.array(rows[k + fan_out]))
+        k += fan_out + 1
     return ModelParams(tuple(weights), tuple(biases))

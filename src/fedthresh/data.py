@@ -172,15 +172,19 @@ def apply_scaler(dataset: Dataset, scaler: Scaler) -> Dataset:
     return replace(dataset, features=scaler.transform(dataset.features))
 
 
+def check_fractions(train_frac: float, val_frac: float) -> None:
+    if not (train_frac > 0 and val_frac > 0 and train_frac + val_frac < 1):
+        raise ConfigError(f"bad fractions train={train_frac}, val={val_frac}; "
+                          "need positive values with a test remainder")
+
+
 def split(dataset: Dataset, train_frac: float, val_frac: float, seed: int):
     """Stratified train/val/test split; training keeps only normal samples.
 
     Normals are apportioned by (train, val, test) fractions; anomalies by
     (val, test) only, at least one each. Deterministic under seed.
     """
-    if not (train_frac > 0 and val_frac > 0 and train_frac + val_frac < 1):
-        raise ConfigError(f"bad fractions train={train_frac}, val={val_frac}; "
-                          "need positive values with a test remainder")
+    check_fractions(train_frac, val_frac)
     test_frac = 1.0 - train_frac - val_frac
     rng = np.random.default_rng(seed)
     normal_idx = rng.permutation(np.where(dataset.labels == 0)[0])
@@ -438,6 +442,11 @@ def partition_noniid(split_datasets, num_clients: int = 6, k: int | None = None,
     return PartitionPlan("noniid_kmeans", final, seed)
 
 
+def check_concentration(concentration: float) -> None:
+    if not concentration > 0:
+        raise ConfigError(f"concentration must be positive, got {concentration}")
+
+
 def partition_random(split_datasets, num_clients: int, seed: int,
                      concentration: float = 0.5) -> PartitionPlan:
     """Dirichlet-proportioned uneven partition; low concentration = extreme
@@ -445,8 +454,7 @@ def partition_random(split_datasets, num_clients: int, seed: int,
     client keeps at least one train and one val-normal sample."""
     if num_clients < 2:
         raise ConfigError(f"num_clients must be >= 2, got {num_clients}")
-    if not concentration > 0:
-        raise ConfigError(f"concentration must be positive, got {concentration}")
+    check_concentration(concentration)
     rng = np.random.default_rng(seed)
     proportions = rng.dirichlet(np.full(num_clients, concentration))
 

@@ -6,14 +6,15 @@ client order is list order, aggregation order is fixed, and every client
 derives the same per-round training seed, so N identical clients behave
 exactly like centralized training. A round trains one copy per client,
 all of them in one stacked pass (`train_clients`); each copy is
-bit-identical to training that client alone.
+bit-identical to training that client alone. Averaging works on each
+model's flat parameter vector (`ModelParams.flat`), never on its layers.
 """
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autoencoder import (ModelParams, TrainConfig, default_hidden_dims,
+from .autoencoder import (ModelParams, TrainConfig, _split, default_hidden_dims,
                           init_model, mse_per_sample, train_clients)
 # not called here any more; perfbench/tracing.py replaces this attribute
 # by name, so it stays importable from this module
@@ -90,10 +91,6 @@ class Channel:
         return len(self.select(direction, kind, context))
 
 
-def _param_count(model: ModelParams) -> int:
-    return sum(p.size for p in model.weights + model.biases)
-
-
 def average_params(params_list, weights) -> ModelParams:
     """Element-wise weighted mean of model parameters.
 
@@ -111,12 +108,10 @@ def average_params(params_list, weights) -> ModelParams:
         if p.dims != first.dims:
             raise ConfigError(f"model dims differ: {p.dims} vs {first.dims}")
     norm = weights / weights.sum()
-    total = [norm[0] * p for p in first.weights + first.biases]
+    total = norm[0] * first.flat
     for coeff, params in zip(norm[1:], params_list[1:]):
-        for acc, p in zip(total, params.weights + params.biases):
-            acc += coeff * p
-    layers = len(first.weights)
-    return ModelParams(tuple(total[:layers]), tuple(total[layers:]))
+        total += coeff * params.flat
+    return ModelParams(*_split(total, first.dims))
 
 
 def round_seed(base_seed: int, round_index: int) -> int:
@@ -159,7 +154,7 @@ def run_fedavg(clients, cfg: FedConfig, channel: Channel | None = None,
         cfg_t = replace(cfg.train_cfg, seed=round_seed(cfg.train_cfg.seed, t))
         if channel is not None:
             for c in clients:
-                channel.record("broadcast", "model", _param_count(model),
+                channel.record("broadcast", "model", model.flat.size,
                                c.client_id, t, context="fedavg")
         started = time.perf_counter()
         try:
@@ -171,9 +166,8 @@ def run_fedavg(clients, cfg: FedConfig, channel: Channel | None = None,
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         for c, local in zip(clients, local_models):
             if channel is not None:
-                channel.record("upload", "model_update",
-                               _param_count(local), c.client_id, t,
-                               context="fedavg")
+                channel.record("upload", "model_update", local.flat.size,
+                               c.client_id, t, context="fedavg")
             if round_log is not None:
                 final_mse = float(np.mean(mse_per_sample(local, c.train_data)))
                 round_log.append({"round": t, "client_id": c.client_id,

@@ -22,9 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .autoencoder import TrainConfig, mse_per_sample, save_model
-from .data import (CorruptionSpec, apply_scaler, corrupt, fit_scaler,
-                   load_csv, partition_even, partition_noniid,
-                   partition_random, split, synth, synth_blobs, write_plan)
+from .data import (CorruptionSpec, apply_scaler, check_concentration,
+                   check_fractions, corrupt, fit_scaler, load_csv,
+                   partition_even, partition_noniid, partition_random, split,
+                   synth, synth_blobs, write_plan)
 from .error_stats import (AGGREGATION_MODES, ClassSummaries, ErrorSummary,
                           aggregate, summarize)
 from .errors import AuditError, ConfigError, InsufficientTail, StageError
@@ -275,10 +276,13 @@ class ScenarioConfig:
                               f"[0, {self.num_clients})")
         for tag, given in self.method_params.items():
             _method_kwargs(tag, given)
-        # built here so that bad training and corruption settings fail at
-        # load, before any data is read
+        # built or checked here so that bad training, data and corruption
+        # settings fail at load, before any data is read
         _fed_config(self)
         CorruptionSpec(self.corrupt_client_ids, self.noise_sigma_scale)
+        fit_scaler(np.zeros((1, 1)), self.scale_method)
+        check_fractions(self.train_frac, self.val_frac)
+        check_concentration(self.concentration)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":

@@ -2,8 +2,7 @@
 
 f1_curve sorts one client's errors once and reads every candidate's
 confusion counts off a searchsorted index into the anomaly prefix sums.
-naive_f1_curve recounts per candidate and is the test oracle it must match
-bit for bit.
+The tests hold a per-candidate recount that it must match bit for bit.
 """
 import dataclasses
 from dataclasses import dataclass
@@ -78,21 +77,6 @@ def f1_curve(errors, labels, candidates) -> np.ndarray:
     out = np.zeros(candidates.size)
     nz = denom != 0.0
     out[nz] = (2.0 * tp[nz]) / denom[nz]
-    return out
-
-
-def naive_f1_curve(errors, labels, candidates) -> np.ndarray:
-    """Per-candidate recount; the oracle f1_curve must match."""
-    errors = np.asarray(errors, dtype=np.float64).ravel()
-    anoms = np.asarray(labels).ravel() != 0
-    out = np.empty(len(candidates))
-    for j, c in enumerate(np.asarray(candidates, dtype=np.float64).ravel()):
-        pred = errors > c
-        tp = int(np.sum(pred & anoms))
-        fp = int(np.sum(pred & ~anoms))
-        fn = int(np.sum(~pred & anoms))
-        denom = 2.0 * tp + fp + fn
-        out[j] = 0.0 if denom == 0.0 else (2.0 * tp) / denom
     return out
 
 

@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES, make_config
-from fedthresh.autoencoder import ModelParams, init_model, mse_loss_and_grads
+from fedthresh.autoencoder import ModelParams, init_model
 from fedthresh.error_stats import (ClassSummaries, ErrorSummary, aggregate,
                                    overlap_region, summarize)
 from fedthresh.harness import (ScenarioConfig, audit_channel, run_scenario,
                                sweep_clients, sweep_corruption)
-from fedthresh.metrics import confusion, f1, f1_curve, naive_f1_curve
+from fedthresh.metrics import confusion, f1, f1_curve
 from fedthresh.thresholds import METHOD_TAGS, classify, local_minmax, our_method
-from test_autoencoder import numeric_grads, relative_error
+from test_autoencoder import loss_and_grads, numeric_grads, relative_error
+from test_metrics import naive_f1_curve
 
 
 def record(criterion: int, ok: bool, detail: str) -> None:
@@ -110,7 +111,7 @@ def test_criterion_02_gradient_check():
     worst = 0.0
     for _ in range(20):
         batch = rng.normal(size=(int(rng.integers(2, 9)), 4))
-        _, gw, gb = mse_loss_and_grads(model, batch)
+        _, gw, gb = loss_and_grads(model, batch)
         nw, nb = numeric_grads(model, batch)
         for a, b in zip(list(gw) + list(gb), nw + nb):
             worst = max(worst, relative_error(a, b))

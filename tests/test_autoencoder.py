@@ -1,15 +1,15 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fedthresh.autoencoder import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
-                                   ModelParams, TrainConfig,
-                                   default_hidden_dims, forward, init_model,
-                                   load_model, mse_loss_and_grads,
-                                   mse_per_sample, save_model, train_clients,
-                                   train_local)
+                                   ModelParams, TrainConfig, _loss_and_grads,
+                                   _split, default_hidden_dims, forward,
+                                   init_model, load_model, mse_per_sample,
+                                   save_model, train_clients, train_local)
 from fedthresh.errors import ConfigError, DivergedTraining, FederationError
 from fedthresh.federation import (ClientState, FedConfig, average_params,
                                   round_seed, run_fedavg)
@@ -34,7 +34,8 @@ def test_init_model_architecture_and_bounds():
 
 def test_init_model_rejects_non_integer_widths():
     # int() used to truncate these silently: (2.7,) built width 2
-    for hidden in ((2.7,), (4, 2.0), ("3",)):
+    # None and a bare int used to raise TypeError from the error path
+    for hidden in ((2.7,), (4, 2.0), ("3",), None, 5):
         with pytest.raises(ConfigError, match="hidden_dims"):
             init_model(4, hidden, seed=0)
     assert init_model(4, (np.int64(3),), seed=0).dims == (4, 3, 4)
@@ -83,35 +84,24 @@ def test_mse_per_sample_matches_manual(rng):
     assert mse_per_sample(model, np.empty((0, 5))).shape == (0,)
 
 
+def loss_and_grads(model, batch):
+    """(loss, weight gradients, bias gradients) of model on batch."""
+    loss, grads = _loss_and_grads(model.flat, model.dims, batch)
+    return (float(loss),) + _split(grads, model.dims)
+
+
 def numeric_grads(model, batch, eps=1e-6):
-    """Central finite differences on every parameter."""
-    grads_w, grads_b = [], []
-    for k in range(len(model.weights)):
-        gw = np.zeros_like(model.weights[k])
-        for idx in np.ndindex(*model.weights[k].shape):
-            wp = [w.copy() for w in model.weights]
-            wm = [w.copy() for w in model.weights]
-            wp[k][idx] += eps
-            wm[k][idx] -= eps
-            lp, _, _ = mse_loss_and_grads(
-                ModelParams(tuple(wp), model.biases), batch)
-            lm, _, _ = mse_loss_and_grads(
-                ModelParams(tuple(wm), model.biases), batch)
-            gw[idx] = (lp - lm) / (2 * eps)
-        grads_w.append(gw)
-        gb = np.zeros_like(model.biases[k])
-        for idx in np.ndindex(*model.biases[k].shape):
-            bp = [b.copy() for b in model.biases]
-            bm = [b.copy() for b in model.biases]
-            bp[k][idx] += eps
-            bm[k][idx] -= eps
-            lp, _, _ = mse_loss_and_grads(
-                ModelParams(model.weights, tuple(bp)), batch)
-            lm, _, _ = mse_loss_and_grads(
-                ModelParams(model.weights, tuple(bm)), batch)
-            gb[idx] = (lp - lm) / (2 * eps)
-        grads_b.append(gb)
-    return grads_w, grads_b
+    """Central finite differences on every parameter, split into
+    (weight gradients, bias gradients)."""
+    grads = np.zeros_like(model.flat)
+    for i in range(model.flat.size):
+        plus, minus = model.flat.copy(), model.flat.copy()
+        plus[i] += eps
+        minus[i] -= eps
+        lp, _ = _loss_and_grads(plus, model.dims, batch)
+        lm, _ = _loss_and_grads(minus, model.dims, batch)
+        grads[i] = (lp - lm) / (2 * eps)
+    return _split(grads, model.dims)
 
 
 def relative_error(a, b):
@@ -122,7 +112,7 @@ def relative_error(a, b):
 def test_gradient_check_small_model(rng):
     model = init_model(4, (2,), seed=3)
     batch = rng.normal(size=(7, 4))
-    _, gw, gb = mse_loss_and_grads(model, batch)
+    _, gw, gb = loss_and_grads(model, batch)
     num_w, num_b = numeric_grads(model, batch)
     for a, b in zip(gw, num_w):
         assert relative_error(np.asarray(a), b) < 1e-6
@@ -135,9 +125,9 @@ def test_train_local_reduces_loss(rng):
     model = init_model(6, (3,), seed=4)
     cfg = TrainConfig(local_epochs=20, learning_rate=0.1, batch_size=32,
                       seed=0)
-    before, _, _ = mse_loss_and_grads(model, data)
+    before, _, _ = loss_and_grads(model, data)
     after_model = train_local(model, data, cfg)
-    after, _, _ = mse_loss_and_grads(after_model, data)
+    after, _, _ = loss_and_grads(after_model, data)
     assert after < before * 0.9
 
 
@@ -170,7 +160,7 @@ def one_step(optimizer, rng):
     row, and the model after exactly one update."""
     model = init_model(5, (3, 2), seed=8)
     row = rng.normal(size=(1, 5))
-    _, gw, gb = mse_loss_and_grads(model, row)
+    _, gw, gb = loss_and_grads(model, row)
     cfg = TrainConfig(local_epochs=1, learning_rate=0.05, batch_size=1,
                       seed=0, optimizer=optimizer)
     new = train_local(model, row, cfg)
@@ -237,6 +227,68 @@ def test_load_model_rejects_bad_header(tmp_path):
     path.write_text("not-a-model\n")
     with pytest.raises(ConfigError):
         load_model(path)
+
+
+# (line number, what to write there) in a saved 3->2->3 checkpoint of nine
+# lines; each case used to escape as a bare ValueError naming neither file
+# nor line, or, past the last layer, to load without error
+BAD_CHECKPOINT_LINES = {
+    "dims_token_not_an_integer": (2, "dims 3 x 3"),
+    "width_below_one": (2, "dims 3 0 3"),
+    "non_numeric_cell": (4, "0.5 abc 0.25"),
+    "weight_row_missing_a_cell": (4, "0.5 0.25"),
+    "data_after_the_last_layer": (10, "1 2 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHECKPOINT_LINES))
+def test_load_model_names_the_file_and_line(tmp_path, case):
+    line_no, text = BAD_CHECKPOINT_LINES[case]
+    path = tmp_path / "model.txt"
+    save_model(init_model(3, (2,), seed=0), path)
+    lines = path.read_text().splitlines()
+    lines[line_no - 1:line_no] = [text]  # line 10 is appended
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{path}: line {line_no}")):
+        load_model(path)
+
+
+def test_flat_vector_backs_every_layer(tmp_path):
+    model = init_model(5, (3, 2), seed=0)
+    assert model.dims == (5, 3, 2, 3, 5)
+    assert not model.flat.flags.writeable
+    assert model.flat.size == sum(p.size
+                                  for p in model.weights + model.biases)
+    for p in model.weights + model.biases:
+        assert np.shares_memory(p, model.flat)
+        assert not p.flags.writeable
+    # the split, interleaved per layer, is the checkpoint's number order
+    weights, biases = _split(model.flat, model.dims)
+    split_order = [p for w, b in zip(weights, biases) for p in (w, b)]
+    model_order = [p for w, b in zip(model.weights, model.biases)
+                   for p in (w, b)]
+    for got, want in zip(split_order, model_order, strict=True):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    save_model(model, tmp_path / "model.txt")
+    saved = [float(t) for line in
+             (tmp_path / "model.txt").read_text().splitlines()[2:]
+             for t in line.split()]
+    assert saved == np.concatenate([p.ravel() for p in split_order]).tolist()
+
+
+def test_split_keeps_leading_axes_in_front():
+    model = init_model(5, (3, 2), seed=0)
+    buffer = np.arange(4 * model.flat.size, dtype=np.float64).reshape(4, -1)
+    weights, biases = _split(buffer, model.dims)
+    assert [w.shape for w in weights] == [(4,) + w.shape
+                                          for w in model.weights]
+    assert [b.shape for b in biases] == [(4,) + b.shape
+                                         for b in model.biases]
+    row_w, row_b = _split(buffer[2], model.dims)
+    for whole, row in zip(weights + biases, row_w + row_b):
+        assert np.shares_memory(whole, buffer)
+        assert np.array_equal(whole[2], row)
 
 
 # ---- stacked training against the one-client-at-a-time reference ----

@@ -136,6 +136,13 @@ class TestThresholdCommand:
         ("batch_size", 0, "batch_size must be >= 1, got 0"),
         ("optimizer", "adamw", "unknown optimizer 'adamw'"),
         ("noise_sigma_scale", -1.0, "noise_sigma_scale must be >= 0"),
+        ("scale_method", "bogus", "unknown scaling method 'bogus'"),
+        ("train_frac", 0.9, "bad fractions train=0.9, val=0.2; need positive "
+                            "values with a test remainder"),
+        ("val_frac", 0.5, "bad fractions train=0.6, val=0.5; need positive "
+                          "values with a test remainder"),
+        # the default scheme is "even", which never reads concentration
+        ("concentration", -1.0, "concentration must be positive, got -1.0"),
     ])
     def test_training_and_corruption_settings_fail_at_load(
             self, runner, tmp_path, field_name, value, message):

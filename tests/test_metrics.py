@@ -6,9 +6,23 @@ from hypothesis import strategies as st
 from fedthresh.errors import ConfigError
 from fedthresh.metrics import (Confusion, aggregate_f1,
                                collect_stat_features, confusion,
-                               correlation_matrix, f1, f1_curve,
-                               naive_f1_curve)
+                               correlation_matrix, f1, f1_curve)
 from fedthresh.error_stats import ClassSummaries, ErrorSummary, summarize
+
+
+def naive_f1_curve(errors, labels, candidates) -> np.ndarray:
+    """Per-candidate recount; the oracle f1_curve must match."""
+    errors = np.asarray(errors, dtype=np.float64).ravel()
+    anoms = np.asarray(labels).ravel() != 0
+    out = np.empty(len(candidates))
+    for j, c in enumerate(np.asarray(candidates, dtype=np.float64).ravel()):
+        pred = errors > c
+        tp = int(np.sum(pred & anoms))
+        fp = int(np.sum(pred & ~anoms))
+        fn = int(np.sum(~pred & anoms))
+        denom = 2.0 * tp + fp + fn
+        out[j] = 0.0 if denom == 0.0 else (2.0 * tp) / denom
+    return out
 
 
 def test_confusion_counts():

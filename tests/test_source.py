@@ -25,6 +25,20 @@ def test_no_assert_statements():
     assert not found, f"assert statements in package source: {found}"
 
 
+def test_layer_layout_stays_in_autoencoder():
+    """Only autoencoder.py knows how a model's flat parameter vector is cut
+    into layers; every other module works on `ModelParams.flat`."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "autoencoder.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("weights", "biases")]
+    assert not found, f"per-layer parameter reads outside autoencoder: {found}"
+
+
 def test_every_option_has_an_effect_test():
     """Each option earns its place through a test that shows what it
     changes: a new option fails here until OPTION_EFFECTS lists it, and a
