@@ -81,7 +81,12 @@ class Dataset:
 def load_csv(path, label_column: str, positive_label: str) -> Dataset:
     """Read a headered numeric CSV; label_column equal to positive_label
     marks the anomaly class. Non-numeric and non-finite cells (nan, inf)
-    are rejected with their row and column."""
+    are rejected with their row and column.
+
+    numpy's C parser reads the table; a file it rejects, or may read
+    differently from `csv.reader` and `float()`, is read again cell by
+    cell, which also names the row and column of any bad cell.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{path}: no such file")
@@ -97,29 +102,82 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
                               f"header {header}")
         label_idx = header.index(label_column)
         feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-        rows, row_nos, labels, classes = [], [], [], []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
+        table = _read_table(fh, len(header), label_idx)
+        if table is None:
+            fh.seek(0)
+            next(reader)
+            table = _read_cells(reader, path, header, label_idx,
+                                feature_names)
+    features, classes = table
+    ds = Dataset(features, classes == positive_label, feature_names,
+                 path.stem, classes=classes)
+    for hint, (n, n_anom, dim) in KNOWN_DATASET_SHAPES.items():
+        if hint in path.stem.lower():
+            got = (ds.num_samples, ds.num_anomalies, ds.num_features)
+            if got != (n, n_anom, dim):
+                warnings.warn(f"{path.name}: shape {got} differs from the "
+                              f"published {(n, n_anom, dim)}")
+    return ds
+
+
+def _read_table(fh, num_columns: int, label_idx: int):
+    """The data rows of fh, read by np.loadtxt, as (features, classes);
+    None where the result could differ from `_read_cells`'.
+
+    Without quotes, `csv.reader` splits cells and lines as loadtxt does,
+    and loadtxt's float parser accepts a subset of what `float()` accepts
+    (not `_` separators nor non-ASCII digits), with the same values. So a
+    label cell holding a quote, a row of another width, no data row or a
+    non-finite value sends the file to the per-cell reader.
+    """
+    codes = {}
+
+    def label_code(cell):
+        if '"' in cell:
+            raise ValueError("quoted label")
+        return codes.setdefault(cell.strip(), len(codes))
+
+    try:
+        with warnings.catch_warnings():
+            # an empty table warns; the per-cell reader reports it
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                               converters={label_idx: label_code})
+    except ValueError:
+        return None
+    if table.shape[0] == 0 or table.shape[1] != num_columns:
+        return None
+    features = np.delete(table, label_idx, axis=1)
+    if not np.isfinite(features).all():
+        return None
+    classes = np.array(list(codes))[table[:, label_idx].astype(np.intp)]
+    return features, classes
+
+
+def _read_cells(reader, path, header, label_idx: int, feature_names):
+    """The data rows of a `csv.reader` as (features, classes), one
+    `float()` per cell; a bad row or cell raises ConfigError naming it."""
+    rows, row_nos, classes = [], [], []
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ConfigError(f"{path}: row {row_no} has {len(row)} cells, "
+                              f"expected {len(header)}")
+        classes.append(row[label_idx].strip())
+        values = []
+        for col_idx, cell in enumerate(row):
+            if col_idx == label_idx:
                 continue
-            if len(row) != len(header):
-                raise ConfigError(f"{path}: row {row_no} has {len(row)} cells, "
-                                  f"expected {len(header)}")
-            raw_label = row[label_idx].strip()
-            classes.append(raw_label)
-            labels.append(1 if raw_label == positive_label else 0)
-            values = []
-            for col_idx, cell in enumerate(row):
-                if col_idx == label_idx:
-                    continue
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ConfigError(
-                        f"{path}: row {row_no}, column "
-                        f"{header[col_idx]!r}: non-numeric cell {cell!r}"
-                    ) from None
-            rows.append(values)
-            row_nos.append(row_no)
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ConfigError(
+                    f"{path}: row {row_no}, column "
+                    f"{header[col_idx]!r}: non-numeric cell {cell!r}"
+                ) from None
+        rows.append(values)
+        row_nos.append(row_no)
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     features = np.array(rows)
@@ -129,15 +187,7 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
         raise ConfigError(f"{path}: row {row_nos[i]}, column "
                           f"{feature_names[j]!r}: non-finite cell "
                           f"{float(features[i, j])}")
-    ds = Dataset(features, np.array(labels), feature_names,
-                 path.stem, classes=np.array(classes))
-    for hint, (n, n_anom, dim) in KNOWN_DATASET_SHAPES.items():
-        if hint in path.stem.lower():
-            got = (ds.num_samples, ds.num_anomalies, ds.num_features)
-            if got != (n, n_anom, dim):
-                warnings.warn(f"{path.name}: shape {got} differs from the "
-                              f"published {(n, n_anom, dim)}")
-    return ds
+    return features, np.array(classes)
 
 
 @dataclass(frozen=True)
@@ -272,11 +322,11 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
     """Lloyd's algorithm with k-means++ seeding; returns the assignment.
 
     Each point goes to the centroid nearest by `_sq_dist`, ties to the
-    lowest index. Each iteration screens all points with the expanded
-    distance ‖x‖² − 2·c·xᵀ + ‖c‖² (one matrix product), then recomputes
-    with `_sq_dist` every point whose best and second-best expanded
-    distances lie within the rounding bound of each other; the rest cannot
-    change their argmin. Deterministic under seed. Empty clusters are
+    lowest index. Each iteration screens all points with ‖c‖² − 2·c·xᵀ
+    (one matrix product), the expanded distance less the point's own ‖x‖²,
+    then recomputes with `_sq_dist` every point whose best and second-best
+    screen values lie within the rounding bound of each other; the rest
+    cannot change their argmin. Deterministic under seed. Empty clusters are
     re-seeded with the farthest point of the largest cluster, which is
     force-reassigned. Within-cluster sum of squares is checked to be
     non-increasing.
@@ -300,30 +350,31 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
         centroids[j] = points[pick]
         closest = np.minimum(closest, _sq_dist(points, centroids[j]))
 
-    # Rounding bound of the screen, with u = eps/2 and D = ‖x‖² + ‖c‖²:
-    # ‖x‖², ‖c‖² and x·c are sums of d products, off by at most d·u·‖x‖²,
-    # d·u·‖c‖² and d·u·‖x‖‖c‖ <= d·u·D/2 in any summation order; doubling
-    # is exact and the two additions, on values below 2D, add 4u·D. So
-    # the expanded distance is within E = (2d+4)·u·D = (d+2)·eps·D of the
-    # true one, and `_sq_dist` (d differences, squares and additions of a
-    # true value below 2D) is within E as well. If the best expanded
-    # distance beats every other by more than 4E, its `_sq_dist` beats
-    # theirs too, so only points with a second centroid that close need
-    # the exact recheck. The slack below is 4x that, for second-order terms.
+    # The screen is s = ‖c‖² − 2·c·x, the squared distance less ‖x‖²,
+    # which is the same for every centroid of a point and so leaves its
+    # argmin alone. Its rounding bound, with u = eps/2 and D = ‖x‖² + ‖c‖²:
+    # ‖c‖² and c·x are sums of d products, off by at most d·u·‖c‖² and
+    # d·u·‖x‖‖c‖ <= d·u·D/2 in any summation order; scaling c by −2 is
+    # exact and the one addition, on values below 2D, adds 2u·D. So s is
+    # within (2d+2)·u·D = (d+1)·eps·D of its true value, and `_sq_dist`
+    # (d differences, squares and additions of a true value below 2D) is
+    # within (d+2)·eps·D of the true distance. If the best screen value
+    # beats every other by more than E = (4d+6)·eps·D, its `_sq_dist`
+    # beats theirs too, so only points with a second centroid that close
+    # need the exact recheck. The slack below is over 4E, for second-order
+    # terms.
     n_features = points.shape[1]
     slack = 16.0 * (n_features + 3) * np.finfo(np.float64).eps
     sq_norms = np.einsum("ij,ij->i", points, points)
     points_t = np.ascontiguousarray(points.T)
     ids = np.arange(k)
     d2 = np.empty((k, n))
-    resid = np.empty_like(points)
+    resid = np.empty(n)
     prev_assign = None
     prev_wcss = np.inf
     for _ in range(max_iters):
         centroid_sq = np.einsum("ij,ij->i", centroids, centroids)
-        np.matmul(centroids, points_t, out=d2)
-        d2 *= -2.0
-        d2 += sq_norms
+        np.matmul(centroids * -2.0, points_t, out=d2)
         d2 += centroid_sq[:, None]
         close = d2 <= d2.min(axis=0) + slack * (sq_norms + centroid_sq.max())
         # a point with one close centroid takes it (the sum of the close
@@ -347,20 +398,13 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
             assign[far] = j
             sizes[donor] -= 1
             sizes[j] = 1
-        if n_features == 1:
-            # numpy sums a single column pairwise, not in index order as
-            # bincount does, so 1-D input keeps the per-cluster mean
-            for j in range(k):
-                centroids[j] = points[assign == j].mean(axis=0)
-        else:
-            # bincount sums each cluster's rows in index order, as the mean
-            # over the cluster's rows does, so the centroids keep their bits
-            for f in range(n_features):
-                centroids[:, f] = np.bincount(assign, weights=points_t[f],
-                                              minlength=k) / sizes
-        np.take(centroids, assign, axis=0, out=resid)
-        np.subtract(points, resid, out=resid)
-        wcss = float(np.einsum("ij,ij->", resid, resid))
+        _update_centroids(centroids, points, points_t, assign, sizes)
+        # one feature at a time, so no (n, d) gather of centroid rows
+        wcss = 0.0
+        for f in range(n_features):
+            np.take(centroids[:, f], assign, out=resid)
+            np.subtract(points_t[f], resid, out=resid)
+            wcss += float(resid @ resid)
         if wcss > prev_wcss * (1.0 + 1e-9) + 1e-12:
             raise RuntimeError(
                 f"within-cluster SS increased: {prev_wcss} -> {wcss}")
@@ -369,6 +413,22 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
         prev_assign = assign.copy()
         prev_wcss = wcss
     return assign
+
+
+def _update_centroids(centroids, points, points_t, assign, sizes) -> None:
+    """Set each centroid to the mean of its cluster's rows, in place."""
+    k, n_features = centroids.shape
+    if n_features == 1:
+        # numpy sums a single column pairwise, not in index order as
+        # bincount does, so 1-D input keeps the per-cluster mean
+        for j in range(k):
+            centroids[j] = points[assign == j].mean(axis=0)
+    else:
+        # bincount sums each cluster's rows in index order, as the mean
+        # over the cluster's rows does, so the centroids keep their bits
+        for f in range(n_features):
+            centroids[:, f] = np.bincount(assign, weights=points_t[f],
+                                          minlength=k) / sizes
 
 
 def _ensure_each_has(owner, eligible, num_clients: int, what: str):
@@ -481,14 +541,16 @@ def partition_random(split_datasets, num_clients: int, seed: int,
 
 
 def write_plan(plan: PartitionPlan, path) -> None:
+    """One `split,client_id,sample_index` row per index, with the CRLF
+    line ends of `csv.writer`; split names need no quoting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# scheme={plan.scheme} seed={plan.seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["split", "client_id", "sample_index"])
+        csv.writer(fh).writerow(["split", "client_id", "sample_index"])
         for split_name in sorted(plan.assignments):
             for client_id, indices in enumerate(plan.assignments[split_name]):
-                for idx in indices:
-                    writer.writerow([split_name, client_id, int(idx)])
+                prefix = f"{split_name},{client_id},"
+                fh.write("".join(prefix + str(i) + "\r\n"
+                                 for i in indices.tolist()))
 
 
 @dataclass(frozen=True)

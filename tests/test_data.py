@@ -1,14 +1,18 @@
+import csv
 import hashlib
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fedthresh.data import (KNOWN_DATASET_SHAPES, CorruptionSpec, Dataset,
+                            PartitionPlan,
                             corrupt, fit_scaler, apply_scaler, kmeans,
                             load_csv, partition_even,
                             partition_noniid, partition_random, split, synth,
-                            synth_blobs)
+                            synth_blobs, write_plan)
 from fedthresh import data as data_module
 from fedthresh.errors import ConfigError
 from fedthresh.federation import ClientState
@@ -74,6 +78,137 @@ def test_load_csv_warns_on_a_published_name_with_the_wrong_shape(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         load_csv(other, label_column="label", positive_label="4")
+
+
+def load_both_ways(path):
+    """load_csv's outcome on path as it reads it, and with the per-cell
+    reader alone: each a Dataset or the ConfigError message. Also whether
+    numpy's parser supplied the first."""
+    read_by_numpy = []
+    real_read_table = data_module._read_table
+
+    def spy(*args):
+        table = real_read_table(*args)
+        read_by_numpy.append(table is not None)
+        return table
+
+    def outcome():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return load_csv(path, label_column="label", positive_label="1")
+        except ConfigError as exc:
+            return str(exc)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_module, "_read_table", spy)
+        fast = outcome()
+        mp.setattr(data_module, "_read_table", lambda *args: None)
+        cells = outcome()
+    return fast, cells, any(read_by_numpy)
+
+
+def assert_same_outcome(fast, cells):
+    if isinstance(cells, str):
+        assert fast == cells
+        return
+    assert not isinstance(fast, str), fast
+    assert fast.features.shape == cells.features.shape
+    assert fast.features.flags.c_contiguous and cells.features.flags.c_contiguous
+    # bitwise: -0.0 and 0.0 differ
+    assert np.array_equal(fast.features.view(np.uint64),
+                          cells.features.view(np.uint64))
+    assert np.array_equal(fast.labels, cells.labels)
+    assert fast.classes.tolist() == cells.classes.tolist()
+    assert fast.feature_names == cells.feature_names
+
+
+# text after the header "a,b,label", the reader that must supply the
+# result, and the error (None: a Dataset)
+CSV_READER_CASES = {
+    # a second trailing cell: loadtxt with usecols would drop it
+    "extra_trailing_cell": ("1,2,0\n3,4,1,5\n", "cells",
+                            "row 3 has 4 cells, expected 3"),
+    "every_row_wider": ("1,2,0,9\n3,4,1,9\n", "cells",
+                        "row 2 has 4 cells, expected 3"),
+    "short_row": ("1,2,0\n3,4\n", "cells", "row 3 has 2 cells, expected 3"),
+    # loadtxt's default comments would skip the line
+    "comment_line": ("#1,2,0\n3,4,1\n", "cells",
+                     "row 2, column 'a': non-numeric cell '#1'"),
+    # loadtxt keeps the quotes, so the row would be labelled normal
+    "quoted_label": ('1,2,"1"\n3,4,0\n', "cells", None),
+    "quoted_feature": ('"1.5",2,1\n3,4,0\n', "cells", None),
+    "quoted_comma": ('"1,5",2,1\n', "cells",
+                     "row 2, column 'a': non-numeric cell '1,5'"),
+    "underscore_digits": ("1_000,2,1\n3,4,0\n", "cells", None),
+    "non_ascii_digits": ("\u0661\u0662,2,1\n3,4,0\n", "cells", None),
+    "whitespace_line": ("1,2,0\n   \n3,4,1\n", "cells",
+                        "row 3 has 1 cells, expected 3"),
+    "empty_cell": ("1,,0\n", "cells", "row 2, column 'b': non-numeric cell ''"),
+    "no_data_rows": ("\n\n", "cells", "no data rows"),
+    # the blank line still counts toward the reported row number
+    "blank_line_before_nan": ("1,2,0\n\nnan,3,1\n", "cells",
+                              "row 4, column 'a': non-finite cell nan"),
+    "overflow": ("1,2,0\n3,1e999,1\n", "cells",
+                 "row 3, column 'b': non-finite cell inf"),
+    "single_row": ("1.5,-2,1\n", "numpy", None),
+    "crlf": ("1,2,0\r\n3,4,1\r\n", "numpy", None),
+    "bare_cr": ("1,2,0\r3,4,1\r", "numpy", None),
+    "blank_line": ("1,2,0\n\n3,4,1\n", "numpy", None),
+    "padded_cells": (" 1.5 ,\t2, 1 \n-0.0,4e-320,0\n", "numpy", None),
+    "no_final_newline": ("1,2,0\n3,4,1", "numpy", None),
+    "text_labels": ("1,2,normal\n3,4,1\n5,6,\n", "numpy", None),
+}
+
+
+@pytest.mark.parametrize("name", CSV_READER_CASES)
+def test_load_csv_numpy_reader_matches_the_per_cell_reader(tmp_path, name):
+    body, reader, error = CSV_READER_CASES[name]
+    path = tmp_path / "toy.csv"
+    path.write_text("a,b,label\n" + body, encoding="utf-8", newline="")
+    fast, cells, read_by_numpy = load_both_ways(path)
+    assert_same_outcome(fast, cells)
+    assert read_by_numpy == (reader == "numpy")
+    if error is None:
+        assert not isinstance(cells, str), cells
+    else:
+        assert cells == f"{path}: {error}"
+
+
+def test_load_csv_numpy_reader_keeps_header_and_label_handling(tmp_path):
+    path = tmp_path / "toy.csv"
+    path.write_text(" label ,\tb , a\r\n1,2.5,3\r\n0,4,5e-1\r\n",
+                    encoding="utf-8", newline="")
+    fast, cells, read_by_numpy = load_both_ways(path)
+    assert read_by_numpy
+    assert_same_outcome(fast, cells)
+    assert fast.feature_names == ("b", "a")
+    assert fast.features.tolist() == [[2.5, 3.0], [4.0, 0.5]]
+    assert fast.labels.tolist() == [1, 0]
+
+
+CSV_ALPHABET = ',"#_ \r\n0123456789.-e\u0661'
+CSV_NUMBERS = st.one_of(st.integers(-999, 999).map(str),
+                        st.floats().map(repr),
+                        st.sampled_from([" 1", "1 ", "1e999", ".5", "1."]))
+CSV_CELLS = st.one_of(CSV_NUMBERS, st.text(alphabet=CSV_ALPHABET, max_size=4))
+# rows of three numbers load, so that many texts reach the numpy reader;
+# the other rows and the free text probe its refusals
+CSV_ROWS = st.lists(st.tuples(
+    st.one_of(st.lists(CSV_NUMBERS, min_size=3, max_size=3),
+              st.lists(CSV_CELLS, min_size=2, max_size=4)).map(",".join),
+    st.sampled_from(["\n", "\r\n", "\r", "\n\n"])),
+    max_size=5).map(lambda rows: "".join(r + end for r, end in rows))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(CSV_ROWS, st.text(alphabet=CSV_ALPHABET, max_size=40)))
+def test_load_csv_readers_agree_on_any_text(tmp_path, body):
+    path = tmp_path / "toy.csv"
+    path.write_text("a,b,label\n" + body, encoding="utf-8", newline="")
+    fast, cells, _ = load_both_ways(path)
+    assert_same_outcome(fast, cells)
 
 
 # ---- scaling ----
@@ -365,6 +500,25 @@ def test_kmeans_recovers_separated_blobs(rng):
     assert assign[0] != assign[-1]
 
 
+def test_kmeans_raises_when_the_sum_of_squares_rises(monkeypatch):
+    """A centroid update that moves the centroids off their means on its
+    second call raises the sum-of-squares check."""
+    real_update = data_module._update_centroids
+    calls = []
+
+    def drifting(centroids, *args):
+        real_update(centroids, *args)
+        calls.append(len(calls))
+        if len(calls) == 2:
+            centroids += 10.0
+
+    monkeypatch.setattr(data_module, "_update_centroids", drifting)
+    points = np.random.default_rng(0).normal(size=(50, 3))
+    with pytest.raises(RuntimeError, match="within-cluster SS increased"):
+        kmeans(points, 3, seed=0)
+    assert len(calls) == 2
+
+
 # ---- partition_noniid ----
 
 def blob_splits(rng_seed=0):
@@ -501,6 +655,34 @@ def test_partition_noniid_plans_are_pinned():
     with pytest.raises(ConfigError, match="^cannot give every client one "
                                           "normal val sample$"):
         partition_noniid(small, 6, k=1, seed=0)
+
+
+def write_plan_by_csv_writer(plan, path):
+    """The per-row `csv.writer` loop that write_plan replaced: the oracle
+    for its bytes."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# scheme={plan.scheme} seed={plan.seed}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["split", "client_id", "sample_index"])
+        for split_name in sorted(plan.assignments):
+            for client_id, indices in enumerate(plan.assignments[split_name]):
+                for idx in indices:
+                    writer.writerow([split_name, client_id, int(idx)])
+
+
+def test_write_plan_matches_the_csv_writer_rows(tmp_path):
+    splits = blob_splits()
+    handmade = PartitionPlan("handmade", {
+        "train": [np.array([3, 1, 0]), np.array([], dtype=np.int64)],
+        "val": [np.array([], dtype=np.int64), np.array([2])],
+        "test": [np.array([10**12]), np.array([0, 5], dtype=np.int32)]}, 9)
+    for plan in (partition_noniid(splits, 5, k=2, seed=2),
+                 partition_random(splits, 4, seed=1),
+                 partition_even(splits, 3, seed=0), handmade):
+        write_plan(plan, tmp_path / "plan.csv")
+        write_plan_by_csv_writer(plan, tmp_path / "oracle.csv")
+        assert (tmp_path / "plan.csv").read_bytes() == \
+            (tmp_path / "oracle.csv").read_bytes()
 
 
 # ---- partition_random ----
