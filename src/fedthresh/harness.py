@@ -12,11 +12,13 @@ in timing.csv so results.csv stays byte-reproducible.
 """
 import hashlib
 import json
+import sys
 import time
 import types
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +34,38 @@ from .errors import AuditError, ConfigError, InsufficientTail, StageError
 from .federation import Channel, ClientState, FedConfig, run_fedavg, \
     write_round_log
 from .metrics import (STAT_FEATURE_COLUMNS, Confusion, collect_stat_features,
-                      confusion, correlation_matrix, f1, f1_curve)
-from .thresholds import (METHOD_TAGS, classify, fed_filtered, fed_minmax,
-                         fed_mse_std, kqe, local_minmax, local_simple,
-                         our_method, pot)
+                      correlation_matrix, f1, sort_errors)
+# not called here any more; perfbench/tracing.py replaces these attributes
+# by name, so they stay importable from this module
+from .metrics import confusion, f1_curve  # noqa: F401
+from .thresholds import classify  # noqa: F401
+from .thresholds import (METHOD_TAGS, fed_filtered, fed_minmax, fed_mse_std,
+                         kqe, local_minmax, local_simple, our_method, pot)
 from .util import derive_seed
+
+
+@dataclass(frozen=True)
+class Range:
+    """The values one method parameter accepts: low to high, high
+    excluded, low included only if low_closed; None only if nullable."""
+
+    low: float
+    high: float = float("inf")
+    low_closed: bool = False
+    nullable: bool = False
+
+    def __contains__(self, value) -> bool:
+        if value is None:
+            return self.nullable
+        above = value >= self.low if self.low_closed else value > self.low
+        return above and value < self.high
+
+    def __str__(self) -> str:
+        text = f"{'[' if self.low_closed else '('}{self.low:g}, {self.high:g})"
+        return text + " or null" if self.nullable else text
+
+
+_UNIT = Range(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -45,12 +74,13 @@ class Method:
     errors into its upload, of channel kind `upload`. server(uploads,
     client_eval, cfg, params) turns the uploads, and the F1 vectors that
     client_eval gathers for a grid, into the shared threshold; without
-    one, each client keeps its own. `params`: the method_params keys."""
+    one, each client keeps its own. `params`: each method_params key and
+    the Range it must lie in."""
 
     client: Callable
     upload: str
     server: Callable | None = None
-    params: tuple = ()
+    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         # client_eval alone sends these kinds, one F1 vector per grid, and
@@ -116,17 +146,20 @@ METHODS = {
                           lambda uploads, *_: fed_mse_std(uploads)),
     "fed_filtered": Method(_mean_plus_std, "summary_stats",
                            lambda uploads, _, cfg, params:
-                           fed_filtered(uploads, **params), ("z_cut",)),
+                           fed_filtered(uploads, **params),
+                           {"z_cut": Range(0.0)}),
     "local_minmax": Method(_local_minmax_client, "local_threshold"),
     "kqe": Method(lambda errors, labels, i, cfg, params:
                   kqe(errors[labels == 0], **params), "local_threshold",
-                  params=("q", "bandwidth")),
+                  params={"q": _UNIT,
+                          "bandwidth": Range(0.0, low_closed=True,
+                                             nullable=True)}),
     "iqr": Method(_simple("iqr"), "local_threshold"),
     "percentile": Method(_simple("percentile"), "local_threshold",
-                         params=("p",)),
+                         params={"p": Range(0.0, 100.0)}),
     "largest_mse": Method(_simple("largest_mse"), "local_threshold"),
     "pot": Method(_pot_client, "local_threshold",
-                  params=("u_quantile", "risk")),
+                  params={"u_quantile": _UNIT, "risk": _UNIT}),
     "local_mse_std": Method(_simple("local_mse_std"), "local_threshold"),
 }
 
@@ -136,21 +169,28 @@ AUDITED_METHODS = tuple(tag for tag, m in METHODS.items()
 
 
 def _method_kwargs(tag, given) -> dict:
-    """One method's method_params as keyword arguments, coerced by float()."""
+    """One method's method_params as keyword arguments, coerced by float()
+    and checked against the method's parameter ranges."""
     if tag not in METHODS:
         raise ConfigError(f"method_params: unknown method {tag!r}")
     if not isinstance(given, dict):
         raise ConfigError(f"method_params[{tag!r}] must be a mapping")
-    unknown = sorted(set(given) - set(METHODS[tag].params))
+    ranges = METHODS[tag].params
+    unknown = sorted(set(given) - set(ranges))
     if unknown:
         raise ConfigError(f"method_params[{tag!r}]: unknown keys {unknown}; "
-                          f"{tag} takes {list(METHODS[tag].params)}")
+                          f"{tag} takes {list(ranges)}")
     try:
-        return {key: None if value is None else float(value)
-                for key, value in given.items()}
+        kwargs = {key: None if value is None else float(value)
+                  for key, value in given.items()}
     except (TypeError, ValueError):
         raise ConfigError(f"method_params[{tag!r}] values must be numbers, "
                           f"got {given!r}") from None
+    for key, value in kwargs.items():
+        if value not in ranges[key]:
+            raise ConfigError(f"method_params[{tag!r}][{key!r}] must be in "
+                              f"{ranges[key]}, got {given[key]!r}")
+    return kwargs
 
 
 # Each entry calls through this module's globals when it runs, as METHODS
@@ -407,6 +447,97 @@ def _train(cfg: ScenarioConfig, clients, channel, round_log=None):
                       round_log=round_log)
 
 
+class _ClientWork:
+    """One client state's threshold-stage work: its validation errors, their
+    sorted view, and each method's client step, kept as the upload and the
+    warnings the step showed."""
+
+    def __init__(self, errors, labels):
+        self.errors = errors
+        self.labels = labels
+        self.steps = {}
+
+    @cached_property
+    def view(self):
+        return sort_errors(self.errors, self.labels)
+
+
+class _CallCache:
+    """What one API call derives from its client states and its one model.
+
+    ClientState holds arrays and cannot be hashed by value, so entries are
+    keyed by id() and keep a reference to the keyed object: no other
+    object can take that id while the cache lives. data.corrupt returns
+    each client it leaves alone as the same object, with the same
+    test_data array, so every corruption level reads that client's work
+    from here; a client it corrupts is a new object and is computed anew.
+    """
+
+    def __init__(self, model):
+        self.model = model
+        self._entries = {}
+
+    def _get(self, key_object, build):
+        entry = self._entries.get(id(key_object))
+        if entry is None:
+            entry = self._entries[id(key_object)] = (key_object, build())
+        return entry[1]
+
+    def work(self, client) -> _ClientWork:
+        return self._get(client, lambda: _ClientWork(
+            mse_per_sample(self.model, client.val_data), client.val_labels))
+
+    def test_view(self, client):
+        return self._get(client.test_data, lambda: sort_errors(
+            mse_per_sample(self.model, client.test_data), client.test_labels))
+
+
+class _WarningLog(list):
+    """Collects each warning shown while it is open, still showing it as
+    usual; show_again() issues them again from where they were raised."""
+
+    def __enter__(self):
+        self._shown = warnings.showwarning
+
+        def observe(message, category, filename, lineno, file=None,
+                    line=None):
+            self.append((message, category, filename, lineno))
+            self._shown(message, category, filename, lineno, file, line)
+        warnings.showwarning = observe
+        return self
+
+    def __exit__(self, *exc):
+        warnings.showwarning = self._shown
+
+    def show_again(self):
+        """The same filters and the raising module's once-per-location
+        registry apply as to the first showing."""
+        if not self:
+            return
+        modules = {getattr(m, "__file__", None): m
+                   for m in list(sys.modules.values())}
+        for message, category, filename, lineno in self:
+            module = modules.get(filename)
+            warnings.warn_explicit(
+                message, category, filename, lineno,
+                module=module.__name__ if module else None,
+                registry=vars(module).setdefault("__warningregistry__", {})
+                if module else None)
+
+
+def _client_step(method, tag, work, i, cfg, params):
+    """Client i's upload for `tag`, computed once per client state; a later
+    call returns it and shows the first call's warnings again."""
+    if tag in work.steps:
+        upload, log = work.steps[tag]
+        log.show_again()
+        return upload
+    with _WarningLog() as log:
+        upload = method.client(work.errors, work.labels, i, cfg, params)
+    work.steps[tag] = (upload, log)
+    return upload
+
+
 def _timed_per_client(fn, client_ms):
     out = []
     for i in range(len(client_ms)):
@@ -427,26 +558,34 @@ def _wire(payload) -> list:
 
 
 def _compute_method(tag, cfg, val_errors, val_labels, channel: Channel,
-                    artifacts=None) -> MethodResult:
+                    artifacts=None, work=None) -> MethodResult:
     """Run one method: every client step, each upload logged at its
-    measured size, then the server step on the uploads alone."""
+    measured size (a reused upload too), then the server step on the
+    uploads alone.
+
+    `work`: one _ClientWork per client, holding these same errors and
+    labels and kept by the caller across calls, so a client step already
+    in it is reused. Without it every step runs afresh.
+    """
     method = METHODS[tag]
     params = _method_kwargs(tag, cfg.method_params.get(tag, {}))
-    client_ms = [0.0] * len(val_errors)
+    if work is None:
+        work = [_ClientWork(e, l) for e, l in zip(val_errors, val_labels)]
+    client_ms = [0.0] * len(work)
     started = time.perf_counter()
 
     def send(direction, kind, payload, cid):
         channel.record(direction, kind, np.size(payload), cid, context=tag)
 
-    uploads = _timed_per_client(lambda i: method.client(
-        val_errors[i], val_labels[i], i, cfg, params), client_ms)
+    uploads = _timed_per_client(lambda i: _client_step(
+        method, tag, work[i], i, cfg, params), client_ms)
     for i, payload in enumerate(uploads):
         for part in _wire(payload):
             send("upload", method.upload, part, i)
 
     def client_eval(candidates):
-        rows = _timed_per_client(lambda i: f1_curve(
-            val_errors[i], val_labels[i], candidates), client_ms)
+        rows = _timed_per_client(
+            lambda i: work[i].view.f1_scores(candidates), client_ms)
         for i, row in enumerate(rows):
             send("broadcast", "candidates", candidates, i)
             send("upload", "f1_scores", row, i)
@@ -464,31 +603,30 @@ def _compute_method(tag, cfg, val_errors, val_labels, channel: Channel,
                         global_ms, client_ms)
 
 
-def _evaluate(cfg, method_results, clients, model):
+def _evaluate(cfg, method_results, clients, cache: _CallCache):
     """Per-client and pooled test F1 at each method's threshold(s).
 
     The "global" row pools every client's test confusion at that client's
     deployed threshold (shared for federated methods, per-client for local
     ones); its threshold column carries the shared or mean threshold.
+    Each client's confusions at every method's threshold come from one
+    binary search into its sorted test errors, which the cache holds.
     """
-    test_errors = [mse_per_sample(model, c.test_data) for c in clients]
+    thetas = np.array([mr.client_thetas for mr in method_results])
+    # clients x (tp, fp, tn, fn) x methods
+    counts = np.stack([cache.test_view(c).confusion_counts(thetas[:, i])
+                       for i, c in enumerate(clients)])
     scenario_id, config_hash = cfg.effective_id, cfg.config_hash()
     rows = []
-    for mr in method_results:
-        tp = fp = tn = fn = 0
-        client_f1 = []
-        for i, c in enumerate(clients):
-            conf = confusion(c.test_labels,
-                             classify(test_errors[i], mr.client_thetas[i]))
-            client_f1.append(f1(conf))
-            tp, fp = tp + conf.tp, fp + conf.fp
-            tn, fn = tn + conf.tn, fn + conf.fn
+    for m, mr in enumerate(method_results):
+        pooled = Confusion(*(int(v) for v in counts[:, :, m].sum(axis=0)))
         rows.append(ResultRow(scenario_id, mr.tag, "global", "test",
-                              f1(Confusion(tp, fp, tn, fn)), mr.global_theta,
-                              mr.global_ms, config_hash))
+                              f1(pooled), mr.global_theta, mr.global_ms,
+                              config_hash))
         for i in range(len(clients)):
+            conf = Confusion(*(int(v) for v in counts[i, :, m]))
             rows.append(ResultRow(scenario_id, mr.tag, str(i), "test",
-                                  client_f1[i], mr.client_thetas[i],
+                                  f1(conf), mr.client_thetas[i],
                                   mr.client_ms[i], config_hash))
     return rows
 
@@ -539,7 +677,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, artifacts=None):
     channel = Channel()
     round_log = []
     model = _stage("train", _train, cfg, clients, channel, round_log)
-    rows = _run_thresholds(cfg, clients, model, channel, artifacts)
+    rows = _run_thresholds(cfg, clients, _CallCache(model), channel,
+                           artifacts)
     audit_channel(channel, cfg.num_clients, cfg.rounds)
     if artifacts is not None:
         artifacts.update(model=model, channel=channel, plan=plan,
@@ -552,15 +691,17 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, artifacts=None):
     return rows
 
 
-def _run_thresholds(cfg, clients, model, channel, artifacts=None):
+def _run_thresholds(cfg, clients, cache: _CallCache, channel,
+                    artifacts=None):
     def compute():
-        val_errors = [mse_per_sample(model, c.val_data) for c in clients]
-        val_labels = [c.val_labels for c in clients]
+        work = [cache.work(c) for c in clients]
+        val_errors = [w.errors for w in work]
+        val_labels = [w.labels for w in work]
         return [_compute_method(tag, cfg, val_errors, val_labels, channel,
-                                artifacts)
+                                artifacts, work)
                 for tag in cfg.methods]
     method_results = _stage("threshold", compute)
-    return _stage("evaluate", _evaluate, cfg, method_results, clients, model)
+    return _stage("evaluate", _evaluate, cfg, method_results, clients, cache)
 
 
 def audit_channel(channel: Channel, num_clients: int, rounds: int,
@@ -690,6 +831,16 @@ def sweep_corruption(base_cfg: ScenarioConfig, corrupt_counts, out_dir=None):
     corruption levels: corruption touches validation data only, so every
     level would train the same model. The sweep sets corrupt_client_ids
     itself, so the base config must leave it empty.
+
+    Work that a level would repeat is done once per call. Each distinct
+    client state gets its validation errors, their sorted view and each
+    method's client step once: a client that a level leaves clean is the
+    same state at every level, and a client it corrupts is a new one.
+    Test errors are sorted once per client. Every level still sends every
+    upload on the channel, shows each reused step's warnings again, and
+    computes its own server steps, F1 rows and test confusions. A reused
+    client step costs only its lookup, so that client's wall_time_ms
+    holds the lookup plus its F1 rows at that level.
     """
     if base_cfg.corrupt_client_ids:
         raise ConfigError(f"corrupt_client_ids must be [] in a corruption "
@@ -702,12 +853,13 @@ def sweep_corruption(base_cfg: ScenarioConfig, corrupt_counts, out_dir=None):
     _, clean_clients = _prepare_clients(base_cfg)
     channel = Channel()
     model = _stage("train", _train, base_cfg, clean_clients, channel)
+    cache = _CallCache(model)
     results = {}
     for count in corrupt_counts:
         cfg = replace(base_cfg, corrupt_client_ids=tuple(range(count)),
                       scenario_id=f"{base_cfg.effective_id}-corrupt{count}")
         clients = _stage("corrupt", _apply_corruption, cfg, clean_clients)
-        results[count] = _run_thresholds(cfg, clients, model, channel)
+        results[count] = _run_thresholds(cfg, clients, cache, channel)
     audit_channel(channel, base_cfg.num_clients, base_cfg.rounds)
     if out_dir is not None:
         _write_sweep(out_dir, "corruption_sweep.csv", "corrupt_count",

@@ -1,8 +1,9 @@
 """F1 machinery, per-candidate sweeps, and the summary-feature dataset.
 
-f1_curve sorts one client's errors once and reads every candidate's
-confusion counts off a searchsorted index into the anomaly prefix sums.
-The tests hold a per-candidate recount that it must match bit for bit.
+sort_errors sorts one client's errors once; the SortedErrors it returns
+reads every candidate's confusion counts off a searchsorted index into
+the anomaly prefix sums, and f1_curve is the two steps in one call. The
+tests hold a per-candidate recount that it must match bit for bit.
 """
 import dataclasses
 from dataclasses import dataclass
@@ -46,16 +47,57 @@ def f1(c: Confusion) -> float:
     return 0.0 if denom == 0.0 else (2.0 * c.tp) / denom
 
 
-def _prepare(errors, labels):
+@dataclass(frozen=True)
+class SortedErrors:
+    """One error vector sorted once, with its anomaly counts, so that the
+    confusion at any threshold is a binary search away.
+
+    A NaN error is never above a threshold, so, as in `classify`, it
+    counts as predicted normal at every threshold: NaN rows are kept out
+    of `errors` and count in `positive` and `size` alone.
+    """
+
+    errors: np.ndarray  # the non-NaN errors, ascending
+    prefix: np.ndarray  # prefix[k]: anomalies among errors[:k]
+    positive: int  # anomalies among all rows
+    size: int  # all rows
+
+    def confusion_counts(self, thetas) -> np.ndarray:
+        """tp, fp, tn, fn rows (4 x len(thetas)) under "error > theta";
+        column j equals confusion(labels, classify(errors, thetas[j]))."""
+        idx = np.searchsorted(self.errors, thetas, side="right")
+        flagged = self.errors.size - idx
+        tp = self.prefix[-1] - self.prefix[idx]
+        fp = flagged - tp
+        fn = self.positive - tp
+        return np.stack([tp, fp, self.size - flagged - fn, fn])
+
+    def f1_scores(self, candidates) -> np.ndarray:
+        """F1 per candidate of an ascending grid, in O(m log n)."""
+        candidates = np.ascontiguousarray(candidates, dtype=np.float64).ravel()
+        if candidates.size and np.any(np.diff(candidates) < 0):
+            raise ConfigError("candidates must be sorted ascending")
+        tp, fp, _, fn = self.confusion_counts(candidates)
+        denom = 2.0 * tp + fp + fn
+        out = np.zeros(candidates.size)
+        nz = denom != 0.0
+        out[nz] = (2.0 * tp[nz]) / denom[nz]
+        return out
+
+
+def sort_errors(errors, labels) -> SortedErrors:
+    """Sort one client's errors (NaN last) and count anomalies below each
+    position; label 1 (any non-zero) is the anomaly class."""
     errors = np.asarray(errors, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel()
     if errors.shape != labels.shape:
         raise ConfigError("errors and labels must align")
     order = np.argsort(errors, kind="stable")
-    sorted_errors = errors[order]
-    sorted_anoms = (labels[order] != 0).astype(np.int64)
-    prefix = np.concatenate(([0], np.cumsum(sorted_anoms)))
-    return sorted_errors, prefix, int(prefix[-1])
+    anoms = labels[order] != 0
+    kept = errors.size - int(np.count_nonzero(np.isnan(errors)))
+    prefix = np.concatenate(([0], np.cumsum(anoms[:kept], dtype=np.int64)))
+    return SortedErrors(errors[order[:kept]], prefix,
+                        int(np.count_nonzero(anoms)), errors.size)
 
 
 def f1_curve(errors, labels, candidates) -> np.ndarray:
@@ -64,20 +106,7 @@ def f1_curve(errors, labels, candidates) -> np.ndarray:
     Sorts the errors once and sweeps the ascending candidate grid in
     O((n + m) log n) instead of recounting per candidate.
     """
-    candidates = np.ascontiguousarray(candidates, dtype=np.float64).ravel()
-    if candidates.size and np.any(np.diff(candidates) < 0):
-        raise ConfigError("candidates must be sorted ascending")
-    sorted_errors, prefix, positive = _prepare(errors, labels)
-    n = sorted_errors.size
-    idx = np.searchsorted(sorted_errors, candidates, side="right")
-    tp = positive - prefix[idx]
-    fp = (n - idx) - tp
-    fn = positive - tp
-    denom = 2.0 * tp + fp + fn
-    out = np.zeros(candidates.size)
-    nz = denom != 0.0
-    out[nz] = (2.0 * tp[nz]) / denom[nz]
-    return out
+    return sort_errors(errors, labels).f1_scores(candidates)
 
 
 def aggregate_f1(candidates, scores):

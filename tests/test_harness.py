@@ -2,7 +2,9 @@
 import copy
 import hashlib
 import json
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,20 +15,32 @@ from fedthresh import harness
 from fedthresh.autoencoder import MODEL_FORMAT_HEADER, load_model
 from fedthresh.cli import main
 from fedthresh.errors import AuditError, ConfigError, StageError
-from fedthresh.federation import Channel
+from fedthresh.federation import Channel, ClientState
 from fedthresh.harness import (AUDITED_METHODS, METHODS, Method,
-                               ScenarioConfig, _compute_method, audit_channel,
-                               build_followup_dataset, emit_report,
-                               run_scenario, sweep_clients, sweep_corruption,
-                               train_model)
-from fedthresh.metrics import STAT_FEATURE_COLUMNS
-from fedthresh.thresholds import METHOD_TAGS
+                               MethodResult, ScenarioConfig, _compute_method,
+                               audit_channel, build_followup_dataset,
+                               emit_report, run_scenario, sweep_clients,
+                               sweep_corruption, train_model)
+from fedthresh.metrics import STAT_FEATURE_COLUMNS, Confusion, confusion, f1
+from fedthresh.thresholds import METHOD_TAGS, classify
 
 
 def row_key(r):
     """Everything deterministic about a row (wall time excluded)."""
     return (r.scenario_id, r.method, r.client_id, r.split, r.f1, r.threshold,
             r.config_hash)
+
+
+def contract_digest(path: Path) -> str:
+    """sha256 of a results.csv without scenario_id and config_hash, the
+    columns that hash the config's keys, as
+    test_results_csv_columns_are_pinned takes it."""
+    lines = path.read_text().splitlines()
+    assert lines[0].split(",")[1:6] == ["method", "client_id", "split", "f1",
+                                        "threshold"]
+    columns = "".join(",".join(line.split(",")[1:6]) + "\n"
+                      for line in lines)
+    return hashlib.sha256(columns.encode()).hexdigest()
 
 
 def fill_fedavg(channel, num_clients, rounds):
@@ -102,6 +116,25 @@ class TestScenarioConfig:
         make_config(methods=["iqr"], hidden_dims=[4, 2], learning_rate=1)
         # float() coercion as before; None keeps kqe's default bandwidth
         make_config(method_params={"kqe": {"q": "0.9", "bandwidth": None}})
+
+    @pytest.mark.parametrize("tag, key, value, allowed", [
+        ("kqe", "q", 0, r"\(0, 1\)"), ("kqe", "q", "1", r"\(0, 1\)"),
+        ("kqe", "q", "nan", r"\(0, 1\)"),
+        ("kqe", "bandwidth", -1, r"\[0, inf\) or null"),
+        ("kqe", "bandwidth", "inf", r"\[0, inf\) or null"),
+        ("percentile", "p", 150, r"\(0, 100\)"),
+        ("percentile", "p", 0, r"\(0, 100\)"),
+        ("percentile", "p", None, r"\(0, 100\)"),
+        ("pot", "u_quantile", 1.0, r"\(0, 1\)"),
+        ("pot", "risk", 0, r"\(0, 1\)"),
+        ("fed_filtered", "z_cut", -1, r"\(0, inf\)"),
+        ("fed_filtered", "z_cut", 0, r"\(0, inf\)"),
+    ])
+    def test_method_params_out_of_range_fail_at_load(self, tag, key, value,
+                                                      allowed):
+        with pytest.raises(ConfigError, match=rf"^method_params\['{tag}'\]"
+                           rf"\['{key}'\] must be in {allowed}, got "):
+            make_config(method_params={tag: {key: value}})
 
     def test_from_dict_rejects_unknown_keys(self):
         raw = make_config().to_dict()
@@ -469,6 +502,136 @@ class TestSweepCorruption:
         with pytest.raises(ConfigError, match=r"^corrupt_client_ids must "
                            r"be \[\] .* got \[3\]"):
             sweep_corruption(cfg, [0, 1])
+
+
+SWEEP_LEVELS = (0, 1, 3)
+# what every level of the toy sweep warns, in order: (file, message)
+LEVEL_WARNINGS = [
+    ("harness.py", "client 0 holds no anomalies; local_minmax falls back "
+                   "to max(errors)"),
+    ("harness.py", "client 2 holds no anomalies; local_minmax falls back "
+                   "to max(errors)"),
+    ("thresholds.py", "constant errors; kqe returns the constant"),
+] + [("harness.py", f"client {i}: thin tail, pot falls back to the 98% "
+                    "percentile") for i in range(6)]
+
+
+def toy_sweep_config():
+    """Six Dirichlet clients, two without validation anomalies."""
+    return make_config(methods=METHOD_TAGS, scheme="random", num_clients=6)
+
+
+class TestSweepReuse:
+    """A sweep computes each client state's work once and reuses it at
+    every level that leaves the client clean."""
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_results_csv_columns_are_pinned(self, tmp_path):
+        results = sweep_corruption(toy_sweep_config(), SWEEP_LEVELS)
+        digests = {}
+        for level, rows in results.items():
+            emit_report(rows, tmp_path / str(level))
+            digests[level] = contract_digest(tmp_path / str(level) /
+                                             "results.csv")
+        assert digests == {
+            0: "8cc41836b917337606846a372114bc65"
+               "cc5d5fe5ae948ea6d468a6a171c89b2b",
+            1: "4641a1ca9ae3d3c324030bcbce11a8f1"
+               "d134fcdb9d1f3842ee1bde5dd869ef54",
+            3: "b7451be6e2d479f752ff778c2ea5abe2"
+               "bd76da2b8314a0b719d74748b3210ac3",
+        }
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_each_level_equals_a_sweep_of_that_level_alone(self):
+        cfg = toy_sweep_config()
+        results = sweep_corruption(cfg, SWEEP_LEVELS)
+        for level in SWEEP_LEVELS:
+            cold = sweep_corruption(cfg, [level])[level]
+            assert [row_key(r) for r in results[level]] == \
+                [row_key(r) for r in cold], level
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_work_is_done_once_per_client_state(self, monkeypatch):
+        steps, forwards, channels = [], [], []
+        iqr = METHODS["iqr"]
+
+        def spy_step(errors, labels, i, cfg, params):
+            steps.append(i)
+            return iqr.client(errors, labels, i, cfg, params)
+        monkeypatch.setitem(METHODS, "iqr", replace(iqr, client=spy_step))
+        mse_per_sample = harness.mse_per_sample
+
+        def spy_forward(model, data):
+            forwards.append(data)
+            return mse_per_sample(model, data)
+        monkeypatch.setattr(harness, "mse_per_sample", spy_forward)
+
+        class KeptChannel(Channel):
+            def __init__(self):
+                super().__init__()
+                channels.append(self)
+        monkeypatch.setattr(harness, "Channel", KeptChannel)
+
+        sweep_corruption(toy_sweep_config(), SWEEP_LEVELS)
+        # level 1 corrupts client 0, level 3 clients 0-2, each anew
+        assert steps == [0, 1, 2, 3, 4, 5] + [0] + [0, 1, 2]
+        # validation errors per client state, test errors once per client
+        assert len(forwards) == 6 + 1 + 3 + 6
+        # a reused upload is still sent at its level
+        assert channels[0].count("upload", "local_threshold", "iqr") == \
+            6 * len(SWEEP_LEVELS)
+
+    def test_reused_steps_warn_again(self):
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            sweep_corruption(toy_sweep_config(), SWEEP_LEVELS)
+        assert [(Path(w.filename).name, str(w.message)) for w in log] == \
+            LEVEL_WARNINGS * len(SWEEP_LEVELS)
+        assert {w.category for w in log} == {UserWarning}
+        # kqe imports these; importing them first keeps the filters they
+        # add on import from resetting the once-per-location registries
+        # in the middle of the sweep
+        import scipy.optimize  # noqa: F401
+        import scipy.special  # noqa: F401
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("default")
+            sweep_corruption(toy_sweep_config(), SWEEP_LEVELS)
+        # the default action shows each text once per location, reused
+        # step or not
+        assert [(Path(w.filename).name, str(w.message)) for w in log] == \
+            LEVEL_WARNINGS
+
+    def test_evaluate_counts_equal_the_recount(self, monkeypatch):
+        # a client's test errors are its first test feature here
+        monkeypatch.setattr(harness, "mse_per_sample",
+                            lambda model, data: data[:, 0])
+        cases = [([0.1, 0.2, 0.2, 0.5], [0, 1, 0, 1]),
+                 ([0.3, np.nan, 0.1, np.nan, 0.9], [1, 1, 0, 0, 1]),
+                 ([], []),
+                 ([0.4, 0.4, 0.4], [1, 0, 1])]
+        clients = [ClientState(i, np.ones((2, 1)), np.ones((0, 1)),
+                               np.zeros(0), np.reshape(errors, (-1, 1)),
+                               np.array(labels, dtype=np.int64))
+                   for i, (errors, labels) in enumerate(cases)]
+        thetas = [[0.2, 0.3, 0.2, 0.4],  # ties at theta
+                  [-1.0] * 4, [5.0] * 4,  # below and above every error
+                  [0.1, np.nan, 0.0, 0.39]]
+        results = [MethodResult(f"m{k}", 0.0, t, 0.0, [0.0] * 4)
+                   for k, t in enumerate(thetas)]
+        rows = harness._evaluate(make_config(), results, clients,
+                                 harness._CallCache(None))
+        for k, t in enumerate(thetas):
+            confs = [confusion(c.test_labels, classify(c.test_data[:, 0],
+                                                       t[i]))
+                     for i, c in enumerate(clients)]
+            pooled = Confusion(*(sum(getattr(c, f) for c in confs)
+                                 for f in ("tp", "fp", "tn", "fn")))
+            got = rows[k * 5:(k + 1) * 5]
+            assert [r.client_id for r in got] == ["global", "0", "1", "2",
+                                                  "3"]
+            assert [r.f1 for r in got] == [f1(pooled)] + \
+                [f1(c) for c in confs]
 
 
 class TestFollowupDataset:

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from fedthresh.errors import ConfigError
 from fedthresh.metrics import (Confusion, aggregate_f1,
                                collect_stat_features, confusion,
-                               correlation_matrix, f1, f1_curve)
+                               correlation_matrix, f1, f1_curve, sort_errors)
+from fedthresh.thresholds import classify
 from fedthresh.error_stats import ClassSummaries, ErrorSummary, summarize
 
 
@@ -70,8 +71,9 @@ def test_f1_curve_rejects_descending_candidates():
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 40))
-def test_f1_curve_matches_naive_recount(seed, n, m):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 40),
+       st.integers(0, 3))
+def test_f1_curve_matches_naive_recount(seed, n, m, nans):
     rng = np.random.default_rng(seed)
     errors = rng.normal(size=n) ** 2
     labels = (rng.random(n) < 0.3).astype(int)
@@ -79,8 +81,31 @@ def test_f1_curve_matches_naive_recount(seed, n, m):
     grid = np.sort(np.concatenate([
         rng.choice(errors, size=min(5, n)),
         rng.uniform(errors.min() - 0.1, errors.max() + 0.1, size=m)]))
+    # NaN rows, anomalous or not, which no threshold flags
+    errors[rng.choice(n, size=min(nans, n), replace=False)] = np.nan
     assert np.array_equal(f1_curve(errors, labels, grid),
                           naive_f1_curve(errors, labels, grid))
+
+
+def test_f1_curve_counts_nan_errors_as_normal():
+    errors = np.array([0.1, np.nan, 0.3, 0.5])
+    labels = np.array([0, 1, 0, 1])
+    got = f1_curve(errors, labels, np.array([0.2, 0.4]))
+    assert np.array_equal(got, naive_f1_curve(errors, labels, [0.2, 0.4]))
+    assert got.tolist() == [0.5, 2.0 / 3.0]
+
+
+def test_confusion_counts_match_classify():
+    errors = np.array([0.4, np.nan, 0.1, 0.4, 0.9, np.nan, 0.2])
+    labels = np.array([1, 1, 0, 0, 1, 0, 1])
+    # ties, every error, below and above all errors, unsorted, NaN
+    thetas = np.array([0.4, 0.1, 0.9, 0.2, -1.0, 5.0, 0.3, np.nan, 0.4])
+    for e, l in ((errors, labels), (errors[:0], labels[:0]),
+                 (errors[[1, 5]], labels[[1, 5]])):
+        counts = sort_errors(e, l).confusion_counts(thetas)
+        for j, theta in enumerate(thetas):
+            c = confusion(l, classify(e, theta))
+            assert counts[:, j].tolist() == [c.tp, c.fp, c.tn, c.fn]
 
 
 def test_aggregate_f1_mean_and_ties():
