@@ -94,6 +94,8 @@ class TrainConfig:
             raise ConfigError(f"local_epochs must be >= 1, got {self.local_epochs}")
         if not self.learning_rate >= 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not math.isfinite(self.learning_rate):
+            raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.optimizer not in ("sgd", "adam"):

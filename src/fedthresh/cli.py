@@ -61,7 +61,8 @@ def _parse_counts(raw: str):
 
 config_option = click.option("--config", "config_path", required=True,
                              type=click.Path(), help="Scenario JSON file.")
-seed_option = click.option("--seed", type=int, default=None,
+seed_option = click.option("--seed", type=click.IntRange(min=0),
+                           default=None,
                            help="Override every stage seed from one value.")
 out_option = click.option("--out", "out_dir", type=click.Path(), default=None,
                           help="Output directory for CSV artifacts.")

@@ -505,6 +505,8 @@ def partition_noniid(split_datasets, num_clients: int = 6, k: int | None = None,
 def check_concentration(concentration: float) -> None:
     if not concentration > 0:
         raise ConfigError(f"concentration must be positive, got {concentration}")
+    if not np.isfinite(concentration):
+        raise ConfigError(f"concentration must be finite, got {concentration}")
 
 
 def partition_random(split_datasets, num_clients: int, seed: int,
@@ -563,6 +565,9 @@ class CorruptionSpec:
                            frozenset(self.corrupt_client_ids))
         if self.noise_sigma_scale < 0:
             raise ConfigError("noise_sigma_scale must be >= 0")
+        if not np.isfinite(self.noise_sigma_scale):
+            raise ConfigError(f"noise_sigma_scale must be finite, got "
+                              f"{self.noise_sigma_scale}")
 
 
 def corrupt(client_state, spec: CorruptionSpec, seed: int):

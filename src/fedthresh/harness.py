@@ -277,7 +277,10 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            _check_type(f.name, getattr(self, f.name), f.type)
+            value = getattr(self, f.name)
+            _check_type(f.name, value, f.type)
+            if f.name.endswith("_seed") and value < 0:
+                raise ConfigError(f"{f.name} must be >= 0, got {value}")
         if "kind" not in self.dataset:
             raise ConfigError("dataset must be a mapping with a 'kind' key")
         if self.scheme not in PARTITIONS:
@@ -285,6 +288,8 @@ class ScenarioConfig:
         if self.noniid_k is not None and self.scheme != "noniid_kmeans":
             raise ConfigError(f"noniid_k applies only to scheme "
                               f"'noniid_kmeans', not {self.scheme!r}")
+        if self.noniid_k is not None and self.noniid_k < 1:
+            raise ConfigError(f"noniid_k must be >= 1, got {self.noniid_k}")
         object.__setattr__(self, "methods", tuple(self.methods))
         unknown = set(self.methods) - set(METHOD_TAGS)
         if unknown:
@@ -381,6 +386,7 @@ class MethodResult:
     client_thetas: list
     global_ms: float
     client_ms: list
+    uploads: list
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -447,51 +453,6 @@ def _train(cfg: ScenarioConfig, clients, channel, round_log=None):
                       round_log=round_log)
 
 
-class _ClientWork:
-    """One client state's threshold-stage work: its validation errors, their
-    sorted view, and each method's client step, kept as the upload and the
-    warnings the step showed."""
-
-    def __init__(self, errors, labels):
-        self.errors = errors
-        self.labels = labels
-        self.steps = {}
-
-    @cached_property
-    def view(self):
-        return sort_errors(self.errors, self.labels)
-
-
-class _CallCache:
-    """What one API call derives from its client states and its one model.
-
-    ClientState holds arrays and cannot be hashed by value, so entries are
-    keyed by id() and keep a reference to the keyed object: no other
-    object can take that id while the cache lives. data.corrupt returns
-    each client it leaves alone as the same object, with the same
-    test_data array, so every corruption level reads that client's work
-    from here; a client it corrupts is a new object and is computed anew.
-    """
-
-    def __init__(self, model):
-        self.model = model
-        self._entries = {}
-
-    def _get(self, key_object, build):
-        entry = self._entries.get(id(key_object))
-        if entry is None:
-            entry = self._entries[id(key_object)] = (key_object, build())
-        return entry[1]
-
-    def work(self, client) -> _ClientWork:
-        return self._get(client, lambda: _ClientWork(
-            mse_per_sample(self.model, client.val_data), client.val_labels))
-
-    def test_view(self, client):
-        return self._get(client.test_data, lambda: sort_errors(
-            mse_per_sample(self.model, client.test_data), client.test_labels))
-
-
 class _WarningLog(list):
     """Collects each warning shown while it is open, still showing it as
     usual; show_again() issues them again from where they were raised."""
@@ -525,17 +486,41 @@ class _WarningLog(list):
                 if module else None)
 
 
-def _client_step(method, tag, work, i, cfg, params):
-    """Client i's upload for `tag`, computed once per client state; a later
-    call returns it and shows the first call's warnings again."""
-    if tag in work.steps:
-        upload, log = work.steps[tag]
-        log.show_again()
+class _ClientWork:
+    """One client state's threshold-stage work under one model: its
+    validation errors, their sorted view, its sorted test errors and each
+    method's client step, each computed on first use."""
+
+    def __init__(self, model, client):
+        self.model = model
+        self.client = client
+        self._steps = {}
+
+    @cached_property
+    def errors(self):
+        return mse_per_sample(self.model, self.client.val_data)
+
+    @cached_property
+    def view(self):
+        return sort_errors(self.errors, self.client.val_labels)
+
+    @cached_property
+    def test_view(self):
+        return sort_errors(mse_per_sample(self.model, self.client.test_data),
+                           self.client.test_labels)
+
+    def step(self, method, tag, i, cfg, params):
+        """Client i's upload for `tag`; a later call returns it and shows
+        the first call's warnings again."""
+        if tag in self._steps:
+            upload, log = self._steps[tag]
+            log.show_again()
+            return upload
+        with _WarningLog() as log:
+            upload = method.client(self.errors, self.client.val_labels, i,
+                                   cfg, params)
+        self._steps[tag] = (upload, log)
         return upload
-    with _WarningLog() as log:
-        upload = method.client(work.errors, work.labels, i, cfg, params)
-    work.steps[tag] = (upload, log)
-    return upload
 
 
 def _timed_per_client(fn, client_ms):
@@ -557,28 +542,20 @@ def _wire(payload) -> list:
             else payload]
 
 
-def _compute_method(tag, cfg, val_errors, val_labels, channel: Channel,
-                    artifacts=None, work=None) -> MethodResult:
-    """Run one method: every client step, each upload logged at its
-    measured size (a reused upload too), then the server step on the
-    uploads alone.
-
-    `work`: one _ClientWork per client, holding these same errors and
-    labels and kept by the caller across calls, so a client step already
-    in it is reused. Without it every step runs afresh.
-    """
+def _compute_method(tag, cfg, work, channel: Channel) -> MethodResult:
+    """Run one method over one _ClientWork per client: every client step
+    (one already in the work is reused), each upload logged at its
+    measured size, then the server step on the uploads alone."""
     method = METHODS[tag]
     params = _method_kwargs(tag, cfg.method_params.get(tag, {}))
-    if work is None:
-        work = [_ClientWork(e, l) for e, l in zip(val_errors, val_labels)]
     client_ms = [0.0] * len(work)
     started = time.perf_counter()
 
     def send(direction, kind, payload, cid):
         channel.record(direction, kind, np.size(payload), cid, context=tag)
 
-    uploads = _timed_per_client(lambda i: _client_step(
-        method, tag, work[i], i, cfg, params), client_ms)
+    uploads = _timed_per_client(
+        lambda i: work[i].step(method, tag, i, cfg, params), client_ms)
     for i, payload in enumerate(uploads):
         for part in _wire(payload):
             send("upload", method.upload, part, i)
@@ -596,26 +573,32 @@ def _compute_method(tag, cfg, val_errors, val_labels, channel: Channel,
     else:
         theta = method.server(uploads, client_eval, cfg, params)
         thetas = [theta] * len(uploads)
-    if artifacts is not None:
-        artifacts.setdefault("uploads", {})[tag] = uploads
     global_ms = (time.perf_counter() - started) * 1000.0
     return MethodResult(tag, float(theta), [float(t) for t in thetas],
-                        global_ms, client_ms)
+                        global_ms, client_ms, uploads)
 
 
-def _evaluate(cfg, method_results, clients, cache: _CallCache):
+def _compute_methods(cfg, work, channel):
+    """Every configured method over `work`. The validation errors are
+    computed first, so their forward passes count to no single method."""
+    for w in work:
+        w.errors
+    return [_compute_method(tag, cfg, work, channel) for tag in cfg.methods]
+
+
+def _evaluate(cfg, method_results, work):
     """Per-client and pooled test F1 at each method's threshold(s).
 
     The "global" row pools every client's test confusion at that client's
     deployed threshold (shared for federated methods, per-client for local
     ones); its threshold column carries the shared or mean threshold.
     Each client's confusions at every method's threshold come from one
-    binary search into its sorted test errors, which the cache holds.
+    binary search into its sorted test errors.
     """
     thetas = np.array([mr.client_thetas for mr in method_results])
     # clients x (tp, fp, tn, fn) x methods
-    counts = np.stack([cache.test_view(c).confusion_counts(thetas[:, i])
-                       for i, c in enumerate(clients)])
+    counts = np.stack([w.test_view.confusion_counts(thetas[:, i])
+                       for i, w in enumerate(work)])
     scenario_id, config_hash = cfg.effective_id, cfg.config_hash()
     rows = []
     for m, mr in enumerate(method_results):
@@ -623,7 +606,7 @@ def _evaluate(cfg, method_results, clients, cache: _CallCache):
         rows.append(ResultRow(scenario_id, mr.tag, "global", "test",
                               f1(pooled), mr.global_theta, mr.global_ms,
                               config_hash))
-        for i in range(len(clients)):
+        for i in range(len(work)):
             conf = Confusion(*(int(v) for v in counts[i, :, m]))
             rows.append(ResultRow(scenario_id, mr.tag, str(i), "test",
                                   f1(conf), mr.client_thetas[i],
@@ -677,31 +660,20 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, artifacts=None):
     channel = Channel()
     round_log = []
     model = _stage("train", _train, cfg, clients, channel, round_log)
-    rows = _run_thresholds(cfg, clients, _CallCache(model), channel,
-                           artifacts)
+    work = [_ClientWork(model, c) for c in clients]
+    method_results = _stage("threshold", _compute_methods, cfg, work, channel)
+    rows = _stage("evaluate", _evaluate, cfg, method_results, work)
     audit_channel(channel, cfg.num_clients, cfg.rounds)
     if artifacts is not None:
         artifacts.update(model=model, channel=channel, plan=plan,
-                         clients=clients, round_log=round_log)
+                         clients=clients, round_log=round_log,
+                         uploads={mr.tag: mr.uploads for mr in method_results})
     if out_dir is not None:
         _stage("report", emit_report, rows, out_dir, cfg=cfg)
         _stage("report", write_round_log, round_log,
                Path(out_dir) / "fedavg_rounds.csv")
         _stage("report", write_plan, plan, Path(out_dir) / "partition_plan.csv")
     return rows
-
-
-def _run_thresholds(cfg, clients, cache: _CallCache, channel,
-                    artifacts=None):
-    def compute():
-        work = [cache.work(c) for c in clients]
-        val_errors = [w.errors for w in work]
-        val_labels = [w.labels for w in work]
-        return [_compute_method(tag, cfg, val_errors, val_labels, channel,
-                                artifacts, work)
-                for tag in cfg.methods]
-    method_results = _stage("threshold", compute)
-    return _stage("evaluate", _evaluate, cfg, method_results, clients, cache)
 
 
 def audit_channel(channel: Channel, num_clients: int, rounds: int,
@@ -832,15 +804,17 @@ def sweep_corruption(base_cfg: ScenarioConfig, corrupt_counts, out_dir=None):
     level would train the same model. The sweep sets corrupt_client_ids
     itself, so the base config must leave it empty.
 
-    Work that a level would repeat is done once per call. Each distinct
-    client state gets its validation errors, their sorted view and each
-    method's client step once: a client that a level leaves clean is the
-    same state at every level, and a client it corrupts is a new one.
-    Test errors are sorted once per client. Every level still sends every
-    upload on the channel, shows each reused step's warnings again, and
-    computes its own server steps, F1 rows and test confusions. A reused
-    client step costs only its lookup, so that client's wall_time_ms
-    holds the lookup plus its F1 rows at that level.
+    Each client has two states, clean and corrupted: corruption runs once,
+    at the largest count, and the level for count c reads the corrupted
+    state of clients 0..c-1 and the clean state of the rest. That equals
+    corrupting 0..c-1 alone, as a client's noise depends only on its id
+    and the corruption seed; test data is never corrupted, so every level
+    scores on the clean test errors. Each state's validation errors, their
+    sorted view and its client steps are computed once per call, and a
+    client that corruption leaves unchanged (noise scale 0) has one state.
+    Every level still sends every upload, shows each reused step's
+    warnings again, and computes its own server steps, F1 rows and test
+    confusions; a reused step adds only its lookup to wall_time_ms.
     """
     if base_cfg.corrupt_client_ids:
         raise ConfigError(f"corrupt_client_ids must be [] in a corruption "
@@ -850,16 +824,23 @@ def sweep_corruption(base_cfg: ScenarioConfig, corrupt_counts, out_dir=None):
     if any(c < 0 or c > base_cfg.num_clients for c in corrupt_counts):
         raise ConfigError(f"corrupt counts must lie in [0, "
                           f"{base_cfg.num_clients}]")
-    _, clean_clients = _prepare_clients(base_cfg)
+    _, clients = _prepare_clients(base_cfg)
     channel = Channel()
-    model = _stage("train", _train, base_cfg, clean_clients, channel)
-    cache = _CallCache(model)
+    model = _stage("train", _train, base_cfg, clients, channel)
+    widest = replace(base_cfg, corrupt_client_ids=tuple(
+        range(max(corrupt_counts, default=0))))
+    corrupted = _stage("corrupt", _apply_corruption, widest, clients)
+    clean = [_ClientWork(model, c) for c in clients]
+    noisy = [w if c is w.client else _ClientWork(model, c)
+             for w, c in zip(clean, corrupted)]
     results = {}
     for count in corrupt_counts:
         cfg = replace(base_cfg, corrupt_client_ids=tuple(range(count)),
                       scenario_id=f"{base_cfg.effective_id}-corrupt{count}")
-        clients = _stage("corrupt", _apply_corruption, cfg, clean_clients)
-        results[count] = _run_thresholds(cfg, clients, cache, channel)
+        method_results = _stage("threshold", _compute_methods, cfg,
+                                noisy[:count] + clean[count:], channel)
+        results[count] = _stage("evaluate", _evaluate, cfg, method_results,
+                                clean)
     audit_channel(channel, base_cfg.num_clients, base_cfg.rounds)
     if out_dir is not None:
         _write_sweep(out_dir, "corruption_sweep.csv", "corrupt_count",

@@ -20,6 +20,8 @@ def largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 1 or weights.size == 0:
         raise ConfigError("weights must be a non-empty 1-d array")
+    if not np.all(np.isfinite(weights)):
+        raise ConfigError(f"weights must be finite, got {weights}")
     if np.any(weights < 0) or weights.sum() <= 0:
         raise ConfigError("weights must be non-negative with a positive sum")
     quotas = weights / weights.sum() * total

@@ -71,6 +71,12 @@ class TestThresholdCommand:
         assert base.output == same.output
         assert base.output != other.output
 
+    def test_negative_seed_exits_2(self, runner, config_file):
+        result = runner.invoke(main, ["threshold", "--config",
+                                      str(config_file), "--seed", "-1"])
+        assert result.exit_code == 2
+        assert "'--seed'" in result.output
+
     def test_repeated_method_flag_exits_2(self, runner, config_file):
         result = runner.invoke(main, ["threshold", "--config",
                                       str(config_file), "--method", "iqr",
@@ -143,7 +149,16 @@ class TestThresholdCommand:
                           "values with a test remainder"),
         # the default scheme is "even", which never reads concentration
         ("concentration", -1.0, "concentration must be positive, got -1.0"),
-    ])
+        # JSON's NaN and Infinity
+        ("noise_sigma_scale", float("nan"),
+         "noise_sigma_scale must be finite, got nan"),
+        ("noise_sigma_scale", float("inf"),
+         "noise_sigma_scale must be finite, got inf"),
+        ("learning_rate", float("inf"), "learning_rate must be finite, got inf"),
+        ("concentration", float("inf"), "concentration must be finite, got inf"),
+    ] + [(name, -1, f"{name} must be >= 0, got -1")
+         for name in ("data_seed", "model_seed", "partition_seed",
+                      "train_seed", "corruption_seed")])
     def test_training_and_corruption_settings_fail_at_load(
             self, runner, tmp_path, field_name, value, message):
         # the dataset file does not exist: the setting must fail first

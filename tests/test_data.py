@@ -16,6 +16,7 @@ from fedthresh.data import (KNOWN_DATASET_SHAPES, CorruptionSpec, Dataset,
 from fedthresh import data as data_module
 from fedthresh.errors import ConfigError
 from fedthresh.federation import ClientState
+from fedthresh.util import largest_remainder
 
 
 def toy_dataset(num_normal=100, num_anomaly=10, dim=3, seed=0):
@@ -725,6 +726,13 @@ def test_partition_random_two_by_two():
     plan = partition_random(splits, num_clients=2, seed=1, concentration=0.2)
     train_sizes = [len(plan.client_indices("train", c)) for c in range(2)]
     assert min(train_sizes) >= 1
+
+
+def test_largest_remainder_rejects_non_finite_weights():
+    assert list(largest_remainder([2.0, 1.0], 10)) == [7, 3]
+    for weights in ([np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0]):
+        with pytest.raises(ConfigError, match="^weights must be finite"):
+            largest_remainder(weights, 10)
 
 
 # ---- corruption ----

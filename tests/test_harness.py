@@ -112,6 +112,8 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="noniid_k.*'random'"):
             make_config(scheme="random", noniid_k=3)
         make_config(scheme="noniid_kmeans", noniid_k=3)
+        with pytest.raises(ConfigError, match="^noniid_k must be >= 1, got 0"):
+            make_config(scheme="noniid_kmeans", noniid_k=0)
         # JSON has no tuples and writes 1.0 as 1: lists and ints pass
         make_config(methods=["iqr"], hidden_dims=[4, 2], learning_rate=1)
         # float() coercion as before; None keeps kqe's default bandwidth
@@ -341,10 +343,10 @@ class TestAuditChannel:
         monkeypatch.setitem(METHODS, "leaky", Method(
             lambda errors, *_: errors, "summary_stats",
             lambda uploads, *_: 0.0))
-        errors, labels = method_inputs()
         channel = Channel()
         fill_fedavg(channel, 2, 1)
-        _compute_method("leaky", make_config(), errors, labels, channel)
+        _compute_method("leaky", make_config(), method_work(monkeypatch),
+                        channel)
         with pytest.raises(AssertionError, match="size 40 .*fixed-size"):
             audit_channel(channel, 2, 1, methods=["leaky"])
 
@@ -381,14 +383,23 @@ def method_inputs():
     return errors, labels
 
 
+def method_work(monkeypatch):
+    """method_inputs() as one _ClientWork per client; a client's
+    validation errors are its first validation feature here."""
+    monkeypatch.setattr(harness, "mse_per_sample",
+                        lambda model, data: data[:, 0])
+    return [harness._ClientWork(None, ClientState(
+        i, np.ones((2, 1)), e[:, None], l, np.ones((0, 1)), np.zeros(0)))
+        for i, (e, l) in enumerate(zip(*method_inputs()))]
+
+
 class TestMethods:
     @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_upload_sizes_are_measured(self):
-        errors, labels = method_inputs()
+    def test_upload_sizes_are_measured(self, monkeypatch):
+        work = method_work(monkeypatch)
         channel = Channel()
         for tag in METHOD_TAGS:
-            _compute_method(tag, make_config(n_candidates=50), errors, labels,
-                            channel)
+            _compute_method(tag, make_config(n_candidates=50), work, channel)
         uploads = {(m.context, m.kind): m.size
                    for m in channel.select("upload")}
         assert uploads == {
@@ -402,10 +413,10 @@ class TestMethods:
         # our_method: a normal and an anomaly summary plus one F1 vector
         assert channel.count("upload", context="our_method") == 2 * 3
 
-    def test_method_params_reach_the_function(self):
-        errors, labels = method_inputs()
+    def test_method_params_reach_the_function(self, monkeypatch):
+        errors, _ = method_inputs()
         cfg = make_config(method_params={"percentile": {"p": "50"}})
-        result = _compute_method("percentile", cfg, errors, labels,
+        result = _compute_method("percentile", cfg, method_work(monkeypatch),
                                  Channel())
         assert result.client_thetas == [float(np.median(e[:30]))
                                         for e in errors]
@@ -551,9 +562,11 @@ class TestSweepReuse:
             assert [row_key(r) for r in results[level]] == \
                 [row_key(r) for r in cold], level
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_work_is_done_once_per_client_state(self, monkeypatch):
-        steps, forwards, channels = [], [], []
+    @staticmethod
+    def spy_work(monkeypatch):
+        """The client ids of each iqr client step and the inputs of each
+        forward pass, in call order."""
+        steps, forwards = [], []
         iqr = METHODS["iqr"]
 
         def spy_step(errors, labels, i, cfg, params):
@@ -566,6 +579,12 @@ class TestSweepReuse:
             forwards.append(data)
             return mse_per_sample(model, data)
         monkeypatch.setattr(harness, "mse_per_sample", spy_forward)
+        return steps, forwards
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_work_is_done_once_per_client_state(self, monkeypatch):
+        steps, forwards = self.spy_work(monkeypatch)
+        channels = []
 
         class KeptChannel(Channel):
             def __init__(self):
@@ -574,13 +593,49 @@ class TestSweepReuse:
         monkeypatch.setattr(harness, "Channel", KeptChannel)
 
         sweep_corruption(toy_sweep_config(), SWEEP_LEVELS)
-        # level 1 corrupts client 0, level 3 clients 0-2, each anew
-        assert steps == [0, 1, 2, 3, 4, 5] + [0] + [0, 1, 2]
+        # clients 0-2 are corrupted once, each at the first level that
+        # corrupts it
+        assert steps == [0, 1, 2, 3, 4, 5] + [0] + [1, 2]
         # validation errors per client state, test errors once per client
-        assert len(forwards) == 6 + 1 + 3 + 6
+        assert len(forwards) == 6 + 3 + 6
         # a reused upload is still sent at its level
         assert channels[0].count("upload", "local_threshold", "iqr") == \
             6 * len(SWEEP_LEVELS)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_clients_left_unchanged_keep_their_clean_work(self, monkeypatch):
+        # at noise scale 0 corruption returns every client as it was
+        steps, forwards = self.spy_work(monkeypatch)
+        cfg = replace(toy_sweep_config(), noise_sigma_scale=0.0)
+        results = sweep_corruption(cfg, SWEEP_LEVELS)
+        assert steps == [0, 1, 2, 3, 4, 5]
+        assert len(forwards) == 6 + 6
+        assert [r.f1 for r in results[3]] == [r.f1 for r in results[0]]
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_validation_forward_passes_run_outside_every_method(
+            self, monkeypatch):
+        # the benchmark times validation errors as threshold-stage work
+        # only when no method's span encloses them
+        in_method, forwards = [], []
+        compute_method, mse_per_sample = (harness._compute_method,
+                                          harness.mse_per_sample)
+
+        def spy_method(*args):
+            in_method.append(args[0])
+            try:
+                return compute_method(*args)
+            finally:
+                in_method.pop()
+
+        def spy_forward(model, data):
+            forwards.append(list(in_method))
+            return mse_per_sample(model, data)
+        monkeypatch.setattr(harness, "_compute_method", spy_method)
+        monkeypatch.setattr(harness, "mse_per_sample", spy_forward)
+        run_scenario(toy_sweep_config())
+        sweep_corruption(toy_sweep_config(), SWEEP_LEVELS)
+        assert forwards == [[]] * (6 + 6 + 6 + 3 + 6)
 
     def test_reused_steps_warn_again(self):
         with warnings.catch_warnings(record=True) as log:
@@ -617,10 +672,11 @@ class TestSweepReuse:
         thetas = [[0.2, 0.3, 0.2, 0.4],  # ties at theta
                   [-1.0] * 4, [5.0] * 4,  # below and above every error
                   [0.1, np.nan, 0.0, 0.39]]
-        results = [MethodResult(f"m{k}", 0.0, t, 0.0, [0.0] * 4)
+        results = [MethodResult(f"m{k}", 0.0, t, 0.0, [0.0] * 4, [])
                    for k, t in enumerate(thetas)]
-        rows = harness._evaluate(make_config(), results, clients,
-                                 harness._CallCache(None))
+        rows = harness._evaluate(make_config(), results,
+                                 [harness._ClientWork(None, c)
+                                  for c in clients])
         for k, t in enumerate(thetas):
             confs = [confusion(c.test_labels, classify(c.test_data[:, 0],
                                                        t[i]))
