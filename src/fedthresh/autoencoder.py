@@ -143,8 +143,12 @@ def forward(model: ModelParams, batch: np.ndarray) -> np.ndarray:
     a = _check_batch(model, batch)
     last = len(model.weights) - 1
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
-        a = z if k == last else np.maximum(z, 0.0)
+        # in place in the matmul's output: on a large batch, allocating
+        # a fresh array per op costs more than the arithmetic
+        a = a @ w.T
+        a += b
+        if k < last:
+            np.maximum(a, 0.0, out=a)
     return a
 
 
@@ -153,11 +157,36 @@ def mse_per_sample(model: ModelParams, data: np.ndarray) -> np.ndarray:
     data = _check_batch(model, data)
     if data.shape[0] == 0:
         return np.empty(0)
-    diff = forward(model, data) - data
-    return np.mean(diff * diff, axis=1)
+    diff = forward(model, data)
+    diff -= data
+    diff *= diff
+    return np.mean(diff, axis=1)
 
 
-def _loss_and_grads(flat, dims, x):
+class _StepSpace:
+    """What every step of one group of stacked clients reuses: views of its
+    (P,) or (clients, P) parameter block `flat`, a gradient buffer shaped
+    like flat, and per layer a contiguous (rows, clients, width) scratch
+    view for the bias gradient, or None where np.sum takes that gradient
+    (no client axis, or width 1). `grads` and the 1-D `scratch` (at least
+    rows * clients * widest width entries) are allocated unless given;
+    spaces whose steps never overlap can share them."""
+
+    def __init__(self, flat, dims, rows, grads=None, scratch=None):
+        self.weights, self.biases = _split(flat, dims)
+        self.weights_t = tuple(w.swapaxes(-1, -2) for w in self.weights)
+        self.biases_r = tuple(b[..., None, :] for b in self.biases)
+        self.grads = np.empty_like(flat) if grads is None else grads
+        self.grad_w, self.grad_b = _split(self.grads, dims)
+        clients = flat.shape[:-1]
+        if clients and scratch is None:
+            scratch = np.empty(rows * clients[0] * max(dims[1:]))
+        self.rowwise = tuple(
+            scratch[:rows * clients[0] * w].reshape(rows, clients[0], w)
+            if clients and w > 1 else None for w in dims[1:])
+
+
+def _loss_and_grads(flat, dims, x, space=None):
     """Loss and gradients for the parameter vector `flat` of the layer
     chain `dims`; the gradients come back as one array laid out like flat.
 
@@ -165,26 +194,45 @@ def _loss_and_grads(flat, dims, x):
     flat of shape (clients, P) gives one loss per client. Each client's
     slice gets the float ops that its 2-D arrays alone would get, in the
     same order.
+
+    `space` is flat's _StepSpace for n rows, built here if not given; the
+    gradients it returns are space.grads, overwritten by its next call.
+    Bias add and ReLU run in place in each matmul's output. A bias
+    gradient adds the rows one after another, row 0 first, as the 2-D
+    `delta.sum(axis=0)` does; with a client axis, delta is copied to the
+    (rows, clients, width) scratch and reduced over its first axis, so each
+    add spans every client. Width-1 layers keep np.sum: numpy drops the
+    size-1 axis and sums the rows pairwise, in 2-D and stacked alike.
     """
-    weights, biases = _split(flat, dims)
-    grads = np.empty_like(flat)
-    grad_w, grad_b = _split(grads, dims)
-    last = len(weights) - 1
+    if space is None:
+        space = _StepSpace(flat, dims, x.shape[-2])
+    last = len(dims) - 2
     acts = [x]  # post-activation per layer, acts[0] is the input
-    for k, (w, b) in enumerate(zip(weights, biases)):
-        z = acts[k] @ w.swapaxes(-1, -2) + b[..., None, :]
-        acts.append(z if k == last else np.maximum(z, 0.0))
-    diff = acts[-1] - x
+    for k in range(last + 1):
+        z = acts[k] @ space.weights_t[k]
+        z += space.biases_r[k]
+        if k < last:
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
+    diff = acts.pop()
+    diff -= x
     n, d = x.shape[-2:]
     loss = np.mean(diff * diff, axis=(-2, -1))
-    delta = (2.0 / (n * d)) * diff
+    delta = diff
+    delta *= 2.0 / (n * d)
     for k in range(last, -1, -1):
-        np.matmul(delta.swapaxes(-1, -2), acts[k], out=grad_w[k])
-        np.sum(delta, axis=-2, out=grad_b[k])
+        np.matmul(delta.swapaxes(-1, -2), acts[k], out=space.grad_w[k])
+        rowwise = space.rowwise[k]
+        if rowwise is None:
+            np.sum(delta, axis=-2, out=space.grad_b[k])
+        else:
+            np.copyto(rowwise.swapaxes(0, 1), delta)
+            np.add.reduce(rowwise, axis=0, out=space.grad_b[k])
         if k > 0:
             # acts[k] = max(z, 0), so acts[k] > 0 exactly where z > 0
-            delta = (delta @ weights[k]) * (acts[k] > 0.0)
-    return loss, grads
+            delta = delta @ space.weights[k]
+            delta *= acts[k] > 0.0
+    return loss, space.grads
 
 
 def train_local(model: ModelParams, data: np.ndarray, cfg: TrainConfig) -> ModelParams:
@@ -227,6 +275,15 @@ def train_clients(model: ModelParams, datas, cfg: TrainConfig) -> list:
     first client in list order that would fail alone: the first epoch with
     a non-finite loss, or the last epoch if its final parameters are
     non-finite.
+
+    Each (lo, hi, rows) group of the batch schedule builds one _StepSpace
+    at its first step; its views follow params[lo:hi] as updates change
+    it, and all groups share one gradient buffer and one scratch. A bias
+    gradient adds a client's rows in row order, pairwise on width-1
+    layers, as training it alone does (see _loss_and_grads). The update
+    runs in place in the gradient buffer, with the ops of the
+    out-of-place formula in the same order; Adam's bias corrections come
+    from one table per call, indexed by step count.
     """
     datas = [_check_batch(model, d) for d in datas]
     if not datas or any(d.shape[0] == 0 for d in datas):
@@ -244,31 +301,57 @@ def train_clients(model: ModelParams, datas, cfg: TrainConfig) -> list:
     # client allocating them is a measurable share of its training
     m = np.zeros_like(params) if adam else None
     v = np.zeros_like(params) if adam else None
+    adam_tmp = np.empty_like(params) if adam else None
     lr, b1, b2, eps = cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     t = np.zeros(len(order), dtype=np.int64)
+    if adam:
+        # Adam's bias corrections by step count, from Python's float
+        # power; numpy's power of an int array rounds differently
+        most = cfg.local_epochs * -(-sizes[0] // cfg.batch_size)
+        corr1 = np.array([1.0 - b1 ** s for s in range(most + 1)])[:, None]
+        corr2 = np.array([1.0 - b2 ** s for s in range(most + 1)])[:, None]
+    spaces = {}  # (lo, hi, rows) -> _StepSpace
+    # the steps run one at a time, so every space shares these buffers; a
+    # step holds at most min(batch_size, n) rows of each client
+    grads = np.empty_like(params)
+    scratch = np.empty(sum(min(cfg.batch_size, n) for n in sizes)
+                       * max(dims[1:]))
     diverged = {}  # list index -> first epoch with a non-finite loss
     perm = np.empty((len(order), sizes[0]), dtype=np.intp)  # rows of pool
     for epoch in range(cfg.local_epochs):
         for j, (rng, n) in enumerate(zip(rngs, sizes)):
             perm[j, :n] = offsets[j] + rng.permutation(n)
         for lo, hi, start, rows in schedule:
-            batch = pool[perm[lo:hi, start:start + rows]]
-            loss, grads = _loss_and_grads(params[lo:hi], dims, batch)
+            space = spaces.get((lo, hi, rows))
+            if space is None:
+                space = spaces[lo, hi, rows] = _StepSpace(
+                    params[lo:hi], dims, rows, grads[lo:hi], scratch)
+            batch = np.take(pool, perm[lo:hi, start:start + rows], axis=0)
+            loss, step = _loss_and_grads(params[lo:hi], dims, batch, space)
             for j in np.flatnonzero(~np.isfinite(loss)):
                 diverged.setdefault(order[lo + j], epoch)
             t[lo:hi] += 1
             if adam:
-                # Python's float power per step count; numpy's power of
-                # an int array rounds differently
-                steps = t[lo:hi].tolist()
-                corr1 = np.array([[1.0 - b1 ** s] for s in steps])
-                corr2 = np.array([[1.0 - b2 ** s] for s in steps])
-                m[lo:hi] = b1 * m[lo:hi] + (1 - b1) * grads
-                v[lo:hi] = b2 * v[lo:hi] + (1 - b2) * grads ** 2
-                params[lo:hi] -= lr * (m[lo:hi] / corr1) / (
-                    np.sqrt(v[lo:hi] / corr2) + eps)
+                # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g², then
+                # params -= lr (m / corr1) / (sqrt(v / corr2) + eps),
+                # each op in place and in that order
+                mk, vk, tmp = m[lo:hi], v[lo:hi], adam_tmp[lo:hi]
+                mk *= b1
+                np.multiply(step, 1 - b1, out=tmp)
+                mk += tmp
+                vk *= b2
+                np.square(step, out=tmp)
+                tmp *= 1 - b2
+                vk += tmp
+                np.divide(mk, corr1[t[lo:hi]], out=step)
+                step *= lr
+                np.divide(vk, corr2[t[lo:hi]], out=tmp)
+                np.sqrt(tmp, out=tmp)
+                tmp += eps
+                step /= tmp
             else:
-                params[lo:hi] -= lr * grads
+                step *= lr
+            params[lo:hi] -= step
     # the loss check runs before each update; catch a blow-up on the last one
     for j in np.flatnonzero(~np.isfinite(params).all(axis=1)):
         diverged.setdefault(order[j], cfg.local_epochs - 1)

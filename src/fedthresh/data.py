@@ -487,6 +487,9 @@ def partition_noniid(split_datasets, num_clients: int = 6, k: int | None = None,
             dealt, [np.count_nonzero(val_anom)])
     else:
         pooled = np.vstack([ds.features for ds in split_datasets])
+        if k > pooled.shape[0]:
+            raise ConfigError(f"noniid_k={k} exceeds the {pooled.shape[0]} "
+                              f"rows that k-means clusters")
         owners = np.split(kmeans(pooled, k, seed) % num_clients,
                           np.cumsum([train.num_samples, val.num_samples]))
 

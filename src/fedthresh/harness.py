@@ -46,8 +46,9 @@ from .util import derive_seed
 
 @dataclass(frozen=True)
 class Range:
-    """The values one method parameter accepts: low to high, high
-    excluded, low included only if low_closed; None only if nullable."""
+    """The values one method parameter or dataset key accepts: low to
+    high, high excluded, low included only if low_closed; None only if
+    nullable."""
 
     low: float
     high: float = float("inf")
@@ -193,18 +194,27 @@ def _method_kwargs(tag, given) -> dict:
     return kwargs
 
 
+_COUNT = Range(0.0)  # an integer >= 1
+_FINITE = Range(-float("inf"))
+
 # Each entry calls through this module's globals when it runs, as METHODS
 # does, so replacing `harness.synth` (say) reaches every later load.
-# kind -> (load(spec, seed), spec key -> type)
+# kind -> (load(spec, seed), spec key -> type, spec key -> the Range its
+# value, or each entry of a tuple value, must lie in)
 DATASET_KINDS = {
     "synth": (lambda spec, seed: synth(**spec, seed=seed),
               {"num_normal": int, "num_anomaly": int, "dim": int,
-               "separation": float}),
+               "separation": float},
+              {"num_normal": _COUNT, "num_anomaly": _COUNT, "dim": _COUNT,
+               "separation": _FINITE}),
     "blobs": (lambda spec, seed: synth_blobs(**spec, seed=seed),
               {"num_normal": int, "anomaly_blob_sizes": tuple[int, ...],
-               "dim": int, "separations": tuple[float, ...]}),
+               "dim": int, "separations": tuple[float, ...]},
+              {"num_normal": _COUNT,
+               "anomaly_blob_sizes": Range(0.0, low_closed=True),
+               "dim": _COUNT, "separations": _FINITE}),
     "csv": (lambda spec, seed: load_csv(**spec),
-            {"path": str, "label_column": str, "positive_label": str}),
+            {"path": str, "label_column": str, "positive_label": str}, {}),
 }
 
 # scheme -> partition(splits, cfg)
@@ -403,7 +413,7 @@ def _build_dataset(cfg: ScenarioConfig):
     kind = spec.pop("kind")
     if not isinstance(kind, str) or kind not in DATASET_KINDS:
         raise ConfigError(f"unknown dataset kind {kind!r}")
-    load, key_types = DATASET_KINDS[kind]
+    load, key_types, ranges = DATASET_KINDS[kind]
     missing = [k for k in key_types if k not in spec]
     if missing:
         raise ConfigError(f"dataset kind {kind!r} is missing keys {missing}")
@@ -412,6 +422,15 @@ def _build_dataset(cfg: ScenarioConfig):
         raise ConfigError(f"dataset kind {kind!r} got unknown keys {unknown}")
     for key, value in spec.items():
         _check_type(f"dataset.{key}", value, key_types[key])
+        if key not in ranges:
+            continue
+        if isinstance(value, (tuple, list)):
+            name, entries = f"dataset.{key} entries", value
+        else:
+            name, entries = f"dataset.{key}", (value,)
+        if not all(v in ranges[key] for v in entries):
+            raise ConfigError(f"{name} must be in {ranges[key]}, "
+                              f"got {value!r}")
     return load(spec, cfg.data_seed)
 
 

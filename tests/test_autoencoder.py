@@ -392,10 +392,23 @@ def ragged_clients(rng, sizes, dim=5, scales=None):
     return clients
 
 
-@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-def test_train_clients_matches_reference_bit_for_bit(rng, optimizer):
-    datas = [c.train_data for c in ragged_clients(rng, RAGGED_SIZES)]
-    model = init_model(5, (3, 2), seed=9)
+def architectures():
+    """(optimizer, input dim, hidden dims) for the bit-for-bit tests. A
+    width-1 layer sums its bias gradient pairwise, not row by row, so the
+    chains 4-2-1-2-4 and 2-1-2 check that path; the 5-3-2-3-5 cases keep
+    their bare optimizer ids."""
+    for optimizer in ("sgd", "adam"):
+        yield pytest.param(optimizer, 5, (3, 2), id=optimizer)
+        for dim, hidden in ((4, (3, 2)), (4, (2, 1)), (2, (1,))):
+            yield pytest.param(optimizer, dim, hidden, id=f"{optimizer}-{dim}-"
+                               + "x".join(map(str, hidden)))
+
+
+@pytest.mark.parametrize("optimizer, dim, hidden", architectures())
+def test_train_clients_matches_reference_bit_for_bit(rng, optimizer, dim,
+                                                     hidden):
+    datas = [c.train_data for c in ragged_clients(rng, RAGGED_SIZES, dim)]
+    model = init_model(dim, hidden, seed=9)
     cfg = TrainConfig(local_epochs=3, learning_rate=0.05, batch_size=16,
                       seed=4, optimizer=optimizer)
     stacked = train_clients(model, datas, cfg)
@@ -405,15 +418,15 @@ def test_train_clients_matches_reference_bit_for_bit(rng, optimizer):
         assert_same_params(train_local(model, data, cfg), got)
 
 
-@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-def test_run_fedavg_matches_reference_bit_for_bit(rng, optimizer):
-    clients = ragged_clients(rng, RAGGED_SIZES)
+@pytest.mark.parametrize("optimizer, dim, hidden", architectures())
+def test_run_fedavg_matches_reference_bit_for_bit(rng, optimizer, dim, hidden):
+    clients = ragged_clients(rng, RAGGED_SIZES, dim)
     cfg = FedConfig(rounds=3,
                     train_cfg=TrainConfig(local_epochs=3, learning_rate=0.05,
                                           batch_size=16, seed=2,
                                           optimizer=optimizer),
-                    model_seed=6, hidden_dims=(3, 2))
-    expected = reference_fedavg(clients, cfg, init_model(5, (3, 2), seed=6))
+                    model_seed=6, hidden_dims=hidden)
+    expected = reference_fedavg(clients, cfg, init_model(dim, hidden, seed=6))
     assert_same_params(run_fedavg(clients, cfg), expected)
 
 

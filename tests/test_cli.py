@@ -126,7 +126,7 @@ class TestThresholdCommand:
                  "dataset.positive_label must be str"),
                 # JSON's Infinity: a config error, not an all-zero F1 run
                 ("dataset", {**synth, "separation": float("inf")},
-                 "column 'f0' holds non-finite values")):
+                 "dataset.separation must be in (-inf, inf), got inf")):
             raw = make_config().to_dict()
             raw[key] = value
             path = tmp_path / "scenario.json"
@@ -171,6 +171,57 @@ class TestThresholdCommand:
         result = runner.invoke(main, ["threshold", "--config", str(path)])
         assert result.exit_code == 2
         assert result.output == f"error: {message}\n"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("num_normal", 0, "dataset.num_normal must be in (0, inf), got 0"),
+        ("num_anomaly", 0, "dataset.num_anomaly must be in (0, inf), got 0"),
+        ("num_anomaly", -5, "dataset.num_anomaly must be in (0, inf), got -5"),
+        ("dim", 0, "dataset.dim must be in (0, inf), got 0"),
+        ("separation", float("nan"),
+         "dataset.separation must be in (-inf, inf), got nan"),
+        ("anomaly_blob_sizes", [30, -1], "dataset.anomaly_blob_sizes "
+                                         "entries must be in [0, inf), "
+                                         "got [30, -1]"),
+        ("separations", [4.0, float("nan")], "dataset.separations entries "
+                                             "must be in (-inf, inf), "
+                                             "got [4.0, nan]"),
+    ])
+    def test_dataset_values_fail_at_load(self, runner, tmp_path, key, value,
+                                         message):
+        if key in ("anomaly_blob_sizes", "separations"):
+            dataset = {"kind": "blobs", "num_normal": 600,
+                       "anomaly_blob_sizes": [30, 30], "dim": 6,
+                       "separations": [4.0, 8.0]}
+        else:
+            dataset = {"kind": "synth", "num_normal": 600, "num_anomaly": 60,
+                       "dim": 6, "separation": 6.0}
+        raw = make_config().to_dict()
+        raw["dataset"] = {**dataset, key: value}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        result = runner.invoke(main, ["threshold", "--config", str(path)])
+        assert result.exit_code == 2
+        assert result.output == f"error: stage 'load' failed: {message}\n"
+
+    @pytest.mark.parametrize("dataset", [
+        {"kind": "synth", "num_normal": 600, "num_anomaly": 60, "dim": 6,
+         "separation": -6.0},
+        {"kind": "blobs", "num_normal": 600, "anomaly_blob_sizes": [0, 60],
+         "dim": 6, "separations": [-4.0, 8.0]}])
+    def test_dataset_values_at_the_range_edges_run(self, runner, tmp_path,
+                                                   dataset):
+        path = write_config(tmp_path, dataset=dataset)
+        result = runner.invoke(main, ["threshold", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+
+    def test_noniid_k_above_the_row_count_exits_2(self, runner, tmp_path):
+        path = write_config(tmp_path, scheme="noniid_kmeans",
+                            noniid_k=100_000)
+        result = runner.invoke(main, ["threshold", "--config", str(path)])
+        assert result.exit_code == 2
+        assert result.output == ("error: stage 'partition' failed: "
+                                 "noniid_k=100000 exceeds the 660 rows that "
+                                 "k-means clusters\n")
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_fed_minmax_on_constant_features_exits_0(self, runner, tmp_path):

@@ -570,6 +570,12 @@ def test_partition_noniid_binary_k_clusters_dealt_round_robin():
     assert len(two.client_indices("train", 2)) == 1
 
 
+def test_partition_noniid_binary_k_above_the_row_count_names_noniid_k():
+    with pytest.raises(ConfigError, match="^noniid_k=681 exceeds the 680 "
+                                          "rows that k-means clusters$"):
+        partition_noniid(blob_splits(), num_clients=3, k=681, seed=2)
+
+
 def test_partition_noniid_separated_anomaly_blobs_stay_together():
     ds = synth_blobs(400, (30, 30), dim=3, separations=(5.0, 30.0), seed=3)
     splits = split(ds, 0.6, 0.2, seed=4)
