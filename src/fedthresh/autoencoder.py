@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DivergedTraining
+from .util import NON_NEGATIVE, POSITIVE, check
 
 MODEL_FORMAT_HEADER = "fedthresh-model v1"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -81,25 +82,22 @@ def _split(flat, dims) -> tuple:
     return views[:len(dims) - 1], views[len(dims) - 1:]
 
 
+# each TrainConfig setting's accepted values, as util.check reads them
+TRAIN_SETTINGS = {"local_epochs": POSITIVE, "learning_rate": NON_NEGATIVE,
+                  "batch_size": POSITIVE, "optimizer": ("sgd", "adam")}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     local_epochs: int = 1
     learning_rate: float = 0.01
     batch_size: int = 32
     seed: int = 0
-    optimizer: str = "sgd"  # "sgd" or "adam"
+    optimizer: str = "sgd"
 
     def __post_init__(self):
-        if self.local_epochs < 1:
-            raise ConfigError(f"local_epochs must be >= 1, got {self.local_epochs}")
-        if not self.learning_rate >= 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if not math.isfinite(self.learning_rate):
-            raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        for name, domain in TRAIN_SETTINGS.items():
+            check(name, getattr(self, name), domain)
 
 
 def default_hidden_dims(input_dim: int) -> tuple:
@@ -117,8 +115,10 @@ def init_model(input_dim: int, hidden_dims, seed: int) -> ModelParams:
     except TypeError:
         raise ConfigError(f"hidden_dims must hold integer widths, got "
                           f"{hidden_dims!r}") from None
-    if input_dim < 1 or not hidden_dims or any(h < 1 for h in hidden_dims):
-        raise ConfigError(f"bad architecture: input_dim={input_dim}, hidden={hidden_dims}")
+    if not hidden_dims:
+        raise ConfigError("hidden_dims must be non-empty")
+    POSITIVE.check("input_dim", input_dim)
+    check("hidden_dims", hidden_dims, POSITIVE)
     chain = (input_dim,) + hidden_dims + tuple(reversed(hidden_dims[:-1])) + (input_dim,)
     rng = np.random.default_rng(seed)
     weights, biases = [], []

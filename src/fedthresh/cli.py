@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import click
 
-from .errors import ConfigError, StageError
+from .errors import ConfigError
 from .harness import (ScenarioConfig, build_followup_dataset, run_scenario,
                       sweep_clients, sweep_corruption, train_model)
 from .thresholds import METHOD_TAGS
@@ -24,15 +24,12 @@ def _guard(fn):
             return fn(*args, **kwargs)
         except click.ClickException:
             raise
-        except (ConfigError, StageError) as exc:
-            cause = getattr(exc, "cause", None)
+        except Exception as exc:
+            # a StageError carries its cause
             config_side = isinstance(exc, ConfigError) or \
-                isinstance(cause, ConfigError)
+                isinstance(getattr(exc, "cause", None), ConfigError)
             click.echo(f"error: {exc}", err=True)
             sys.exit(2 if config_side else 3)
-        except Exception as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
     return wrapper
 
 
@@ -40,12 +37,9 @@ def _load(config_path, seed=None, methods=()):
     cfg = ScenarioConfig.from_file(config_path)
     if seed is not None:
         # one CLI seed fans out to decorrelated per-stage seeds
-        cfg = replace(cfg,
-                      data_seed=derive_seed(seed, 0),
-                      model_seed=derive_seed(seed, 1),
-                      partition_seed=derive_seed(seed, 2),
-                      train_seed=derive_seed(seed, 3),
-                      corruption_seed=derive_seed(seed, 4))
+        stages = ("data", "model", "partition", "train", "corruption")
+        cfg = replace(cfg, **{f"{stage}_seed": derive_seed(seed, i)
+                              for i, stage in enumerate(stages)})
     if methods:
         cfg = replace(cfg, methods=tuple(methods))
     return cfg

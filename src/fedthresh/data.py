@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .util import largest_remainder
+from .util import (NON_NEGATIVE, POSITIVE, SEVERAL, UNIT, check,
+                   largest_remainder)
 
 # shapes of the widely used public benchmarks, keyed by a filename hint:
 # (rows, anomalies, feature dims). Used as a sanity warning on load.
@@ -25,6 +26,7 @@ KNOWN_DATASET_SHAPES = {
 }
 
 SPLIT_NAMES = ("train", "val", "test")
+SCALE_METHODS = ("minmax", "zscore")
 
 
 @dataclass(frozen=True)
@@ -207,15 +209,14 @@ class Scaler:
 
 
 def fit_scaler(features: np.ndarray, method: str = "minmax") -> Scaler:
+    check("scale_method", method, SCALE_METHODS)
     features = np.asarray(features, dtype=np.float64)
     if features.size == 0:
         raise ConfigError("cannot fit a scaler on no data")
     if method == "minmax":
         lo = features.min(axis=0)
         return Scaler(method, lo, features.max(axis=0) - lo)
-    if method == "zscore":
-        return Scaler(method, features.mean(axis=0), features.std(axis=0))
-    raise ConfigError(f"unknown scaling method {method!r}")
+    return Scaler(method, features.mean(axis=0), features.std(axis=0))
 
 
 def apply_scaler(dataset: Dataset, scaler: Scaler) -> Dataset:
@@ -223,9 +224,12 @@ def apply_scaler(dataset: Dataset, scaler: Scaler) -> Dataset:
 
 
 def check_fractions(train_frac: float, val_frac: float) -> None:
-    if not (train_frac > 0 and val_frac > 0 and train_frac + val_frac < 1):
-        raise ConfigError(f"bad fractions train={train_frac}, val={val_frac}; "
-                          "need positive values with a test remainder")
+    """Each fraction, and their sum, lies in (0, 1)."""
+    UNIT.check("train_frac", train_frac)
+    UNIT.check("val_frac", val_frac)
+    if train_frac + val_frac not in UNIT:
+        raise ConfigError(f"train_frac + val_frac must be in {UNIT}, got "
+                          f"{train_frac!r} + {val_frac!r}")
 
 
 def split(dataset: Dataset, train_frac: float, val_frac: float, seed: int):
@@ -287,8 +291,7 @@ def _deal(indices: np.ndarray, num_clients: int):
 def partition_even(split_datasets, num_clients: int, seed: int) -> PartitionPlan:
     """Shuffled round-robin deal, anomalies first so both the client sizes
     and the per-client anomaly counts differ by at most one."""
-    if num_clients < 1:
-        raise ConfigError(f"num_clients must be >= 1, got {num_clients}")
+    POSITIVE.check("num_clients", num_clients)
     train_rows = split_datasets[0].num_samples
     if num_clients > train_rows:
         raise ConfigError(f"num_clients={num_clients} exceeds the {train_rows} "
@@ -337,6 +340,9 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"need 1 <= k <= {n}, got k={k}")
+    reach = float(max(points.max(), -points.min()))
+    if not 4.0 * n * points.shape[1] * reach * reach < np.inf:
+        raise ConfigError(f"k-means overflows at features of {reach:g}")
     rng = np.random.default_rng(seed)
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
@@ -365,6 +371,9 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
     # terms.
     n_features = points.shape[1]
     slack = 16.0 * (n_features + 3) * np.finfo(np.float64).eps
+    # a centroid coordinate, a mean of up to n values of size <= reach, is
+    # off by up to delta; the WCSS then by n·d·delta·(delta + 2·rms error)
+    delta = n * np.finfo(np.float64).eps * reach
     sq_norms = np.einsum("ij,ij->i", points, points)
     points_t = np.ascontiguousarray(points.T)
     ids = np.arange(k)
@@ -405,7 +414,8 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
             np.take(centroids[:, f], assign, out=resid)
             np.subtract(points_t[f], resid, out=resid)
             wcss += float(resid @ resid)
-        if wcss > prev_wcss * (1.0 + 1e-9) + 1e-12:
+        if wcss > prev_wcss * (1.0 + 1e-9) + 1e-12 + n * n_features * delta \
+                * (delta + 2.0 * (prev_wcss / (n * n_features)) ** 0.5):
             raise RuntimeError(
                 f"within-cluster SS increased: {prev_wcss} -> {wcss}")
         if prev_assign is not None and np.array_equal(assign, prev_assign):
@@ -456,8 +466,7 @@ def partition_noniid(split_datasets, num_clients: int = 6, k: int | None = None,
     clients as whole clusters. k defaults to num_clients. Clients left
     without train or val samples take one from the largest client.
     """
-    if num_clients < 2:
-        raise ConfigError(f"num_clients must be >= 2, got {num_clients}")
+    SEVERAL.check("num_clients", num_clients)
     train, val, test = split_datasets
     if k is None:
         k = num_clients
@@ -505,21 +514,13 @@ def partition_noniid(split_datasets, num_clients: int = 6, k: int | None = None,
     return PartitionPlan("noniid_kmeans", final, seed)
 
 
-def check_concentration(concentration: float) -> None:
-    if not concentration > 0:
-        raise ConfigError(f"concentration must be positive, got {concentration}")
-    if not np.isfinite(concentration):
-        raise ConfigError(f"concentration must be finite, got {concentration}")
-
-
 def partition_random(split_datasets, num_clients: int, seed: int,
                      concentration: float = 0.5) -> PartitionPlan:
     """Dirichlet-proportioned uneven partition; low concentration = extreme
     skew. Normals and anomalies follow the same client proportions; every
     client keeps at least one train and one val-normal sample."""
-    if num_clients < 2:
-        raise ConfigError(f"num_clients must be >= 2, got {num_clients}")
-    check_concentration(concentration)
+    SEVERAL.check("num_clients", num_clients)
+    POSITIVE.check("concentration", concentration)
     rng = np.random.default_rng(seed)
     proportions = rng.dirichlet(np.full(num_clients, concentration))
 
@@ -566,11 +567,7 @@ class CorruptionSpec:
     def __post_init__(self):
         object.__setattr__(self, "corrupt_client_ids",
                            frozenset(self.corrupt_client_ids))
-        if self.noise_sigma_scale < 0:
-            raise ConfigError("noise_sigma_scale must be >= 0")
-        if not np.isfinite(self.noise_sigma_scale):
-            raise ConfigError(f"noise_sigma_scale must be finite, got "
-                              f"{self.noise_sigma_scale}")
+        NON_NEGATIVE.check("noise_sigma_scale", self.noise_sigma_scale)
 
 
 def corrupt(client_state, spec: CorruptionSpec, seed: int):
@@ -603,10 +600,11 @@ def synth_blobs(num_normal: int, anomaly_blob_sizes, dim: int, separations,
     """Multi-blob variant: anomaly blob b sits at separations[b] * 1."""
     anomaly_blob_sizes = tuple(int(s) for s in anomaly_blob_sizes)
     separations = tuple(float(s) for s in separations)
-    if num_normal < 0 or any(s < 0 for s in anomaly_blob_sizes) or dim < 1:
-        raise ConfigError("counts must be >= 0 and dim >= 1")
+    check("sample counts", (num_normal, *anomaly_blob_sizes), NON_NEGATIVE)
+    POSITIVE.check("dim", dim)
     if len(anomaly_blob_sizes) != len(separations):
-        raise ConfigError("one separation per anomaly blob required")
+        raise ConfigError(f"anomaly_blob_sizes and separations differ in "
+                          f"length: {anomaly_blob_sizes}, {separations}")
     rng = np.random.default_rng(seed)
     blocks = [rng.standard_normal((num_normal, dim))]
     for size, sep in zip(anomaly_blob_sizes, separations):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .util import SEVERAL, check
 
 AGGREGATION_MODES = ("weighted", "exact_pooled")
 
@@ -137,8 +138,7 @@ def aggregate(summaries, mode: str = "exact_pooled") -> ErrorSummary:
     summaries = list(summaries)
     if not summaries:
         raise ConfigError("aggregate needs at least one summary")
-    if mode not in AGGREGATION_MODES:
-        raise ConfigError(f"unknown aggregation mode {mode!r}")
+    check("formula_mode", mode, AGGREGATION_MODES)
     if mode == "exact_pooled":
         acc = _central_sums(summaries[0])
         for s in summaries[1:]:
@@ -189,8 +189,7 @@ def overlap_region(normal: ErrorSummary,
 
 def generate_candidates(region: OverlapRegion, n: int) -> np.ndarray:
     """n evenly spaced candidates across the region, endpoints included."""
-    if n < 2:
-        raise ConfigError(f"candidate count must be >= 2, got {n}")
+    SEVERAL.check("n_candidates", n)
     if region.upper < region.lower:
         raise ConfigError(f"region bounds inverted: [{region.lower}, {region.upper}]")
     if region.upper == region.lower:

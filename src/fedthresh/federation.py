@@ -20,7 +20,7 @@ from .autoencoder import (ModelParams, TrainConfig, _split, default_hidden_dims,
 # by name, so it stays importable from this module
 from .autoencoder import train_local  # noqa: F401
 from .errors import ConfigError, DivergedTraining, FederationError
-from .util import derive_seed
+from .util import POSITIVE, derive_seed
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,7 @@ class FedConfig:
     model_seed: int = 0
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
+        POSITIVE.check("rounds", self.rounds)
 
 
 @dataclass(frozen=True)

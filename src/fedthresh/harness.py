@@ -23,8 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import TrainConfig, mse_per_sample, save_model
-from .data import (CorruptionSpec, apply_scaler, check_concentration,
+from .autoencoder import (TRAIN_SETTINGS, TrainConfig, mse_per_sample,
+                          save_model)
+from .data import (SCALE_METHODS, CorruptionSpec, apply_scaler,
                    check_fractions, corrupt, fit_scaler, load_csv,
                    partition_even, partition_noniid, partition_random, split,
                    synth, synth_blobs, write_plan)
@@ -41,32 +42,8 @@ from .metrics import confusion, f1_curve  # noqa: F401
 from .thresholds import classify  # noqa: F401
 from .thresholds import (METHOD_TAGS, fed_filtered, fed_minmax, fed_mse_std,
                          kqe, local_minmax, local_simple, our_method, pot)
-from .util import derive_seed
-
-
-@dataclass(frozen=True)
-class Range:
-    """The values one method parameter or dataset key accepts: low to
-    high, high excluded, low included only if low_closed; None only if
-    nullable."""
-
-    low: float
-    high: float = float("inf")
-    low_closed: bool = False
-    nullable: bool = False
-
-    def __contains__(self, value) -> bool:
-        if value is None:
-            return self.nullable
-        above = value >= self.low if self.low_closed else value > self.low
-        return above and value < self.high
-
-    def __str__(self) -> str:
-        text = f"{'[' if self.low_closed else '('}{self.low:g}, {self.high:g})"
-        return text + " or null" if self.nullable else text
-
-
-_UNIT = Range(0.0, 1.0)
+from .util import (FINITE, NON_NEGATIVE, PERCENT, POSITIVE, SEVERAL, UNIT,
+                   check, derive_seed)
 
 
 @dataclass(frozen=True)
@@ -148,19 +125,18 @@ METHODS = {
     "fed_filtered": Method(_mean_plus_std, "summary_stats",
                            lambda uploads, _, cfg, params:
                            fed_filtered(uploads, **params),
-                           {"z_cut": Range(0.0)}),
+                           {"z_cut": POSITIVE}),
     "local_minmax": Method(_local_minmax_client, "local_threshold"),
     "kqe": Method(lambda errors, labels, i, cfg, params:
                   kqe(errors[labels == 0], **params), "local_threshold",
-                  params={"q": _UNIT,
-                          "bandwidth": Range(0.0, low_closed=True,
-                                             nullable=True)}),
+                  params={"q": UNIT,
+                          "bandwidth": replace(NON_NEGATIVE, nullable=True)}),
     "iqr": Method(_simple("iqr"), "local_threshold"),
     "percentile": Method(_simple("percentile"), "local_threshold",
-                         params={"p": Range(0.0, 100.0)}),
+                         params={"p": PERCENT}),
     "largest_mse": Method(_simple("largest_mse"), "local_threshold"),
     "pot": Method(_pot_client, "local_threshold",
-                  params={"u_quantile": _UNIT, "risk": _UNIT}),
+                  params={"u_quantile": UNIT, "risk": UNIT}),
     "local_mse_std": Method(_simple("local_mse_std"), "local_threshold"),
 }
 
@@ -170,32 +146,27 @@ AUDITED_METHODS = tuple(tag for tag, m in METHODS.items()
 
 
 def _method_kwargs(tag, given) -> dict:
-    """One method's method_params as keyword arguments, coerced by float()
-    and checked against the method's parameter ranges."""
+    """One method's method_params as keyword arguments, checked against
+    the method's parameter ranges; a numeric string is read by float()."""
     if tag not in METHODS:
         raise ConfigError(f"method_params: unknown method {tag!r}")
     if not isinstance(given, dict):
         raise ConfigError(f"method_params[{tag!r}] must be a mapping")
     ranges = METHODS[tag].params
-    unknown = sorted(set(given) - set(ranges))
-    if unknown:
-        raise ConfigError(f"method_params[{tag!r}]: unknown keys {unknown}; "
-                          f"{tag} takes {list(ranges)}")
-    try:
-        kwargs = {key: None if value is None else float(value)
-                  for key, value in given.items()}
-    except (TypeError, ValueError):
-        raise ConfigError(f"method_params[{tag!r}] values must be numbers, "
-                          f"got {given!r}") from None
-    for key, value in kwargs.items():
-        if value not in ranges[key]:
-            raise ConfigError(f"method_params[{tag!r}][{key!r}] must be in "
-                              f"{ranges[key]}, got {given[key]!r}")
+    kwargs = {}
+    for key, value in given.items():
+        if key not in ranges:
+            raise ConfigError(f"method_params[{tag!r}]: unknown key {key!r}; "
+                              f"{tag} takes {list(ranges)}")
+        try:
+            value = float(value) if isinstance(value, str) else value
+        except ValueError:
+            raise ConfigError(f"method_params[{tag!r}] values must be "
+                              f"numbers, got {given!r}") from None
+        ranges[key].check(f"method_params[{tag!r}][{key!r}]", value)
+        kwargs[key] = None if value is None else float(value)
     return kwargs
 
-
-_COUNT = Range(0.0)  # an integer >= 1
-_FINITE = Range(-float("inf"))
 
 # Each entry calls through this module's globals when it runs, as METHODS
 # does, so replacing `harness.synth` (say) reaches every later load.
@@ -205,14 +176,13 @@ DATASET_KINDS = {
     "synth": (lambda spec, seed: synth(**spec, seed=seed),
               {"num_normal": int, "num_anomaly": int, "dim": int,
                "separation": float},
-              {"num_normal": _COUNT, "num_anomaly": _COUNT, "dim": _COUNT,
-               "separation": _FINITE}),
+              {"num_normal": POSITIVE, "num_anomaly": POSITIVE,
+               "dim": POSITIVE, "separation": FINITE}),
     "blobs": (lambda spec, seed: synth_blobs(**spec, seed=seed),
               {"num_normal": int, "anomaly_blob_sizes": tuple[int, ...],
                "dim": int, "separations": tuple[float, ...]},
-              {"num_normal": _COUNT,
-               "anomaly_blob_sizes": Range(0.0, low_closed=True),
-               "dim": _COUNT, "separations": _FINITE}),
+              {"num_normal": POSITIVE, "anomaly_blob_sizes": NON_NEGATIVE,
+               "dim": POSITIVE, "separations": FINITE}),
     "csv": (lambda spec, seed: load_csv(**spec),
             {"path": str, "label_column": str, "positive_label": str}, {}),
 }
@@ -228,11 +198,25 @@ PARTITIONS = {
 }
 
 
+# Each setting's accepted values: a Range, or a tuple of choices (of each
+# entry, for a tuple). TrainConfig, FedConfig, split and the rest check the
+# same objects; the other five fields have rules in __post_init__.
+SETTINGS = {
+    "scheme": tuple(PARTITIONS), "num_clients": POSITIVE, "rounds": POSITIVE,
+    **TRAIN_SETTINGS, "scale_method": SCALE_METHODS, "train_frac": UNIT,
+    "val_frac": UNIT, "methods": METHOD_TAGS, "n_candidates": SEVERAL,
+    "formula_mode": AGGREGATION_MODES, "concentration": POSITIVE,
+    "noniid_k": POSITIVE, "noise_sigma_scale": NON_NEGATIVE,
+    **dict.fromkeys(("data_seed", "model_seed", "partition_seed",
+                     "train_seed", "corruption_seed"), NON_NEGATIVE),
+}
+
+
 def _is_instance(value, annotation) -> bool:
     """isinstance against a field annotation. JSON has no tuple, so a list
-    passes for one; an int passes for a float; a bool never passes for a
-    number; `tuple[int, ...]` also checks every element. Nothing is
-    coerced, so a valid config hashes as before."""
+    passes for one; an int within 2**53 (exact as a float and an int64)
+    passes for a float; a bool never passes for a number; `tuple[int, ...]`
+    checks every element. Nothing is coerced: a config hashes as before."""
     if isinstance(annotation, types.UnionType):
         return any(_is_instance(value, a) for a in annotation.__args__)
     if isinstance(annotation, types.GenericAlias):
@@ -241,17 +225,32 @@ def _is_instance(value, annotation) -> bool:
     if isinstance(value, bool):
         return annotation is bool
     if annotation is float:
-        annotation = (int, float)
-    elif annotation is tuple:
+        return isinstance(value, float) or \
+            isinstance(value, int) and abs(value) <= 2 ** 53
+    if annotation is tuple:
         annotation = (tuple, list)
     return isinstance(value, annotation)
 
 
-def _check_type(name: str, value, annotation) -> None:
-    if not _is_instance(value, annotation):
-        shown = annotation.__name__ if isinstance(annotation, type) \
-            else annotation
-        raise ConfigError(f"{name} must be {shown}, got {value!r}")
+def _check_fields(values: dict, key_types: dict, domains: dict,
+                  prefix: str = "") -> None:
+    """Each value against its type, then its domain, if it has one; None
+    passes where its type allows it."""
+    for key, annotation in key_types.items():
+        name, value = prefix + key, values[key]
+        if not _is_instance(value, annotation):
+            shown = annotation.__name__ if isinstance(annotation, type) \
+                else annotation
+            raise ConfigError(f"{name} must be {shown}, got {value!r}")
+        if value is not None and key in domains:
+            check(name, value, domains[key])
+
+
+def _distinct(name: str, values):
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"{name} lists {repeated} more than once")
+    return values
 
 
 @dataclass(frozen=True)
@@ -286,44 +285,25 @@ class ScenarioConfig:
     scenario_id: str = ""
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            _check_type(f.name, value, f.type)
-            if f.name.endswith("_seed") and value < 0:
-                raise ConfigError(f"{f.name} must be >= 0, got {value}")
+        _check_fields(vars(self), {f.name: f.type for f in fields(self)},
+                      SETTINGS)
+        for name in ("methods", "hidden_dims", "corrupt_client_ids"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+        # the rules that relate fields, or that no Range states
         if "kind" not in self.dataset:
             raise ConfigError("dataset must be a mapping with a 'kind' key")
-        if self.scheme not in PARTITIONS:
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.noniid_k is not None and self.scheme != "noniid_kmeans":
             raise ConfigError(f"noniid_k applies only to scheme "
                               f"'noniid_kmeans', not {self.scheme!r}")
-        if self.noniid_k is not None and self.noniid_k < 1:
-            raise ConfigError(f"noniid_k must be >= 1, got {self.noniid_k}")
-        object.__setattr__(self, "methods", tuple(self.methods))
-        unknown = set(self.methods) - set(METHOD_TAGS)
-        if unknown:
-            raise ConfigError(f"unknown methods {sorted(unknown)}; "
-                              f"valid tags: {METHOD_TAGS}")
+        check_fractions(self.train_frac, self.val_frac)
         if not self.methods:
-            raise ConfigError("at least one method required")
-        repeated = sorted({t for t in self.methods
-                           if self.methods.count(t) > 1})
-        if repeated:
-            raise ConfigError(f"methods lists {repeated} more than once")
-        if self.formula_mode not in AGGREGATION_MODES:
-            raise ConfigError(f"unknown formula_mode {self.formula_mode!r}")
-        if self.n_candidates < 2:
-            raise ConfigError("n_candidates must be >= 2")
-        if self.num_clients < 1:
-            raise ConfigError("num_clients must be >= 1")
-        if self.hidden_dims is not None:
-            if not self.hidden_dims or min(self.hidden_dims) < 1:
-                raise ConfigError(f"hidden_dims must be non-empty widths, "
-                                  f"each >= 1, got {list(self.hidden_dims)}")
-            object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
-        object.__setattr__(self, "corrupt_client_ids",
-                           tuple(self.corrupt_client_ids))
+            raise ConfigError("methods must name at least one method, got []")
+        _distinct("methods", self.methods)
+        if self.hidden_dims is not None and \
+                min(self.hidden_dims, default=0) not in POSITIVE:
+            raise ConfigError(f"hidden_dims must be non-empty widths in "
+                              f"{POSITIVE}, got {list(self.hidden_dims)}")
         outside = [c for c in self.corrupt_client_ids
                    if not 0 <= c < self.num_clients]
         if outside:
@@ -331,18 +311,14 @@ class ScenarioConfig:
                               f"[0, {self.num_clients})")
         for tag, given in self.method_params.items():
             _method_kwargs(tag, given)
-        # built or checked here so that bad training, data and corruption
-        # settings fail at load, before any data is read
-        _fed_config(self)
-        CorruptionSpec(self.corrupt_client_ids, self.noise_sigma_scale)
-        fit_scaler(np.zeros((1, 1)), self.scale_method)
-        check_fractions(self.train_frac, self.val_frac)
-        check_concentration(self.concentration)
+        # written unquoted into every CSV row
+        if any(c in self.scenario_id for c in ',"\r\n'):
+            raise ConfigError(f"scenario_id must not hold a comma, quote, "
+                              f"CR or LF, got {self.scenario_id!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         return cls(**raw)
@@ -353,20 +329,15 @@ class ScenarioConfig:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"{path}: no such config file") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, bad UTF-8, huge ints
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         return cls.from_dict(raw)
 
     def to_dict(self) -> dict:
-        def plain(value):
-            if isinstance(value, tuple):
-                return [plain(v) for v in value]
-            if isinstance(value, dict):
-                return {k: plain(v) for k, v in value.items()}
-            return value
-        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
+        """The fields as JSON reads them back: every tuple a list."""
+        return json.loads(json.dumps(vars(self)))
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True)
@@ -411,26 +382,12 @@ def _stage(name, fn, *args, **kwargs):
 def _build_dataset(cfg: ScenarioConfig):
     spec = dict(cfg.dataset)
     kind = spec.pop("kind")
-    if not isinstance(kind, str) or kind not in DATASET_KINDS:
-        raise ConfigError(f"unknown dataset kind {kind!r}")
+    check("dataset.kind", kind, tuple(DATASET_KINDS))
     load, key_types, ranges = DATASET_KINDS[kind]
-    missing = [k for k in key_types if k not in spec]
-    if missing:
-        raise ConfigError(f"dataset kind {kind!r} is missing keys {missing}")
-    unknown = sorted(set(spec) - set(key_types))
-    if unknown:
-        raise ConfigError(f"dataset kind {kind!r} got unknown keys {unknown}")
-    for key, value in spec.items():
-        _check_type(f"dataset.{key}", value, key_types[key])
-        if key not in ranges:
-            continue
-        if isinstance(value, (tuple, list)):
-            name, entries = f"dataset.{key} entries", value
-        else:
-            name, entries = f"dataset.{key}", (value,)
-        if not all(v in ranges[key] for v in entries):
-            raise ConfigError(f"{name} must be in {ranges[key]}, "
-                              f"got {value!r}")
+    if set(spec) != set(key_types):
+        raise ConfigError(f"dataset kind {kind!r} takes keys "
+                          f"{list(key_types)}, got {list(spec)}")
+    _check_fields(spec, key_types, ranges, "dataset.")
     return load(spec, cfg.data_seed)
 
 
@@ -457,19 +414,12 @@ def _apply_corruption(cfg: ScenarioConfig, clients):
     return [corrupt(c, spec, cfg.corruption_seed) for c in clients]
 
 
-def _fed_config(cfg: ScenarioConfig) -> FedConfig:
-    return FedConfig(
-        rounds=cfg.rounds,
-        train_cfg=TrainConfig(local_epochs=cfg.local_epochs,
-                              learning_rate=cfg.learning_rate,
-                              batch_size=cfg.batch_size, seed=cfg.train_seed,
-                              optimizer=cfg.optimizer),
-        hidden_dims=cfg.hidden_dims, model_seed=cfg.model_seed)
-
-
 def _train(cfg: ScenarioConfig, clients, channel, round_log=None):
-    return run_fedavg(clients, _fed_config(cfg), channel=channel,
-                      round_log=round_log)
+    train_cfg = TrainConfig(seed=cfg.train_seed, **{
+        name: getattr(cfg, name) for name in TRAIN_SETTINGS})
+    return run_fedavg(clients, FedConfig(cfg.rounds, train_cfg,
+                                         cfg.hidden_dims, cfg.model_seed),
+                      channel=channel, round_log=round_log)
 
 
 class _WarningLog(list):
@@ -517,7 +467,10 @@ class _ClientWork:
 
     @cached_property
     def errors(self):
-        return mse_per_sample(self.model, self.client.val_data)
+        errors = mse_per_sample(self.model, self.client.val_data)
+        if np.max(errors, initial=0.0) > 1e50:  # errors**4 stays finite
+            raise ConfigError(f"validation errors reach {errors.max():g}")
+        return errors
 
     @cached_property
     def view(self):
@@ -672,12 +625,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, artifacts=None):
     that breaks the privacy contract as AuditError; nothing is written
     unless every stage and the audit succeeded. Pass a dict as `artifacts`
     to receive internals (model, channel, plan, clients, round log, and
-    each method's client uploads under "uploads").
+    each method's client uploads under "uploads"). The round log, a pass
+    over each client's training data per round, needs one of the two.
     """
     plan, clients = _prepare_clients(cfg)
     clients = _stage("corrupt", _apply_corruption, cfg, clients)
     channel = Channel()
-    round_log = []
+    round_log = None if out_dir is None and artifacts is None else []
     model = _stage("train", _train, cfg, clients, channel, round_log)
     work = [_ClientWork(model, c) for c in clients]
     method_results = _stage("threshold", _compute_methods, cfg, work, channel)
@@ -785,7 +739,7 @@ def emit_report(rows, out_dir, cfg: ScenarioConfig | None = None):
 
 def sweep_clients(base_cfg: ScenarioConfig, client_counts, out_dir=None):
     """Rerun the scenario per client count with re-derived partitions."""
-    client_counts = [int(c) for c in client_counts]
+    client_counts = _distinct("counts", [int(c) for c in client_counts])
     if any(c < 2 for c in client_counts):
         raise ConfigError("client counts must each be >= 2")
     results = {}
@@ -839,7 +793,7 @@ def sweep_corruption(base_cfg: ScenarioConfig, corrupt_counts, out_dir=None):
         raise ConfigError(f"corrupt_client_ids must be [] in a corruption "
                           f"sweep, which sets it per level; got "
                           f"{list(base_cfg.corrupt_client_ids)}")
-    corrupt_counts = [int(c) for c in corrupt_counts]
+    corrupt_counts = _distinct("counts", [int(c) for c in corrupt_counts])
     if any(c < 0 or c > base_cfg.num_clients for c in corrupt_counts):
         raise ConfigError(f"corrupt counts must lie in [0, "
                           f"{base_cfg.num_clients}]")
@@ -875,8 +829,7 @@ def build_followup_dataset(base_cfg: ScenarioConfig, num_runs: int,
     Each run re-derives data/partition/training seeds so clients see
     varied distributions; every client contributes one row per run.
     """
-    if num_runs < 1:
-        raise ConfigError("num_runs must be >= 1")
+    POSITIVE.check("num_runs", num_runs)
     needed = ("our_method", "local_minmax")
     feature_rows = []
     for run in range(num_runs):

@@ -18,6 +18,7 @@ from .errors import ConfigError, InsufficientTail, NoAnomalyStatistics
 from .error_stats import (OverlapRegion, aggregate, generate_candidates,
                           overlap_region)
 from .metrics import aggregate_f1, f1_curve
+from .util import PERCENT, UNIT
 
 # the tags of harness.METHODS, which runs each method, in report order
 METHOD_TAGS = (
@@ -113,10 +114,9 @@ def local_simple(method: str, errors, params=None) -> float:
         q1, q3 = np.quantile(errors, [0.25, 0.75])
         return float(q3 + 1.5 * (q3 - q1))
     if method == "percentile":
-        p = float(params.get("p", 99.0))
-        if not 0.0 < p < 100.0:
-            raise ConfigError(f"percentile p must be in (0, 100), got {p}")
-        return float(np.quantile(errors, p / 100.0))
+        p = params.get("p", 99.0)
+        PERCENT.check("p", p)
+        return float(np.quantile(errors, float(p) / 100.0))
     if method == "largest_mse":
         return float(errors.max())
     if method == "local_mse_std":
@@ -138,8 +138,7 @@ def kqe(errors, q: float = 0.99, bandwidth: float | None = None) -> float:
     errors = np.asarray(errors, dtype=np.float64).ravel()
     if errors.size == 0:
         raise ConfigError("no errors")
-    if not 0.0 < q < 1.0:
-        raise ConfigError(f"quantile level must be in (0, 1), got {q}")
+    UNIT.check("q", q)
     if np.all(errors == errors[0]):
         warnings.warn("constant errors; kqe returns the constant")
         return float(errors[0])
@@ -162,6 +161,9 @@ def kqe(errors, q: float = 0.99, bandwidth: float | None = None) -> float:
 
     lo = float(errors.min()) - 10.0 * h
     hi = float(errors.max()) + 10.0 * h
+    # a q the bracket's CDF does not reach puts the root past an end, and
+    # the clip below returns that end of the errors
+    q = min(max(q, smoothed_cdf(lo)), smoothed_cdf(hi))
     root = float(brentq(lambda x: smoothed_cdf(x) - q, lo, hi, xtol=1e-12))
     return float(np.clip(root, errors.min(), errors.max()))
 
@@ -177,8 +179,7 @@ def pot(errors, u_quantile: float = 0.98, risk: float = 1e-3) -> float:
     errors = np.asarray(errors, dtype=np.float64).ravel()
     if errors.size == 0:
         raise ConfigError("no errors")
-    if not 0.0 < u_quantile < 1.0:
-        raise ConfigError(f"u_quantile must be in (0, 1), got {u_quantile}")
+    UNIT.check("u_quantile", u_quantile)
     n = errors.size
     u = float(np.quantile(errors, u_quantile))
     exceed = errors[errors > u] - u

@@ -1,7 +1,62 @@
-"""Small shared helpers: seeding and integer apportionment."""
+"""Small shared helpers: setting ranges, seeding and integer apportionment."""
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import ConfigError
+
+
+@dataclass(frozen=True)
+class Range:
+    """The numbers a setting accepts: low to high, high excluded, low
+    included only if low_closed; None only if nullable. A bool is no
+    number here, nor is an int too large for a float."""
+
+    low: float
+    high: float = float("inf")
+    low_closed: bool = False
+    nullable: bool = False
+
+    def __contains__(self, value) -> bool:
+        if value is None or isinstance(value, bool) or not isinstance(
+                value, (int, float, np.integer, np.floating)):
+            return value is None and self.nullable
+        try:
+            value = float(value)
+        except OverflowError:
+            return False
+        above = value >= self.low if self.low_closed else value > self.low
+        return above and value < self.high
+
+    def __str__(self) -> str:
+        text = f"{'[' if self.low_closed else '('}{self.low:g}, {self.high:g})"
+        return text + " or null" if self.nullable else text
+
+    def check(self, name: str, value) -> None:
+        """Raise ConfigError naming `name` unless value lies in the range."""
+        if value not in self:
+            raise ConfigError(f"{name} must be in {self}, got {value!r}")
+
+
+POSITIVE = Range(0.0)  # a positive number; for a count, an integer >= 1
+SEVERAL = Range(1.0)  # for a count, an integer >= 2
+NON_NEGATIVE = Range(0.0, low_closed=True)
+UNIT = Range(0.0, 1.0)
+PERCENT = Range(0.0, 100.0)
+FINITE = Range(-float("inf"))
+
+
+def check(name: str, value, domain) -> None:
+    """Raise ConfigError naming `name` unless value lies in domain: a
+    Range, or a tuple of choices (for a list or tuple, each entry's)."""
+    many = isinstance(value, (list, tuple))
+    unknown = [v for v in (value if many else (value,)) if v not in domain]
+    if not unknown:
+        return
+    if isinstance(domain, Range):  # no list is a number: this raises
+        domain.check(f"{name} entries" if many else name, value)
+    raise ConfigError(f"unknown {name} {unknown if many else value!r}; "
+                      f"valid: {domain}")
 
 
 def derive_seed(*path: int) -> int:

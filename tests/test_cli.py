@@ -106,6 +106,16 @@ class TestThresholdCommand:
         assert result.exit_code == 2
         assert "invalid JSON" in result.output
 
+    @pytest.mark.parametrize("text", [
+        b'{"rounds": 1' + b"0" * 5000 + b"}",  # beyond int()'s digit limit
+        b'{"scenario_id": "\xff"}'], ids=["long-int", "not-utf-8"])
+    def test_unreadable_json_exits_2(self, runner, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        result = runner.invoke(main, ["threshold", "--config", str(bad)])
+        assert result.exit_code == 2
+        assert "invalid JSON" in result.output
+
     def test_unknown_config_method_exits_2(self, runner, tmp_path):
         # a mistyped field is a config error too, not a TypeError (exit 3)
         synth = {"kind": "synth", "num_normal": 600, "num_anomaly": 60,
@@ -136,27 +146,32 @@ class TestThresholdCommand:
             assert shown in result.output
 
     @pytest.mark.parametrize("field_name, value, message", [
-        ("rounds", 0, "rounds must be >= 1, got 0"),
-        ("local_epochs", 0, "local_epochs must be >= 1, got 0"),
-        ("learning_rate", -0.5, "learning_rate must be >= 0, got -0.5"),
-        ("batch_size", 0, "batch_size must be >= 1, got 0"),
-        ("optimizer", "adamw", "unknown optimizer 'adamw'"),
-        ("noise_sigma_scale", -1.0, "noise_sigma_scale must be >= 0"),
-        ("scale_method", "bogus", "unknown scaling method 'bogus'"),
-        ("train_frac", 0.9, "bad fractions train=0.9, val=0.2; need positive "
-                            "values with a test remainder"),
-        ("val_frac", 0.5, "bad fractions train=0.6, val=0.5; need positive "
-                          "values with a test remainder"),
+        ("rounds", 0, "rounds must be in (0, inf), got 0"),
+        ("local_epochs", 0, "local_epochs must be in (0, inf), got 0"),
+        ("learning_rate", -0.5, "learning_rate must be in [0, inf), got -0.5"),
+        ("batch_size", 0, "batch_size must be in (0, inf), got 0"),
+        ("optimizer", "adamw",
+         "unknown optimizer 'adamw'; valid: ('sgd', 'adam')"),
+        ("noise_sigma_scale", -1.0,
+         "noise_sigma_scale must be in [0, inf), got -1.0"),
+        ("scale_method", "bogus",
+         "unknown scale_method 'bogus'; valid: ('minmax', 'zscore')"),
+        ("train_frac", 0.9,
+         "train_frac + val_frac must be in (0, 1), got 0.9 + 0.2"),
+        ("val_frac", 0.5,
+         "train_frac + val_frac must be in (0, 1), got 0.6 + 0.5"),
         # the default scheme is "even", which never reads concentration
-        ("concentration", -1.0, "concentration must be positive, got -1.0"),
+        ("concentration", -1.0, "concentration must be in (0, inf), got -1.0"),
         # JSON's NaN and Infinity
         ("noise_sigma_scale", float("nan"),
-         "noise_sigma_scale must be finite, got nan"),
+         "noise_sigma_scale must be in [0, inf), got nan"),
         ("noise_sigma_scale", float("inf"),
-         "noise_sigma_scale must be finite, got inf"),
-        ("learning_rate", float("inf"), "learning_rate must be finite, got inf"),
-        ("concentration", float("inf"), "concentration must be finite, got inf"),
-    ] + [(name, -1, f"{name} must be >= 0, got -1")
+         "noise_sigma_scale must be in [0, inf), got inf"),
+        ("learning_rate", float("inf"),
+         "learning_rate must be in [0, inf), got inf"),
+        ("concentration", float("inf"),
+         "concentration must be in (0, inf), got inf"),
+    ] + [(name, -1, f"{name} must be in [0, inf), got -1")
          for name in ("data_seed", "model_seed", "partition_seed",
                       "train_seed", "corruption_seed")])
     def test_training_and_corruption_settings_fail_at_load(
@@ -202,6 +217,39 @@ class TestThresholdCommand:
         result = runner.invoke(main, ["threshold", "--config", str(path)])
         assert result.exit_code == 2
         assert result.output == f"error: stage 'load' failed: {message}\n"
+
+    @pytest.mark.parametrize("key, value, message", [pytest.param(
+        key, value, message, id=key) for key, value, message in (
+            ("concentration", 10**30,
+             f"concentration must be float, got {10**30}"),
+            ("noise_sigma_scale", 10**30,
+             f"noise_sigma_scale must be float, got {10**30}"),
+            ("learning_rate", 10**400,
+             f"learning_rate must be float, got {10**400}"),
+            ("train_frac", 10**400,
+             f"train_frac must be float, got {10**400}"),
+            ("dataset.separation", 10**400,
+             f"stage 'load' failed: dataset.separation must be float, "
+             f"got {10**400}"),
+            ("method_params.percentile.p", 10**400,
+             f"method_params['percentile']['p'] must be in (0, 100), "
+             f"got {10**400}"))])
+    def test_huge_json_numbers_exit_2(self, runner, tmp_path, key, value,
+                                      message):
+        # a float field's int must fit a float exactly, and a Range holds
+        # only what float() does, so none of these reaches numpy
+        raw = make_config(methods=("percentile",)).to_dict()
+        if key.startswith("dataset."):
+            raw["dataset"]["separation"] = value
+        elif key.startswith("method_params."):
+            raw["method_params"] = {"percentile": {"p": value}}
+        else:
+            raw[key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        result = runner.invoke(main, ["threshold", "--config", str(path)])
+        assert result.exit_code == 2
+        assert result.output == f"error: {message}\n"
 
     @pytest.mark.parametrize("dataset", [
         {"kind": "synth", "num_normal": 600, "num_anomaly": 60, "dim": 6,

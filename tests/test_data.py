@@ -501,6 +501,24 @@ def test_kmeans_recovers_separated_blobs(rng):
     assert assign[0] != assign[-1]
 
 
+def test_kmeans_sum_of_squares_check_allows_rounding_far_out():
+    """Near 7e15 a coordinate rounds to a whole number, which alone moved
+    this sum of squares from 18.4 to 22.4; the check's tolerance covers
+    rounding at the points' scale."""
+    rng = np.random.default_rng(13)
+    far = np.array([-6.93282906e15, -4.95792934e15])
+    points = np.vstack([rng.uniform(size=(9, 2)),
+                        far + rng.integers(-4, 5, size=(17, 2))])
+    assert kmeans(points, 6, seed=13).shape == (26,)
+
+
+def test_kmeans_rejects_features_whose_squares_overflow():
+    points = np.array([[0.0], [2.0], [1e200]])
+    with pytest.raises(ConfigError,
+                       match=r"^k-means overflows at features of 1e\+200$"):
+        kmeans(points, 2, seed=0)
+
+
 def test_kmeans_raises_when_the_sum_of_squares_rises(monkeypatch):
     """A centroid update that moves the centroids off their means on its
     second call raises the sum-of-squares check."""

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import make_config
-from fedthresh import harness
+from fedthresh import federation, harness
 from fedthresh.autoencoder import MODEL_FORMAT_HEADER, load_model
 from fedthresh.cli import main
 from fedthresh.errors import AuditError, ConfigError, StageError
@@ -112,7 +112,8 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="noniid_k.*'random'"):
             make_config(scheme="random", noniid_k=3)
         make_config(scheme="noniid_kmeans", noniid_k=3)
-        with pytest.raises(ConfigError, match="^noniid_k must be >= 1, got 0"):
+        with pytest.raises(ConfigError,
+                           match=r"^noniid_k must be in \(0, inf\), got 0"):
             make_config(scheme="noniid_kmeans", noniid_k=0)
         # JSON has no tuples and writes 1.0 as 1: lists and ints pass
         make_config(methods=["iqr"], hidden_dims=[4, 2], learning_rate=1)
@@ -137,6 +138,30 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=rf"^method_params\['{tag}'\]"
                            rf"\['{key}'\] must be in {allowed}, got "):
             make_config(method_params={tag: {key: value}})
+
+    @pytest.mark.parametrize("tag, key", [("percentile", "p"),
+                                          ("fed_filtered", "z_cut")])
+    def test_method_params_reject_bools(self, tag, key):
+        # float(True) is 1.0, inside both ranges
+        with pytest.raises(ConfigError, match=rf"^method_params\['{tag}'\]"
+                           rf"\['{key}'\] must be in .*, got True$"):
+            make_config(method_params={tag: {key: True}})
+
+    @pytest.mark.parametrize("scenario_id", ["a,b\nc", 'say "x"', "a\rb",
+                                             "a,b", "line\n"])
+    def test_scenario_id_that_breaks_csv_rows_rejected(self, scenario_id):
+        with pytest.raises(ConfigError, match="^scenario_id must not hold"):
+            make_config(scenario_id=scenario_id)
+
+    def test_scenario_id_keeps_its_bytes(self, tmp_path):
+        scenario_id = "exp 7; α=0.5 'b' [x]"
+        cfg = make_config(scenario_id=scenario_id, methods=("largest_mse",))
+        emit_report(run_scenario(cfg), tmp_path, cfg=cfg)
+        lines = (tmp_path / "results.csv").read_text(
+            encoding="utf-8").splitlines()
+        assert all(line.startswith(scenario_id + ",largest_mse,")
+                   for line in lines[1:])
+        assert all(len(line.split(",")) == 7 for line in lines)
 
     def test_from_dict_rejects_unknown_keys(self):
         raw = make_config().to_dict()
@@ -194,6 +219,31 @@ class TestScenarioConfig:
 
 
 class TestRunScenario:
+    def test_errors_beyond_the_summaries_range_fail_as_config(self):
+        # validation errors near 1e118, whose summary moments overflow
+        cfg = make_config(dataset={"kind": "synth", "num_normal": 600,
+                                   "num_anomaly": 60, "dim": 6,
+                                   "separation": 1e60})
+        with pytest.raises(StageError, match="^stage 'threshold' failed: "
+                           "validation errors reach") as caught:
+            run_scenario(cfg)
+        assert isinstance(caught.value.cause, ConfigError)
+
+    def test_round_log_collected_only_for_a_reader(self, monkeypatch,
+                                                   tmp_path):
+        # each round-log row is one pass over a client's training data
+        calls = []
+        evaluate = federation.mse_per_sample
+        monkeypatch.setattr(federation, "mse_per_sample",
+                            lambda *args: calls.append(1) or evaluate(*args))
+        cfg = make_config(num_clients=4, rounds=3, methods=("largest_mse",))
+        counts = []
+        for kwargs in ({}, {"out_dir": tmp_path}, {"artifacts": {}}):
+            calls.clear()
+            run_scenario(cfg, **kwargs)
+            counts.append(len(calls))
+        assert counts == [0, 12, 12]
+
     def test_row_accounting_single_method(self):
         cfg = make_config(methods=("largest_mse",))
         rows = run_scenario(cfg)
@@ -463,10 +513,23 @@ class TestEmitReport:
         assert f"{ours.f1:.4f}" in table
 
 
+def unreadable_config():
+    """A config whose dataset file does not exist: a sweep that reads
+    data fails in stage 'load' instead of with a ConfigError."""
+    return make_config(dataset={"kind": "csv", "path": "no/such/file.csv",
+                                "label_column": "label",
+                                "positive_label": "1"})
+
+
 class TestSweepClients:
     def test_counts_below_two_rejected(self, small_config):
         with pytest.raises(ConfigError, match=">= 2"):
             sweep_clients(small_config, [1, 4])
+
+    def test_repeated_counts_rejected_before_any_data_is_read(self):
+        with pytest.raises(ConfigError,
+                           match=r"^counts lists \[3\] more than once$"):
+            sweep_clients(unreadable_config(), [2, 3, 3])
 
     def test_sweep_accounting(self, small_config, tmp_path):
         results = sweep_clients(small_config, [2, 3], out_dir=tmp_path)
@@ -482,6 +545,11 @@ class TestSweepClients:
 
 
 class TestSweepCorruption:
+    def test_repeated_counts_rejected_before_any_data_is_read(self):
+        with pytest.raises(ConfigError,
+                           match=r"^counts lists \[2\] more than once$"):
+            sweep_corruption(unreadable_config(), [2, 2])
+
     def test_counts_out_of_range_rejected(self, small_config):
         with pytest.raises(ConfigError, match="corrupt counts"):
             sweep_corruption(small_config, [0, 5])

@@ -169,6 +169,13 @@ def test_kqe_constant_vector_warns():
         assert kqe(np.full(10, 2.5)) == 2.5
 
 
+def test_kqe_level_below_the_bracket_returns_the_minimum():
+    # the smoothed CDF is about 7.6e-24 at the bracket's lower end, so no
+    # root of F(x) = 1e-300 lies inside it
+    x = np.random.default_rng(8).normal(size=200)
+    assert kqe(x, q=1e-300) == x.min()
+
+
 def test_kqe_zero_bandwidth_matches_median():
     x = np.arange(1.0, 101.0)
     got = kqe(x, q=0.5, bandwidth=0.0)
