@@ -248,6 +248,9 @@ def split(dataset: Dataset, train_frac: float, val_frac: float, seed: int):
                           "val and test")
     n_counts = largest_remainder(
         np.array([train_frac, val_frac, test_frac]), normal_idx.size)
+    if n_counts[0] == 0:
+        raise ConfigError(f"train_frac={train_frac} of {normal_idx.size} "
+                          "normals leaves no training row")
     a_counts = largest_remainder(
         np.array([val_frac, test_frac]), anomaly_idx.size)
     for j in range(2):  # both eval splits need at least one anomaly
@@ -278,9 +281,10 @@ class PartitionPlan:
 
 def _check_conservation(assignments, split_datasets):
     for name, ds in zip(SPLIT_NAMES, split_datasets):
-        joined = np.concatenate(assignments[name])
-        if joined.size != ds.num_samples or \
-                np.unique(joined).size != joined.size:
+        joined, n = np.concatenate(assignments[name]), ds.num_samples
+        if joined.size != n or n and not (
+                0 <= joined.min() and joined.max() < n and
+                np.all(np.bincount(joined, minlength=n) == 1)):
             raise ConfigError(f"partition does not cover split {name!r} exactly")
 
 
@@ -523,6 +527,9 @@ def partition_random(split_datasets, num_clients: int, seed: int,
     POSITIVE.check("concentration", concentration)
     rng = np.random.default_rng(seed)
     proportions = rng.dirichlet(np.full(num_clients, concentration))
+    if not (np.all(np.isfinite(proportions)) and proportions.sum() > 0):
+        raise ConfigError(f"concentration={concentration!r} gives Dirichlet "
+                          "proportions that are non-finite or sum to 0")
 
     def apportion(total, need_one_each):
         if not need_one_each:

@@ -176,7 +176,7 @@ DATASET_KINDS = {
     "synth": (lambda spec, seed: synth(**spec, seed=seed),
               {"num_normal": int, "num_anomaly": int, "dim": int,
                "separation": float},
-              {"num_normal": POSITIVE, "num_anomaly": POSITIVE,
+              {"num_normal": POSITIVE, "num_anomaly": SEVERAL,
                "dim": POSITIVE, "separation": FINITE}),
     "blobs": (lambda spec, seed: synth_blobs(**spec, seed=seed),
               {"num_normal": int, "anomaly_blob_sizes": tuple[int, ...],
@@ -406,11 +406,16 @@ def build_client_states(plan, train_ds, val_ds, test_ds):
     return clients
 
 
-def _apply_corruption(cfg: ScenarioConfig, clients):
-    if not cfg.corrupt_client_ids:
+def _scale(splits, method):
+    scaler = fit_scaler(splits[0].features, method)
+    return tuple(apply_scaler(ds, scaler) for ds in splits)
+
+
+def _apply_corruption(cfg: ScenarioConfig, levels, clients):
+    ids = frozenset(i for level in levels for i in level.corrupt_client_ids)
+    if not ids:
         return clients
-    spec = CorruptionSpec(frozenset(cfg.corrupt_client_ids),
-                          cfg.noise_sigma_scale)
+    spec = CorruptionSpec(ids, cfg.noise_sigma_scale)
     return [corrupt(c, spec, cfg.corruption_seed) for c in clients]
 
 
@@ -586,35 +591,67 @@ def _evaluate(cfg, method_results, work):
     return rows
 
 
-def _prepare_clients(cfg: ScenarioConfig):
+def _pipeline(cfg: ScenarioConfig, levels, round_log=None):
+    """Load through train once for `cfg`, threshold and evaluate per level,
+    then audit; returns (model, plan, channel, [(clients, results, rows)]).
+
+    A level is `cfg` with its own corrupt_client_ids and scenario_id.
+    Corruption touches validation data only, so the model trains once, on
+    the clean clients, and serves every level. Each client has two states,
+    clean and corrupted: corruption runs once, at the union of the levels'
+    ids, and a level reads the corrupted state of its own ids and the
+    clean state of the rest. That equals corrupting its ids alone, as a
+    client's noise depends only on its id and the corruption seed; test
+    data is never corrupted, so every level scores on the clean test
+    errors. Each state's validation errors, their sorted view and its
+    client steps are computed once per call, and a client that corruption
+    leaves unchanged (noise scale 0) has one state. Every level still
+    sends every upload, shows each reused step's warnings again, and
+    computes its own server steps, F1 rows and test confusions; a reused
+    step adds only its lookup to wall_time_ms.
+    """
     dataset = _stage("load", _build_dataset, cfg)
     splits = _stage("split", split, dataset, cfg.train_frac, cfg.val_frac,
                     derive_seed(cfg.data_seed, 1))
-    def _scale(splits):
-        scaler = fit_scaler(splits[0].features, cfg.scale_method)
-        return tuple(apply_scaler(ds, scaler) for ds in splits)
-    splits = _stage("scale", _scale, splits)
+    splits = _stage("scale", _scale, splits, cfg.scale_method)
     plan = _stage("partition", PARTITIONS[cfg.scheme], splits, cfg)
     clients = _stage("partition", build_client_states, plan, *splits)
-    return plan, clients
+    del dataset, splits  # each client holds a copy of its rows
+    corrupted = _stage("corrupt", _apply_corruption, cfg, levels, clients)
+    channel = Channel()
+    model = _stage("train", _train, cfg, clients, channel, round_log)
+    clean = [_ClientWork(model, c) for c in clients]
+    noisy = [w if c is w.client else _ClientWork(model, c)
+             for w, c in zip(clean, corrupted)]
+    runs = []
+    for level in levels:
+        work = [noisy[i] if i in level.corrupt_client_ids else w
+                for i, w in enumerate(clean)]
+        method_results = _stage("threshold", _compute_methods, level, work,
+                                channel)
+        rows = _stage("evaluate", _evaluate, level, method_results, clean)
+        runs.append(([w.client for w in work], method_results, rows))
+    audit_channel(channel, cfg.num_clients, cfg.rounds)
+    return model, plan, channel, runs
+
+
+def _write_training(out_dir, round_log, plan) -> Path:
+    """fedavg_rounds.csv and partition_plan.csv; returns the directory."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _stage("report", write_round_log, round_log, out / "fedavg_rounds.csv")
+    _stage("report", write_plan, plan, out / "partition_plan.csv")
+    return out
 
 
 def train_model(cfg: ScenarioConfig, out_dir=None):
-    """Data prep + FedAvg only; optionally saves the model and round log.
-
-    Corruption touches validation data only, so it is not applied here.
-    """
-    plan, clients = _prepare_clients(cfg)
+    """Data prep + FedAvg, with no threshold level, so nothing is corrupted;
+    optionally saves the model, round log and partition plan."""
     round_log = []
-    channel = Channel()
-    model = _stage("train", _train, cfg, clients, channel, round_log)
-    audit_channel(channel, cfg.num_clients, cfg.rounds)
+    model, plan, _, _ = _pipeline(cfg, [], round_log)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _write_training(out_dir, round_log, plan)
         _stage("report", save_model, model, out / "model.txt")
-        _stage("report", write_round_log, round_log, out / "fedavg_rounds.csv")
-        _stage("report", write_plan, plan, out / "partition_plan.csv")
     return model, round_log
 
 
@@ -628,24 +665,16 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, artifacts=None):
     each method's client uploads under "uploads"). The round log, a pass
     over each client's training data per round, needs one of the two.
     """
-    plan, clients = _prepare_clients(cfg)
-    clients = _stage("corrupt", _apply_corruption, cfg, clients)
-    channel = Channel()
     round_log = None if out_dir is None and artifacts is None else []
-    model = _stage("train", _train, cfg, clients, channel, round_log)
-    work = [_ClientWork(model, c) for c in clients]
-    method_results = _stage("threshold", _compute_methods, cfg, work, channel)
-    rows = _stage("evaluate", _evaluate, cfg, method_results, work)
-    audit_channel(channel, cfg.num_clients, cfg.rounds)
+    model, plan, channel, [(clients, method_results, rows)] = _pipeline(
+        cfg, [cfg], round_log)
     if artifacts is not None:
         artifacts.update(model=model, channel=channel, plan=plan,
                          clients=clients, round_log=round_log,
                          uploads={mr.tag: mr.uploads for mr in method_results})
     if out_dir is not None:
         _stage("report", emit_report, rows, out_dir, cfg=cfg)
-        _stage("report", write_round_log, round_log,
-               Path(out_dir) / "fedavg_rounds.csv")
-        _stage("report", write_plan, plan, Path(out_dir) / "partition_plan.csv")
+        _write_training(out_dir, round_log, plan)
     return rows
 
 
@@ -740,8 +769,7 @@ def emit_report(rows, out_dir, cfg: ScenarioConfig | None = None):
 def sweep_clients(base_cfg: ScenarioConfig, client_counts, out_dir=None):
     """Rerun the scenario per client count with re-derived partitions."""
     client_counts = _distinct("counts", [int(c) for c in client_counts])
-    if any(c < 2 for c in client_counts):
-        raise ConfigError("client counts must each be >= 2")
+    check("counts", client_counts, SEVERAL)
     results = {}
     for count in client_counts:
         cfg = replace(base_cfg, num_clients=count,
@@ -770,25 +798,10 @@ def _write_sweep(out_dir, name, level_column, results) -> None:
 
 
 def sweep_corruption(base_cfg: ScenarioConfig, corrupt_counts, out_dir=None):
-    """Corrupt nested client sets (0..c-1) and redo threshold selection.
-
-    The model is trained once on the base clients and reused across
-    corruption levels: corruption touches validation data only, so every
-    level would train the same model. The sweep sets corrupt_client_ids
-    itself, so the base config must leave it empty.
-
-    Each client has two states, clean and corrupted: corruption runs once,
-    at the largest count, and the level for count c reads the corrupted
-    state of clients 0..c-1 and the clean state of the rest. That equals
-    corrupting 0..c-1 alone, as a client's noise depends only on its id
-    and the corruption seed; test data is never corrupted, so every level
-    scores on the clean test errors. Each state's validation errors, their
-    sorted view and its client steps are computed once per call, and a
-    client that corruption leaves unchanged (noise scale 0) has one state.
-    Every level still sends every upload, shows each reused step's
-    warnings again, and computes its own server steps, F1 rows and test
-    confusions; a reused step adds only its lookup to wall_time_ms.
-    """
+    """Corrupt nested client sets (0..c-1) and redo threshold selection,
+    each count one level of `_pipeline` over one trained model. The sweep
+    sets corrupt_client_ids itself, so the base config must leave it
+    empty."""
     if base_cfg.corrupt_client_ids:
         raise ConfigError(f"corrupt_client_ids must be [] in a corruption "
                           f"sweep, which sets it per level; got "
@@ -797,24 +810,11 @@ def sweep_corruption(base_cfg: ScenarioConfig, corrupt_counts, out_dir=None):
     if any(c < 0 or c > base_cfg.num_clients for c in corrupt_counts):
         raise ConfigError(f"corrupt counts must lie in [0, "
                           f"{base_cfg.num_clients}]")
-    _, clients = _prepare_clients(base_cfg)
-    channel = Channel()
-    model = _stage("train", _train, base_cfg, clients, channel)
-    widest = replace(base_cfg, corrupt_client_ids=tuple(
-        range(max(corrupt_counts, default=0))))
-    corrupted = _stage("corrupt", _apply_corruption, widest, clients)
-    clean = [_ClientWork(model, c) for c in clients]
-    noisy = [w if c is w.client else _ClientWork(model, c)
-             for w, c in zip(clean, corrupted)]
-    results = {}
-    for count in corrupt_counts:
-        cfg = replace(base_cfg, corrupt_client_ids=tuple(range(count)),
+    levels = [replace(base_cfg, corrupt_client_ids=tuple(range(count)),
                       scenario_id=f"{base_cfg.effective_id}-corrupt{count}")
-        method_results = _stage("threshold", _compute_methods, cfg,
-                                noisy[:count] + clean[count:], channel)
-        results[count] = _stage("evaluate", _evaluate, cfg, method_results,
-                                clean)
-    audit_channel(channel, base_cfg.num_clients, base_cfg.rounds)
+              for count in corrupt_counts]
+    runs = _pipeline(base_cfg, levels)[3]
+    results = {count: rows for count, (_, _, rows) in zip(corrupt_counts, runs)}
     if out_dir is not None:
         _write_sweep(out_dir, "corruption_sweep.csv", "corrupt_count",
                      results)
@@ -839,12 +839,11 @@ def build_followup_dataset(base_cfg: ScenarioConfig, num_runs: int,
             partition_seed=derive_seed(base_cfg.partition_seed, run),
             train_seed=derive_seed(base_cfg.train_seed, run),
             scenario_id=f"{base_cfg.effective_id}-run{run}")
-        artifacts = {}
-        rows = run_scenario(cfg, artifacts=artifacts)
+        [(_, method_results, rows)] = _pipeline(cfg, [cfg])[3]
         fed_f1 = {r.client_id: r.f1 for r in rows if r.method == "our_method"}
         local_f1 = {r.client_id: r.f1 for r in rows
                     if r.method == "local_minmax"}
-        summaries = artifacts["uploads"]["our_method"]
+        summaries = method_results[needed.index("our_method")].uploads
         global_normal = aggregate([cs.normal for cs in summaries],
                                   cfg.formula_mode)
         global_anomaly = aggregate([cs.anomaly for cs in summaries

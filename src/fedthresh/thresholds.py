@@ -104,24 +104,34 @@ def local_minmax(errors, labels, n: int) -> float:
         errors, labels, candidates)[None, :])
 
 
+def _iqr_fence(errors, params):
+    q1, q3 = np.quantile(errors, [0.25, 0.75])
+    return q3 + 1.5 * (q3 - q1)
+
+
+def _percentile(errors, params):
+    p = params.get("p", 99.0)
+    PERCENT.check("p", p)
+    return np.quantile(errors, float(p) / 100.0)
+
+
+# tag -> rule(errors, params) of local_simple
+LOCAL_RULES = {
+    "iqr": _iqr_fence,
+    "percentile": _percentile,
+    "largest_mse": lambda errors, _: errors.max(),
+    "local_mse_std": lambda errors, _: errors.mean() + errors.std(),
+}
+
+
 def local_simple(method: str, errors, params=None) -> float:
-    """Label-free one-liners: iqr, percentile, largest_mse, local_mse_std."""
+    """One label-free rule of LOCAL_RULES over the errors."""
     errors = np.asarray(errors, dtype=np.float64).ravel()
     if errors.size == 0:
         raise ConfigError("no errors")
-    params = params or {}
-    if method == "iqr":
-        q1, q3 = np.quantile(errors, [0.25, 0.75])
-        return float(q3 + 1.5 * (q3 - q1))
-    if method == "percentile":
-        p = params.get("p", 99.0)
-        PERCENT.check("p", p)
-        return float(np.quantile(errors, float(p) / 100.0))
-    if method == "largest_mse":
-        return float(errors.max())
-    if method == "local_mse_std":
-        return float(errors.mean() + errors.std())
-    raise ConfigError(f"unknown local_simple method {method!r}")
+    if method not in LOCAL_RULES:
+        raise ConfigError(f"unknown local_simple method {method!r}")
+    return float(LOCAL_RULES[method](errors, params or {}))
 
 
 def kqe(errors, q: float = 0.99, bandwidth: float | None = None) -> float:

@@ -189,8 +189,8 @@ class TestThresholdCommand:
 
     @pytest.mark.parametrize("key, value, message", [
         ("num_normal", 0, "dataset.num_normal must be in (0, inf), got 0"),
-        ("num_anomaly", 0, "dataset.num_anomaly must be in (0, inf), got 0"),
-        ("num_anomaly", -5, "dataset.num_anomaly must be in (0, inf), got -5"),
+        ("num_anomaly", 0, "dataset.num_anomaly must be in (1, inf), got 0"),
+        ("num_anomaly", -5, "dataset.num_anomaly must be in (1, inf), got -5"),
         ("dim", 0, "dataset.dim must be in (0, inf), got 0"),
         ("separation", float("nan"),
          "dataset.separation must be in (-inf, inf), got nan"),
@@ -200,6 +200,7 @@ class TestThresholdCommand:
         ("separations", [4.0, float("nan")], "dataset.separations entries "
                                              "must be in (-inf, inf), "
                                              "got [4.0, nan]"),
+        ("num_anomaly", 1, "dataset.num_anomaly must be in (1, inf), got 1"),
     ])
     def test_dataset_values_fail_at_load(self, runner, tmp_path, key, value,
                                          message):

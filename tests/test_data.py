@@ -284,6 +284,14 @@ def test_split_rejects_too_few_anomalies():
         split(ds1, 0.6, 0.2, seed=0)
 
 
+def test_split_rejects_a_train_share_of_no_normals():
+    ds = toy_dataset(60, 6)
+    with pytest.raises(ConfigError, match=r"^train_frac=0\.001 of 60 normals "
+                       "leaves no training row$"):
+        split(ds, 0.001, 0.2, seed=0)
+    assert split(ds, 0.02, 0.2, seed=0)[0].num_samples == 1
+
+
 def test_split_rejects_bad_fractions():
     ds = toy_dataset()
     with pytest.raises(ConfigError):
@@ -750,6 +758,30 @@ def test_partition_random_two_by_two():
     plan = partition_random(splits, num_clients=2, seed=1, concentration=0.2)
     train_sizes = [len(plan.client_indices("train", c)) for c in range(2)]
     assert min(train_sizes) >= 1
+
+
+def test_partition_random_rejects_proportions_that_cannot_apportion():
+    # a huge concentration gives all-zero Dirichlet proportions
+    splits = blob_splits()
+    for seed in range(5):
+        for num_clients in (2, 4, 6):
+            with pytest.raises(ConfigError, match=r"^concentration=1e\+308 "
+                               "gives Dirichlet proportions that are "
+                               "non-finite or sum to 0$"):
+                partition_random(splits, num_clients, seed, 1e308)
+
+
+def test_partition_check_rejects_an_index_outside_the_split():
+    splits = split(toy_dataset(), 0.6, 0.2, seed=0)
+    whole = {name: [np.arange(ds.num_samples)]
+             for name, ds in zip(data_module.SPLIT_NAMES, splits)}
+    data_module._check_conservation(whole, splits)
+    n = splits[0].num_samples
+    for bad in (np.r_[np.arange(n - 1), 999], np.r_[np.arange(n - 1), -1],
+                np.r_[np.arange(n - 1), 0]):
+        with pytest.raises(ConfigError, match="does not cover split 'train' "
+                           "exactly"):
+            data_module._check_conservation({**whole, "train": [bad]}, splits)
 
 
 def test_largest_remainder_rejects_non_finite_weights():

@@ -523,7 +523,8 @@ def unreadable_config():
 
 class TestSweepClients:
     def test_counts_below_two_rejected(self, small_config):
-        with pytest.raises(ConfigError, match=">= 2"):
+        with pytest.raises(ConfigError,
+                           match=r"^counts entries must be in \(1, inf\)"):
             sweep_clients(small_config, [1, 4])
 
     def test_repeated_counts_rejected_before_any_data_is_read(self):
@@ -763,6 +764,16 @@ class TestFollowupDataset:
         with pytest.raises(ConfigError, match="num_runs"):
             build_followup_dataset(small_config, 0)
 
+    def test_computes_no_round_log(self, monkeypatch):
+        # nothing reads a round log here, and each of its rows is one pass
+        # over a client's training data
+        calls = []
+        evaluate = federation.mse_per_sample
+        monkeypatch.setattr(federation, "mse_per_sample",
+                            lambda *args: calls.append(1) or evaluate(*args))
+        build_followup_dataset(make_config(num_clients=2, rounds=3), 2)
+        assert calls == []
+
     def test_shapes_and_files(self, small_config, tmp_path):
         rows, corr, constant = build_followup_dataset(small_config, 2,
                                                       out_dir=tmp_path)
@@ -806,6 +817,25 @@ class TestTrainModel:
         monkeypatch.setattr(harness, "corrupt", spy)
         train_model(make_config(corrupt_client_ids=[0, 1]))
         assert calls == []
+
+
+class TestPipelineStages:
+    def test_every_entry_point_runs_one_stage_order(self, monkeypatch):
+        names = []
+        stage = harness._stage
+        monkeypatch.setattr(harness, "_stage", lambda name, *args, **kwargs:
+                            names.append(name) or stage(name, *args, **kwargs))
+        cfg = make_config(methods=("largest_mse",))
+        head = ["load", "split", "scale", "partition", "partition", "corrupt",
+                "train"]
+        for run, tail in (
+                (lambda: train_model(cfg), []),
+                (lambda: run_scenario(cfg), ["threshold", "evaluate"]),
+                (lambda: sweep_corruption(cfg, [0, 2]),
+                 ["threshold", "evaluate"] * 2)):
+            names.clear()
+            run()
+            assert names == head + tail
 
 
 class TestPipelineAudit:

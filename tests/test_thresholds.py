@@ -158,9 +158,11 @@ def test_local_simple_examples():
         pytest.approx(2.0)
     assert local_simple("percentile", np.array([1.0, 2.0, 3.0]),
                         {"p": 50}) == pytest.approx(2.0)
-    with pytest.raises(ConfigError):
+    assert local_simple("percentile", np.arange(101.0)) == 99.0  # default p
+    with pytest.raises(ConfigError,
+                       match=r"^unknown local_simple method 'our_method'$"):
         local_simple("our_method", np.array([1.0]))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^p must be in \(0, 100\), got 0$"):
         local_simple("percentile", np.array([1.0]), {"p": 0})
 
 
