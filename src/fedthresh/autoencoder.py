@@ -242,7 +242,7 @@ def train_local(model: ModelParams, data: np.ndarray, cfg: TrainConfig) -> Model
     generator). Raises DivergedTraining with the failing epoch index when
     the loss goes non-finite.
     """
-    return train_clients(model, [data], cfg)[0]
+    return train_clients(model, [data], cfg)[0][0]
 
 
 def _batch_schedule(sizes, batch_size: int) -> list:
@@ -264,8 +264,9 @@ def _batch_schedule(sizes, batch_size: int) -> list:
     return schedule
 
 
-def train_clients(model: ModelParams, datas, cfg: TrainConfig) -> list:
-    """train_local for every client at once, one model per entry of datas.
+def train_clients(model: ModelParams, datas, cfg: TrainConfig) -> tuple:
+    """train_local for every client at once: (models, last_epoch_mse) in
+    datas' order, with each client's mean step loss over its last epoch.
 
     All clients start from `model` and share cfg. Their parameters (and
     Adam moments) sit on a leading client axis, so a step is one batched
@@ -318,6 +319,7 @@ def train_clients(model: ModelParams, datas, cfg: TrainConfig) -> list:
                        * max(dims[1:]))
     diverged = {}  # list index -> first epoch with a non-finite loss
     perm = np.empty((len(order), sizes[0]), dtype=np.intp)  # rows of pool
+    loss_sums = np.zeros(len(order))  # last epoch's loss x rows, in order
     for epoch in range(cfg.local_epochs):
         for j, (rng, n) in enumerate(zip(rngs, sizes)):
             perm[j, :n] = offsets[j] + rng.permutation(n)
@@ -330,6 +332,8 @@ def train_clients(model: ModelParams, datas, cfg: TrainConfig) -> list:
             loss, step = _loss_and_grads(params[lo:hi], dims, batch, space)
             for j in np.flatnonzero(~np.isfinite(loss)):
                 diverged.setdefault(order[lo + j], epoch)
+            if epoch == cfg.local_epochs - 1:
+                loss_sums[lo:hi] += loss * rows
             t[lo:hi] += 1
             if adam:
                 # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g², then
@@ -358,8 +362,9 @@ def train_clients(model: ModelParams, datas, cfg: TrainConfig) -> list:
     if diverged:
         first = min(diverged)
         raise DivergedTraining(diverged[first], client=first)
-    # row j of params belongs to client order[j]
-    return [ModelParams(*_split(params[j], dims)) for j in np.argsort(order)]
+    rows_of = np.argsort(order)  # row j of params is client order[j]
+    return ([ModelParams(*_split(params[j], dims)) for j in rows_of],
+            (loss_sums / sizes)[rows_of].tolist())
 
 
 def save_model(model: ModelParams, path) -> None:

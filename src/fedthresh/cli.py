@@ -76,10 +76,9 @@ def train(config_path, seed, out_dir):
     """FedAvg-train the shared autoencoder and save it."""
     cfg = _load(config_path, seed)
     _, round_log = train_model(cfg, out_dir)
-    final = [r for r in round_log if r["round"] == cfg.rounds - 1]
-    mean_mse = sum(r["local_final_mse"] for r in final) / max(len(final), 1)
+    final = [r["last_epoch_mse"] for r in round_log[-cfg.num_clients:]]
     click.echo(f"trained {cfg.rounds} rounds x {cfg.num_clients} clients; "
-               f"final mean local MSE {mean_mse:.6g}")
+               f"final mean last-epoch MSE {sum(final) / len(final):.6g}")
     if out_dir:
         click.echo(f"wrote model + round log to {out_dir}")
 

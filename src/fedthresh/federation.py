@@ -15,10 +15,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autoencoder import (ModelParams, TrainConfig, _split, default_hidden_dims,
-                          init_model, mse_per_sample, train_clients)
-# not called here any more; perfbench/tracing.py replaces this attribute
-# by name, so it stays importable from this module
-from .autoencoder import train_local  # noqa: F401
+                          init_model, train_clients)
+# not called here any more; perfbench/tracing.py replaces these attributes
+# by name, so they stay importable from this module
+from .autoencoder import mse_per_sample, train_local  # noqa: F401
 from .errors import ConfigError, DivergedTraining, FederationError
 from .util import POSITIVE, derive_seed
 
@@ -134,8 +134,8 @@ def run_fedavg(clients, cfg: FedConfig, channel: Channel | None = None,
     aborts with the round and client index; it names the client that
     training the clients one by one in list order would. Pass a Channel to
     audit synchronization (2 messages per client per round) and a list as
-    round_log to collect per-client round rows; each row's wall_time_ms is
-    the whole round's stacked training time.
+    round_log to collect per-client round rows (see write_round_log),
+    read off training's own losses.
     """
     clients = list(clients)
     if not clients:
@@ -157,34 +157,35 @@ def run_fedavg(clients, cfg: FedConfig, channel: Channel | None = None,
                                c.client_id, t, context="fedavg")
         started = time.perf_counter()
         try:
-            local_models = train_clients(
+            local_models, last_mse = train_clients(
                 model, [c.train_data for c in clients], cfg_t)
         except DivergedTraining as exc:
             raise FederationError(t, clients[exc.client].client_id,
                                   exc) from exc
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        for c, local in zip(clients, local_models):
+        for c, local, mse in zip(clients, local_models, last_mse):
             if channel is not None:
                 channel.record("upload", "model_update", local.flat.size,
                                c.client_id, t, context="fedavg")
             if round_log is not None:
-                final_mse = float(np.mean(mse_per_sample(local, c.train_data)))
                 round_log.append({"round": t, "client_id": c.client_id,
-                                  "local_final_mse": final_mse,
+                                  "last_epoch_mse": mse,
                                   "wall_time_ms": elapsed_ms})
         model = average_params(local_models, weights)
     return model
 
 
 def write_round_log(rows, path) -> None:
-    """Round log CSV: round, client_id, local_final_mse, wall_time_ms.
+    """Round log CSV: round, client_id, last_epoch_mse, wall_time_ms.
 
+    last_epoch_mse is the client's row-weighted mean batch loss over its
+    last local epoch, each batch's loss taken before that step's update.
     Clients train in one stacked pass, so wall_time_ms is that round's
     training time for all clients together, repeated on each client row.
     """
-    lines = ["round,client_id,local_final_mse,wall_time_ms"]
+    lines = ["round,client_id,last_epoch_mse,wall_time_ms"]
     for row in rows:
         lines.append(f"{row['round']},{row['client_id']},"
-                     f"{row['local_final_mse']!r},{row['wall_time_ms']!r}")
+                     f"{row['last_epoch_mse']!r},{row['wall_time_ms']!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -388,6 +388,9 @@ def _build_dataset(cfg: ScenarioConfig):
         raise ConfigError(f"dataset kind {kind!r} takes keys "
                           f"{list(key_types)}, got {list(spec)}")
     _check_fields(spec, key_types, ranges, "dataset.")
+    if kind == "blobs":  # split gives val and test an anomaly each
+        check("dataset.anomaly_blob_sizes total",
+              sum(spec["anomaly_blob_sizes"]), SEVERAL)
     return load(spec, cfg.data_seed)
 
 
@@ -419,7 +422,7 @@ def _apply_corruption(cfg: ScenarioConfig, levels, clients):
     return [corrupt(c, spec, cfg.corruption_seed) for c in clients]
 
 
-def _train(cfg: ScenarioConfig, clients, channel, round_log=None):
+def _train(cfg: ScenarioConfig, clients, channel, round_log):
     train_cfg = TrainConfig(seed=cfg.train_seed, **{
         name: getattr(cfg, name) for name in TRAIN_SETTINGS})
     return run_fedavg(clients, FedConfig(cfg.rounds, train_cfg,
@@ -591,9 +594,9 @@ def _evaluate(cfg, method_results, work):
     return rows
 
 
-def _pipeline(cfg: ScenarioConfig, levels, round_log=None):
+def _pipeline(cfg: ScenarioConfig, levels):
     """Load through train once for `cfg`, threshold and evaluate per level,
-    then audit; returns (model, plan, channel, [(clients, results, rows)]).
+    then audit: (model, plan, channel, round_log, [(clients, results, rows)]).
 
     A level is `cfg` with its own corrupt_client_ids and scenario_id.
     Corruption touches validation data only, so the model trains once, on
@@ -618,7 +621,7 @@ def _pipeline(cfg: ScenarioConfig, levels, round_log=None):
     clients = _stage("partition", build_client_states, plan, *splits)
     del dataset, splits  # each client holds a copy of its rows
     corrupted = _stage("corrupt", _apply_corruption, cfg, levels, clients)
-    channel = Channel()
+    channel, round_log = Channel(), []
     model = _stage("train", _train, cfg, clients, channel, round_log)
     clean = [_ClientWork(model, c) for c in clients]
     noisy = [w if c is w.client else _ClientWork(model, c)
@@ -632,7 +635,7 @@ def _pipeline(cfg: ScenarioConfig, levels, round_log=None):
         rows = _stage("evaluate", _evaluate, level, method_results, clean)
         runs.append(([w.client for w in work], method_results, rows))
     audit_channel(channel, cfg.num_clients, cfg.rounds)
-    return model, plan, channel, runs
+    return model, plan, channel, round_log, runs
 
 
 def _write_training(out_dir, round_log, plan) -> Path:
@@ -647,8 +650,7 @@ def _write_training(out_dir, round_log, plan) -> Path:
 def train_model(cfg: ScenarioConfig, out_dir=None):
     """Data prep + FedAvg, with no threshold level, so nothing is corrupted;
     optionally saves the model, round log and partition plan."""
-    round_log = []
-    model, plan, _, _ = _pipeline(cfg, [], round_log)
+    model, plan, _, round_log, _ = _pipeline(cfg, [])
     if out_dir is not None:
         out = _write_training(out_dir, round_log, plan)
         _stage("report", save_model, model, out / "model.txt")
@@ -662,12 +664,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, artifacts=None):
     that breaks the privacy contract as AuditError; nothing is written
     unless every stage and the audit succeeded. Pass a dict as `artifacts`
     to receive internals (model, channel, plan, clients, round log, and
-    each method's client uploads under "uploads"). The round log, a pass
-    over each client's training data per round, needs one of the two.
+    each method's client uploads under "uploads").
     """
-    round_log = None if out_dir is None and artifacts is None else []
-    model, plan, channel, [(clients, method_results, rows)] = _pipeline(
-        cfg, [cfg], round_log)
+    model, plan, channel, round_log, [(clients, method_results, rows)] = \
+        _pipeline(cfg, [cfg])
     if artifacts is not None:
         artifacts.update(model=model, channel=channel, plan=plan,
                          clients=clients, round_log=round_log,
@@ -766,10 +766,17 @@ def emit_report(rows, out_dir, cfg: ScenarioConfig | None = None):
             out / "methods_summary.csv", out / "summary_table.txt"]
 
 
+def _sweep_counts(counts, name: str, domain) -> list:
+    """A sweep's counts, each given once and checked as a config field's
+    ints are: no bool, float or string passes, and each lies in domain."""
+    counts = _distinct("counts", list(counts))
+    _check_fields({name: counts}, {name: tuple[int, ...]}, {name: domain})
+    return counts
+
+
 def sweep_clients(base_cfg: ScenarioConfig, client_counts, out_dir=None):
     """Rerun the scenario per client count with re-derived partitions."""
-    client_counts = _distinct("counts", [int(c) for c in client_counts])
-    check("counts", client_counts, SEVERAL)
+    client_counts = _sweep_counts(client_counts, "counts", SEVERAL)
     results = {}
     for count in client_counts:
         cfg = replace(base_cfg, num_clients=count,
@@ -806,14 +813,12 @@ def sweep_corruption(base_cfg: ScenarioConfig, corrupt_counts, out_dir=None):
         raise ConfigError(f"corrupt_client_ids must be [] in a corruption "
                           f"sweep, which sets it per level; got "
                           f"{list(base_cfg.corrupt_client_ids)}")
-    corrupt_counts = _distinct("counts", [int(c) for c in corrupt_counts])
-    if any(c < 0 or c > base_cfg.num_clients for c in corrupt_counts):
-        raise ConfigError(f"corrupt counts must lie in [0, "
-                          f"{base_cfg.num_clients}]")
+    corrupt_counts = _sweep_counts(corrupt_counts, "corrupt counts", replace(
+        NON_NEGATIVE, high=base_cfg.num_clients + 1))
     levels = [replace(base_cfg, corrupt_client_ids=tuple(range(count)),
                       scenario_id=f"{base_cfg.effective_id}-corrupt{count}")
               for count in corrupt_counts]
-    runs = _pipeline(base_cfg, levels)[3]
+    runs = _pipeline(base_cfg, levels)[-1]
     results = {count: rows for count, (_, _, rows) in zip(corrupt_counts, runs)}
     if out_dir is not None:
         _write_sweep(out_dir, "corruption_sweep.csv", "corrupt_count",
@@ -839,7 +844,7 @@ def build_followup_dataset(base_cfg: ScenarioConfig, num_runs: int,
             partition_seed=derive_seed(base_cfg.partition_seed, run),
             train_seed=derive_seed(base_cfg.train_seed, run),
             scenario_id=f"{base_cfg.effective_id}-run{run}")
-        [(_, method_results, rows)] = _pipeline(cfg, [cfg])[3]
+        [(_, method_results, rows)] = _pipeline(cfg, [cfg])[-1]
         fed_f1 = {r.client_id: r.f1 for r in rows if r.method == "our_method"}
         local_f1 = {r.client_id: r.f1 for r in rows
                     if r.method == "local_minmax"}

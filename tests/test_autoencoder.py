@@ -316,7 +316,8 @@ def reference_loss_and_grads(params, x):
 
 
 def reference_train_local(model, data, cfg):
-    """The per-client training loop that train_clients replaced."""
+    """The per-client training loop that train_clients replaced; returns
+    the model and the row-weighted mean batch loss of the last epoch."""
     rng = np.random.default_rng(cfg.seed)
     params = [np.array(p) for p in model.weights + model.biases]
     adam = cfg.optimizer == "adam"
@@ -327,11 +328,13 @@ def reference_train_local(model, data, cfg):
     n = data.shape[0]
     for epoch in range(cfg.local_epochs):
         order = rng.permutation(n)
+        loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = data[order[start:start + cfg.batch_size]]
             loss, grads = reference_loss_and_grads(params, batch)
             if not math.isfinite(loss):
                 raise DivergedTraining(epoch)
+            loss_sum += loss * batch.shape[0]
             t += 1
             corr1, corr2 = 1.0 - b1 ** t, 1.0 - b2 ** t
             for k, g in enumerate(grads):
@@ -346,12 +349,14 @@ def reference_train_local(model, data, cfg):
     if not all(np.all(np.isfinite(p)) for p in params):
         raise DivergedTraining(cfg.local_epochs - 1)
     layers = len(model.weights)
-    return ModelParams(tuple(params[:layers]), tuple(params[layers:]))
+    return (ModelParams(tuple(params[:layers]), tuple(params[layers:])),
+            loss_sum / n)
 
 
-def reference_fedavg(clients, cfg, model):
+def reference_fedavg(clients, cfg, model, log=None):
     """FedAvg training the clients one by one in list order; returns the
-    model, or (round, client id, epoch) of the first divergence."""
+    model, or (round, client id, epoch) of the first divergence. A list
+    as log receives (round, client id, last-epoch loss) per client."""
     weights = [c.train_data.shape[0] for c in clients]
     for t in range(cfg.rounds):
         cfg_t = TrainConfig(local_epochs=cfg.train_cfg.local_epochs,
@@ -362,10 +367,12 @@ def reference_fedavg(clients, cfg, model):
         local_models = []
         for c in clients:
             try:
-                local_models.append(
-                    reference_train_local(model, c.train_data, cfg_t))
+                local, loss = reference_train_local(model, c.train_data, cfg_t)
             except DivergedTraining as exc:
                 return t, c.client_id, exc.epoch
+            local_models.append(local)
+            if log is not None:
+                log.append((t, c.client_id, loss))
         model = average_params(local_models, weights)
     return model
 
@@ -409,13 +416,16 @@ def test_train_clients_matches_reference_bit_for_bit(rng, optimizer, dim,
                                                      hidden):
     datas = [c.train_data for c in ragged_clients(rng, RAGGED_SIZES, dim)]
     model = init_model(dim, hidden, seed=9)
-    cfg = TrainConfig(local_epochs=3, learning_rate=0.05, batch_size=16,
-                      seed=4, optimizer=optimizer)
-    stacked = train_clients(model, datas, cfg)
-    assert len(stacked) == len(datas)
-    for data, got in zip(datas, stacked):
-        assert_same_params(got, reference_train_local(model, data, cfg))
-        assert_same_params(train_local(model, data, cfg), got)
+    for epochs in (1, 3):
+        cfg = TrainConfig(local_epochs=epochs, learning_rate=0.05,
+                          batch_size=16, seed=4, optimizer=optimizer)
+        stacked, last_mse = train_clients(model, datas, cfg)
+        assert len(stacked) == len(last_mse) == len(datas)
+        for data, got, mse in zip(datas, stacked, last_mse):
+            expected, expected_mse = reference_train_local(model, data, cfg)
+            assert_same_params(got, expected)
+            assert type(mse) is float and mse == expected_mse
+            assert_same_params(train_local(model, data, cfg), got)
 
 
 @pytest.mark.parametrize("optimizer, dim, hidden", architectures())
@@ -426,8 +436,12 @@ def test_run_fedavg_matches_reference_bit_for_bit(rng, optimizer, dim, hidden):
                                           batch_size=16, seed=2,
                                           optimizer=optimizer),
                     model_seed=6, hidden_dims=hidden)
-    expected = reference_fedavg(clients, cfg, init_model(dim, hidden, seed=6))
-    assert_same_params(run_fedavg(clients, cfg), expected)
+    expected_log, log = [], []
+    expected = reference_fedavg(clients, cfg, init_model(dim, hidden, seed=6),
+                                expected_log)
+    assert_same_params(run_fedavg(clients, cfg, round_log=log), expected)
+    assert [(r["round"], r["client_id"], r["last_epoch_mse"])
+            for r in log] == expected_log
 
 
 def test_train_clients_rejects_empty_input():

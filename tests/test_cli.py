@@ -301,7 +301,7 @@ class TestTrainCommand:
         result = runner.invoke(main, ["train", "--config", str(config_file),
                                       "--out", str(out)])
         assert result.exit_code == 0, result.output
-        assert "final mean local MSE" in result.output
+        assert "final mean last-epoch MSE" in result.output
         assert (out / "model.txt").exists()
         assert (out / "fedavg_rounds.csv").exists()
         assert (out / "partition_plan.csv").exists()

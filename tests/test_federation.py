@@ -306,23 +306,23 @@ class TestRoundLog:
         run_fedavg(clients, cfg, round_log=log)
         assert len(log) == 2 * 3
         for row in log:
-            assert set(row) == {"round", "client_id", "local_final_mse",
+            assert set(row) == {"round", "client_id", "last_epoch_mse",
                                 "wall_time_ms"}
-            assert np.isfinite(row["local_final_mse"])
-            assert row["local_final_mse"] >= 0
+            assert np.isfinite(row["last_epoch_mse"])
+            assert row["last_epoch_mse"] >= 0
             assert row["wall_time_ms"] >= 0
         assert [(r["round"], r["client_id"]) for r in log] == [
             (t, i) for t in range(3) for i in range(2)]
 
     def test_write_round_log_roundtrip(self, tmp_path):
-        rows = [{"round": 0, "client_id": 1, "local_final_mse": 0.125,
+        rows = [{"round": 0, "client_id": 1, "last_epoch_mse": 0.125,
                  "wall_time_ms": 3.5},
-                {"round": 1, "client_id": 0, "local_final_mse": 0.0625,
+                {"round": 1, "client_id": 0, "last_epoch_mse": 0.0625,
                  "wall_time_ms": 2.25}]
         path = tmp_path / "rounds.csv"
         write_round_log(rows, path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "round,client_id,local_final_mse,wall_time_ms"
+        assert lines[0] == "round,client_id,last_epoch_mse,wall_time_ms"
         assert len(lines) == 3
         fields = lines[1].split(",")
         assert int(fields[0]) == 0 and int(fields[1]) == 1

@@ -229,20 +229,34 @@ class TestRunScenario:
             run_scenario(cfg)
         assert isinstance(caught.value.cause, ConfigError)
 
-    def test_round_log_collected_only_for_a_reader(self, monkeypatch,
-                                                   tmp_path):
-        # each round-log row is one pass over a client's training data
+    @pytest.mark.parametrize("sizes", [[1], [0, 1], [0]], ids=repr)
+    def test_blob_sizes_below_two_fail_at_load(self, sizes):
+        # split needs one anomaly for val and one for test
+        cfg = make_config(dataset={"kind": "blobs", "num_normal": 600,
+                                   "anomaly_blob_sizes": sizes, "dim": 6,
+                                   "separations": [4.0] * len(sizes)})
+        with pytest.raises(StageError, match=r"^stage 'load' failed: "
+                           r"dataset\.anomaly_blob_sizes total must be in "
+                           rf"\(1, inf\), got {sum(sizes)}$") as caught:
+            run_scenario(cfg)
+        assert isinstance(caught.value.cause, ConfigError)
+
+    def test_round_log_costs_no_forward_pass(self, monkeypatch, tmp_path):
+        # the round log reuses training's losses: no output asks for a
+        # pass over a client's training data
         calls = []
         evaluate = federation.mse_per_sample
         monkeypatch.setattr(federation, "mse_per_sample",
                             lambda *args: calls.append(1) or evaluate(*args))
         cfg = make_config(num_clients=4, rounds=3, methods=("largest_mse",))
-        counts = []
-        for kwargs in ({}, {"out_dir": tmp_path}, {"artifacts": {}}):
-            calls.clear()
+        artifacts = {}
+        for kwargs in ({}, {"out_dir": tmp_path}, {"artifacts": artifacts}):
             run_scenario(cfg, **kwargs)
-            counts.append(len(calls))
-        assert counts == [0, 12, 12]
+        assert calls == []
+        rounds_csv = (tmp_path / "fedavg_rounds.csv").read_text().splitlines()
+        assert len(rounds_csv) == 1 + 3 * 4
+        assert [(r["round"], r["client_id"]) for r in artifacts["round_log"]] \
+            == [(t, i) for t in range(3) for i in range(4)]
 
     def test_row_accounting_single_method(self):
         cfg = make_config(methods=("largest_mse",))
@@ -521,6 +535,11 @@ def unreadable_config():
                                 "positive_label": "1"})
 
 
+# each would run as some other count under int()
+NON_INTEGER_COUNTS = [pytest.param(c, id=repr(c)) for c in (
+    [2.7], [True], ["3"], [2, 3.0])]
+
+
 class TestSweepClients:
     def test_counts_below_two_rejected(self, small_config):
         with pytest.raises(ConfigError,
@@ -531,6 +550,12 @@ class TestSweepClients:
         with pytest.raises(ConfigError,
                            match=r"^counts lists \[3\] more than once$"):
             sweep_clients(unreadable_config(), [2, 3, 3])
+
+    @pytest.mark.parametrize("counts", NON_INTEGER_COUNTS)
+    def test_non_integer_counts_rejected(self, counts):
+        with pytest.raises(ConfigError, match=r"^counts must be "
+                           r"tuple\[int, \.\.\.\], got "):
+            sweep_clients(unreadable_config(), counts)
 
     def test_sweep_accounting(self, small_config, tmp_path):
         results = sweep_clients(small_config, [2, 3], out_dir=tmp_path)
@@ -556,6 +581,12 @@ class TestSweepCorruption:
             sweep_corruption(small_config, [0, 5])
         with pytest.raises(ConfigError, match="corrupt counts"):
             sweep_corruption(small_config, [-1])
+
+    @pytest.mark.parametrize("counts", NON_INTEGER_COUNTS)
+    def test_non_integer_counts_rejected(self, counts):
+        with pytest.raises(ConfigError, match=r"^corrupt counts must be "
+                           r"tuple\[int, \.\.\.\], got "):
+            sweep_corruption(unreadable_config(), counts)
 
     def test_level_zero_matches_plain_scenario(self, small_config, tmp_path):
         base = {(r.method, r.client_id): (r.f1, r.threshold)
@@ -765,8 +796,8 @@ class TestFollowupDataset:
             build_followup_dataset(small_config, 0)
 
     def test_computes_no_round_log(self, monkeypatch):
-        # nothing reads a round log here, and each of its rows is one pass
-        # over a client's training data
+        # nothing reads a round log here, so no pass over a client's
+        # training data may run for one
         calls = []
         evaluate = federation.mse_per_sample
         monkeypatch.setattr(federation, "mse_per_sample",
@@ -803,7 +834,7 @@ class TestTrainModel:
         assert all(np.array_equal(a, b)
                    for a, b in zip(loaded.weights, model.weights))
         rounds_csv = (tmp_path / "fedavg_rounds.csv").read_text().splitlines()
-        assert rounds_csv[0] == "round,client_id,local_final_mse,wall_time_ms"
+        assert rounds_csv[0] == "round,client_id,last_epoch_mse,wall_time_ms"
         assert (tmp_path / "partition_plan.csv").exists()
 
     def test_never_corrupts(self, monkeypatch):
