@@ -2,9 +2,9 @@
 
 Datasets are immutable values: features + binary anomaly labels (1 =
 anomaly), with the raw source class retained when one exists so the
-class-grouped partitioner can use it. Partitioning produces a
-PartitionPlan of per-split index lists, written to partition_plan.csv
-with every run.
+class-grouped partitioner can use it. A split is three arrays of row
+indices into one dataset; partitioning deals each split's rows onto
+clients as a PartitionPlan, written to partition_plan.csv with every run.
 """
 import csv
 import warnings
@@ -72,12 +72,6 @@ class Dataset:
     @property
     def num_anomalies(self) -> int:
         return int(self.labels.sum())
-
-    def take(self, indices) -> "Dataset":
-        indices = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            self.features[indices], self.labels[indices], self.feature_names,
-            self.name, None if self.classes is None else self.classes[indices])
 
 
 def load_csv(path, label_column: str, positive_label: str) -> Dataset:
@@ -203,7 +197,8 @@ class Scaler:
 
     def transform(self, features: np.ndarray) -> np.ndarray:
         safe = np.where(self.scale == 0.0, 1.0, self.scale)
-        out = (features - self.offset) / safe
+        out = features - self.offset
+        out /= safe  # in place: one full-size temporary, not two
         out[:, self.scale == 0.0] = 0.0
         return out
 
@@ -220,6 +215,12 @@ def fit_scaler(features: np.ndarray, method: str = "minmax") -> Scaler:
 
 
 def apply_scaler(dataset: Dataset, scaler: Scaler) -> Dataset:
+    """The dataset scaled; overflow in the scaler or in a value is rejected."""
+    finite = np.isfinite(scaler.offset) & np.isfinite(scaler.scale)
+    if not finite.all():
+        name = dataset.feature_names[int(finite.argmin())]
+        raise ConfigError(f"scale_method={scaler.method!r} overflows on "
+                          f"feature column {name!r}")
     return replace(dataset, features=scaler.transform(dataset.features))
 
 
@@ -233,7 +234,8 @@ def check_fractions(train_frac: float, val_frac: float) -> None:
 
 
 def split(dataset: Dataset, train_frac: float, val_frac: float, seed: int):
-    """Stratified train/val/test split; training keeps only normal samples.
+    """Stratified train/val/test split, as three arrays of row indices
+    into dataset; training keeps only normal samples.
 
     Normals are apportioned by (train, val, test) fractions; anomalies by
     (val, test) only, at least one each. Deterministic under seed.
@@ -258,14 +260,13 @@ def split(dataset: Dataset, train_frac: float, val_frac: float, seed: int):
             a_counts[j], a_counts[1 - j] = 1, a_counts[1 - j] - 1
     train_n, val_n, test_n = np.split(normal_idx, np.cumsum(n_counts)[:-1])
     val_a, test_a = np.split(anomaly_idx, [a_counts[0]])
-    return (dataset.take(train_n),
-            dataset.take(np.concatenate([val_n, val_a])),
-            dataset.take(np.concatenate([test_n, test_a])))
+    return (train_n, np.concatenate([val_n, val_a]),
+            np.concatenate([test_n, test_a]))
 
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    """Per-split client index lists; indices address that split's dataset."""
+    """Per-split client index lists; an index is a position in its split."""
 
     scheme: str
     assignments: dict  # split name -> list of per-client index arrays
@@ -279,44 +280,43 @@ class PartitionPlan:
         return self.assignments[split_name][client_id]
 
 
-def _check_conservation(assignments, split_datasets):
-    for name, ds in zip(SPLIT_NAMES, split_datasets):
-        joined, n = np.concatenate(assignments[name]), ds.num_samples
+def _check_conservation(assignments, splits):
+    for name, rows in zip(SPLIT_NAMES, splits):
+        joined, n = np.concatenate(assignments[name]), rows.size
         if joined.size != n or n and not (
                 0 <= joined.min() and joined.max() < n and
                 np.all(np.bincount(joined, minlength=n) == 1)):
             raise ConfigError(f"partition does not cover split {name!r} exactly")
 
 
-def _deal(indices: np.ndarray, num_clients: int):
-    return [indices[i::num_clients] for i in range(num_clients)]
-
-
-def partition_even(split_datasets, num_clients: int, seed: int) -> PartitionPlan:
-    """Shuffled round-robin deal, anomalies first so both the client sizes
-    and the per-client anomaly counts differ by at most one."""
+def partition_even(dataset: Dataset, splits, num_clients: int,
+                   seed: int) -> PartitionPlan:
+    """Shuffled round-robin deal of each split's rows, anomalies first, so
+    client sizes and per-client anomaly counts differ by at most one."""
     POSITIVE.check("num_clients", num_clients)
-    train_rows = split_datasets[0].num_samples
+    train_rows = splits[0].size
     if num_clients > train_rows:
         raise ConfigError(f"num_clients={num_clients} exceeds the {train_rows} "
                           "training rows; every client needs one")
     # the deal gives every client a val normal only if there are enough;
     # the summary protocol needs one on each client
-    val_normals = int(np.count_nonzero(split_datasets[1].labels == 0))
+    val_normals = int(np.count_nonzero(dataset.labels[splits[1]] == 0))
     if num_clients > val_normals:
         raise ConfigError(f"num_clients={num_clients} exceeds the "
                           f"{val_normals} validation normals; every client "
                           "needs one")
     rng = np.random.default_rng(seed)
     assignments = {}
-    for name, ds in zip(SPLIT_NAMES, split_datasets):
-        anom = rng.permutation(np.where(ds.labels == 1)[0])
-        norm = rng.permutation(np.where(ds.labels == 0)[0])
+    for name, rows in zip(SPLIT_NAMES, splits):
+        labels = dataset.labels[rows]
+        anom = rng.permutation(np.where(labels == 1)[0])
+        norm = rng.permutation(np.where(labels == 0)[0])
         if name != "train" and anom.size < num_clients:
             warnings.warn(f"{name} split: {anom.size} anomalies across "
                           f"{num_clients} clients; some clients hold none")
-        assignments[name] = _deal(np.concatenate([anom, norm]), num_clients)
-    _check_conservation(assignments, split_datasets)
+        dealt = np.concatenate([anom, norm])
+        assignments[name] = [dealt[i::num_clients] for i in range(num_clients)]
+    _check_conservation(assignments, splits)
     return PartitionPlan("even", assignments, seed)
 
 
@@ -459,9 +459,9 @@ def _ensure_each_has(owner, eligible, num_clients: int, what: str):
         counts[cid] = 1
 
 
-def partition_noniid(split_datasets, num_clients: int = 6, k: int | None = None,
-                     seed: int = 0) -> PartitionPlan:
-    """Cluster-skewed partition.
+def partition_noniid(dataset: Dataset, splits, num_clients: int = 6,
+                     k: int | None = None, seed: int = 0) -> PartitionPlan:
+    """Cluster-skewed partition of each split's rows (indices into dataset).
 
     Sources with multiple normal classes: classes are grouped per client
     (round-robin over sorted class values) and anomalies are k-means
@@ -471,26 +471,23 @@ def partition_noniid(split_datasets, num_clients: int = 6, k: int | None = None,
     without train or val samples take one from the largest client.
     """
     SEVERAL.check("num_clients", num_clients)
-    train, val, test = split_datasets
-    if k is None:
-        k = num_clients
-    normal_classes = None
-    if train.classes is not None:
-        normal_classes = np.unique(np.concatenate([
-            np.asarray(ds.classes)[ds.labels == 0]
-            for ds in split_datasets if ds.classes is not None]))
+    labels = [dataset.labels[rows] for rows in splits]
+    k = num_clients if k is None else k
+    normal_classes = [] if dataset.classes is None else [
+        dataset.classes[rows][lab == 0] for rows, lab in zip(splits, labels)]
+    sorted_classes = np.unique(np.concatenate(normal_classes)) \
+        if normal_classes else ()
 
     # owners[s][i] is the client holding row i of split s; -1 is no client
-    if normal_classes is not None and normal_classes.size >= 2:
+    if len(sorted_classes) >= 2:
         owners = []
-        for ds in split_datasets:
-            owner = np.full(ds.num_samples, -1, dtype=np.int64)
-            normal = ds.labels == 0
-            owner[normal] = np.searchsorted(
-                normal_classes, ds.classes[normal]) % num_clients
+        for c, lab in zip(normal_classes, labels):
+            owner = np.full(lab.size, -1, dtype=np.int64)
+            owner[lab == 0] = np.searchsorted(sorted_classes, c) % num_clients
             owners.append(owner)
-        val_anom, test_anom = val.labels == 1, test.labels == 1
-        pooled = np.vstack([val.features[val_anom], test.features[test_anom]])
+        val_anom, test_anom = labels[1] == 1, labels[2] == 1
+        pooled = dataset.features[np.concatenate(
+            [splits[1][val_anom], splits[2][test_anom]])]
         if k > pooled.shape[0]:
             warnings.warn(f"k={k} exceeds the {pooled.shape[0]} anomalies; "
                           f"reduced to {pooled.shape[0]}")
@@ -499,30 +496,30 @@ def partition_noniid(split_datasets, num_clients: int = 6, k: int | None = None,
         owners[1][val_anom], owners[2][test_anom] = np.split(
             dealt, [np.count_nonzero(val_anom)])
     else:
-        pooled = np.vstack([ds.features for ds in split_datasets])
+        pooled = dataset.features[np.concatenate(splits)]
         if k > pooled.shape[0]:
             raise ConfigError(f"noniid_k={k} exceeds the {pooled.shape[0]} "
                               f"rows that k-means clusters")
         owners = np.split(kmeans(pooled, k, seed) % num_clients,
-                          np.cumsum([train.num_samples, val.num_samples]))
+                          np.cumsum([splits[0].size, splits[1].size]))
 
     # training and the summary protocol need a floor: one train sample and
     # one normal val sample per client; evaluation needs a non-empty test
     _ensure_each_has(owners[0], owners[0] >= 0, num_clients, "train sample")
-    _ensure_each_has(owners[1], val.labels == 0, num_clients,
+    _ensure_each_has(owners[1], labels[1] == 0, num_clients,
                      "normal val sample")
     _ensure_each_has(owners[2], owners[2] >= 0, num_clients, "test sample")
     final = {name: [np.flatnonzero(owner == c) for c in range(num_clients)]
              for name, owner in zip(SPLIT_NAMES, owners)}
-    _check_conservation(final, split_datasets)
+    _check_conservation(final, splits)
     return PartitionPlan("noniid_kmeans", final, seed)
 
 
-def partition_random(split_datasets, num_clients: int, seed: int,
+def partition_random(dataset: Dataset, splits, num_clients: int, seed: int,
                      concentration: float = 0.5) -> PartitionPlan:
-    """Dirichlet-proportioned uneven partition; low concentration = extreme
-    skew. Normals and anomalies follow the same client proportions; every
-    client keeps at least one train and one val-normal sample."""
+    """Dirichlet-proportioned deal of each split's rows, extreme skew at low
+    concentration. Normals and anomalies follow the same client proportions;
+    every client keeps at least one train and one val-normal sample."""
     SEVERAL.check("num_clients", num_clients)
     POSITIVE.check("concentration", concentration)
     rng = np.random.default_rng(seed)
@@ -541,15 +538,16 @@ def partition_random(split_datasets, num_clients: int, seed: int,
         return 1 + largest_remainder(proportions, total - num_clients)
 
     assignments = {}
-    for name, ds in zip(SPLIT_NAMES, split_datasets):
-        norm = rng.permutation(np.where(ds.labels == 0)[0])
-        anom = rng.permutation(np.where(ds.labels == 1)[0])
+    for name, rows in zip(SPLIT_NAMES, splits):
+        labels = dataset.labels[rows]
+        norm = rng.permutation(np.where(labels == 0)[0])
+        anom = rng.permutation(np.where(labels == 1)[0])
         n_counts = apportion(norm.size, name in ("train", "val"))
         a_counts = largest_remainder(proportions, anom.size)
         assignments[name] = [np.concatenate(parts) for parts in zip(
             np.split(norm, np.cumsum(n_counts)[:-1]),
             np.split(anom, np.cumsum(a_counts)[:-1]))]
-    _check_conservation(assignments, split_datasets)
+    _check_conservation(assignments, splits)
     return PartitionPlan("random", assignments, seed)
 
 

@@ -1,7 +1,7 @@
 """Config-driven experiment runner.
 
 A scenario is a pure function of its ScenarioConfig: build (or load) a
-dataset, scale, split, partition onto clients, FedAvg-train one shared
+dataset, split, scale, partition onto clients, FedAvg-train one shared
 model, compute every requested threshold method, and score per-client and
 pooled F1 on held-out test data. Thresholds are always selected on
 validation errors and reported on test errors.
@@ -25,7 +25,7 @@ import numpy as np
 
 from .autoencoder import (TRAIN_SETTINGS, TrainConfig, mse_per_sample,
                           save_model)
-from .data import (SCALE_METHODS, CorruptionSpec, apply_scaler,
+from .data import (SCALE_METHODS, SPLIT_NAMES, CorruptionSpec, apply_scaler,
                    check_fractions, corrupt, fit_scaler, load_csv,
                    partition_even, partition_noniid, partition_random, split,
                    synth, synth_blobs, write_plan)
@@ -187,14 +187,14 @@ DATASET_KINDS = {
             {"path": str, "label_column": str, "positive_label": str}, {}),
 }
 
-# scheme -> partition(splits, cfg)
+# scheme -> partition(dataset, splits, cfg)
 PARTITIONS = {
-    "even": lambda splits, cfg: partition_even(
-        splits, cfg.num_clients, cfg.partition_seed),
-    "noniid_kmeans": lambda splits, cfg: partition_noniid(
-        splits, cfg.num_clients, cfg.noniid_k, cfg.partition_seed),
-    "random": lambda splits, cfg: partition_random(
-        splits, cfg.num_clients, cfg.partition_seed, cfg.concentration),
+    "even": lambda ds, splits, cfg: partition_even(
+        ds, splits, cfg.num_clients, cfg.partition_seed),
+    "noniid_kmeans": lambda ds, splits, cfg: partition_noniid(
+        ds, splits, cfg.num_clients, cfg.noniid_k, cfg.partition_seed),
+    "random": lambda ds, splits, cfg: partition_random(
+        ds, splits, cfg.num_clients, cfg.partition_seed, cfg.concentration),
 }
 
 
@@ -394,24 +394,22 @@ def _build_dataset(cfg: ScenarioConfig):
     return load(spec, cfg.data_seed)
 
 
-def build_client_states(plan, train_ds, val_ds, test_ds):
+def build_client_states(plan, dataset, splits):
+    """One ClientState per client, holding a copy of its rows of dataset."""
     clients = []
     for cid in range(plan.num_clients):
-        val_idx = plan.client_indices("val", cid)
-        test_idx = plan.client_indices("test", cid)
+        train, val, test = (rows[plan.client_indices(name, cid)]
+                            for name, rows in zip(SPLIT_NAMES, splits))
         clients.append(ClientState(
-            client_id=cid,
-            train_data=train_ds.features[plan.client_indices("train", cid)],
-            val_data=val_ds.features[val_idx],
-            val_labels=val_ds.labels[val_idx],
-            test_data=test_ds.features[test_idx],
-            test_labels=test_ds.labels[test_idx]))
+            cid, dataset.features[train], dataset.features[val],
+            dataset.labels[val], dataset.features[test], dataset.labels[test]))
     return clients
 
 
-def _scale(splits, method):
-    scaler = fit_scaler(splits[0].features, method)
-    return tuple(apply_scaler(ds, scaler) for ds in splits)
+def _scale(dataset, splits, method):
+    """The whole dataset scaled by a scaler fit on its training rows."""
+    return apply_scaler(dataset, fit_scaler(dataset.features[splits[0]],
+                                            method))
 
 
 def _apply_corruption(cfg: ScenarioConfig, levels, clients):
@@ -598,6 +596,9 @@ def _pipeline(cfg: ScenarioConfig, levels):
     """Load through train once for `cfg`, threshold and evaluate per level,
     then audit: (model, plan, channel, round_log, [(clients, results, rows)]).
 
+    Split yields row indices, scale makes one scaled Dataset (the data is
+    checked at load and once scaled), and each client gathers its rows.
+
     A level is `cfg` with its own corrupt_client_ids and scenario_id.
     Corruption touches validation data only, so the model trains once, on
     the clean clients, and serves every level. Each client has two states,
@@ -616,9 +617,9 @@ def _pipeline(cfg: ScenarioConfig, levels):
     dataset = _stage("load", _build_dataset, cfg)
     splits = _stage("split", split, dataset, cfg.train_frac, cfg.val_frac,
                     derive_seed(cfg.data_seed, 1))
-    splits = _stage("scale", _scale, splits, cfg.scale_method)
-    plan = _stage("partition", PARTITIONS[cfg.scheme], splits, cfg)
-    clients = _stage("partition", build_client_states, plan, *splits)
+    dataset = _stage("scale", _scale, dataset, splits, cfg.scale_method)
+    plan = _stage("partition", PARTITIONS[cfg.scheme], dataset, splits, cfg)
+    clients = _stage("partition", build_client_states, plan, dataset, splits)
     del dataset, splits  # each client holds a copy of its rows
     corrupted = _stage("corrupt", _apply_corruption, cfg, levels, clients)
     channel, round_log = Channel(), []

@@ -245,6 +245,34 @@ def test_scale_inverse_roundtrip(rng):
     assert np.allclose(back, features, rtol=1e-9)
 
 
+@pytest.mark.parametrize("method", ["minmax", "zscore"])
+def test_a_scaler_that_overflows_is_rejected(method):
+    # range and spread of 1.7e308 and -1.7e308 overflow to inf; zscore
+    # would map the column to 0, minmax to non-finite values
+    features = np.array([[1.7e308, 0.0], [-1.7e308, 1.0]])
+    ds = Dataset(features, np.zeros(2), ("a", "b"), "huge")
+    with np.errstate(over="ignore"):
+        scaler = fit_scaler(features, method)
+    with pytest.raises(ConfigError, match=rf"^scale_method='{method}' "
+                       "overflows on feature column 'a'$"):
+        apply_scaler(ds, scaler)
+
+
+@pytest.mark.parametrize("method", ["minmax", "zscore"])
+def test_scaling_all_rows_then_gathering_keeps_every_bit(method):
+    # the scale stage transforms the whole array once and clients gather
+    # their rows from it; per-split transforms give the same bits
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(200, 4)) * rng.uniform(1e-3, 1e3, size=4)
+        x[:, 2] = 7.25  # a constant column maps to 0
+        rows = rng.permutation(200)[:70]
+        scaler = fit_scaler(x[rng.permutation(200)[:120]], method)
+        whole = scaler.transform(x)[rows]
+        assert np.array_equal(whole.view(np.int64),
+                              scaler.transform(x[rows]).view(np.int64))
+
+
 def test_scale_operation_fits_on_train_only():
     ds = toy_dataset()
     fit_idx = np.arange(10)
@@ -260,9 +288,9 @@ def test_scale_operation_fits_on_train_only():
 def test_split_stratified_counts():
     ds = toy_dataset(100, 10)
     train, val, test = split(ds, 0.6, 0.2, seed=3)
-    assert train.num_samples == 60 and train.num_anomalies == 0
-    assert val.num_samples == 25 and val.num_anomalies == 5
-    assert test.num_samples == 25 and test.num_anomalies == 5
+    assert train.size == 60 and ds.labels[train].sum() == 0
+    assert val.size == 25 and ds.labels[val].sum() == 5
+    assert test.size == 25 and ds.labels[test].sum() == 5
 
 
 def test_split_deterministic_and_disjoint():
@@ -270,9 +298,8 @@ def test_split_deterministic_and_disjoint():
     a = split(ds, 0.5, 0.25, seed=9)
     b = split(ds, 0.5, 0.25, seed=9)
     for da, db in zip(a, b):
-        assert np.array_equal(da.features, db.features)
-    total = sum(d.num_samples for d in a)
-    assert total == ds.num_samples
+        assert np.array_equal(da, db)
+    assert sorted(np.concatenate(a)) == list(range(ds.num_samples))
 
 
 def test_split_rejects_too_few_anomalies():
@@ -289,7 +316,7 @@ def test_split_rejects_a_train_share_of_no_normals():
     with pytest.raises(ConfigError, match=r"^train_frac=0\.001 of 60 normals "
                        "leaves no training row$"):
         split(ds, 0.001, 0.2, seed=0)
-    assert split(ds, 0.02, 0.2, seed=0)[0].num_samples == 1
+    assert split(ds, 0.02, 0.2, seed=0)[0].size == 1
 
 
 def test_split_rejects_bad_fractions():
@@ -305,10 +332,10 @@ def test_split_rejects_bad_fractions():
 def test_partition_even_sizes():
     ds = toy_dataset(94, 6)
     splits = split(ds, 0.6, 0.2, seed=1)
-    plan = partition_even(splits, 3, seed=2)
-    for split_name, d in zip(("train", "val", "test"), splits):
+    plan = partition_even(ds, splits, 3, seed=2)
+    for split_name, rows in zip(("train", "val", "test"), splits):
         sizes = [len(plan.client_indices(split_name, c)) for c in range(3)]
-        assert sum(sizes) == d.num_samples
+        assert sum(sizes) == rows.size
         assert max(sizes) - min(sizes) <= 1
         all_idx = np.concatenate(
             [plan.client_indices(split_name, c) for c in range(3)])
@@ -318,40 +345,42 @@ def test_partition_even_sizes():
 def test_partition_even_stratifies_anomalies():
     ds = toy_dataset(94, 12)
     splits = split(ds, 0.6, 0.2, seed=1)
-    plan = partition_even(splits, 3, seed=5)
-    val = splits[1]
-    per_client = [int(val.labels[plan.client_indices("val", c)].sum())
+    plan = partition_even(ds, splits, 3, seed=5)
+    val_labels = ds.labels[splits[1]]
+    per_client = [int(val_labels[plan.client_indices("val", c)].sum())
                   for c in range(3)]
     assert max(per_client) - min(per_client) <= 1
-    assert sum(per_client) == val.num_anomalies
+    assert sum(per_client) == val_labels.sum()
 
 
 def test_partition_even_rejects_more_clients_than_train_rows():
     # 10 train rows and 20 val normals, so the train rows bind first
-    splits = split(toy_dataset(40, 20), 0.25, 0.5, seed=1)
-    partition_even(splits, 10, seed=0)
+    ds = toy_dataset(40, 20)
+    splits = split(ds, 0.25, 0.5, seed=1)
+    partition_even(ds, splits, 10, seed=0)
     with pytest.raises(ConfigError,
                        match="num_clients=11 exceeds the 10 training rows"):
-        partition_even(splits, 11, seed=0)
+        partition_even(ds, splits, 11, seed=0)
 
 
 def test_partition_even_rejects_more_clients_than_val_normals():
     # 30 train rows but 15 val normals: a 16th client would get no val
     # normal, and the summary protocol needs one on every client
-    splits = split(toy_dataset(60, 10), 0.5, 0.25, seed=1)
-    plan = partition_even(splits, 15, seed=0)
-    val_labels = splits[1].labels
+    ds = toy_dataset(60, 10)
+    splits = split(ds, 0.5, 0.25, seed=1)
+    plan = partition_even(ds, splits, 15, seed=0)
+    val_labels = ds.labels[splits[1]]
     assert all(np.any(val_labels[rows] == 0) for rows in plan.assignments["val"])
     with pytest.raises(ConfigError, match="num_clients=16 exceeds the 15 "
                                           "validation normals"):
-        partition_even(splits, 16, seed=0)
+        partition_even(ds, splits, 16, seed=0)
 
 
 def test_partition_even_warns_with_more_clients_than_anomalies():
     ds = toy_dataset(200, 4)
     splits = split(ds, 0.6, 0.2, seed=1)
     with pytest.warns(UserWarning):
-        partition_even(splits, 5, seed=0)
+        partition_even(ds, splits, 5, seed=0)
 
 
 # ---- kmeans ----
@@ -549,33 +578,34 @@ def test_kmeans_raises_when_the_sum_of_squares_rises(monkeypatch):
 # ---- partition_noniid ----
 
 def blob_splits(rng_seed=0):
+    """A blob dataset and its split's row indices."""
     ds = synth_blobs(600, (40, 40), dim=4, separations=(4.0, 9.0),
                      seed=rng_seed)
-    return split(ds, 0.6, 0.2, seed=1)
+    return ds, split(ds, 0.6, 0.2, seed=1)
 
 
 def test_partition_noniid_binary_clusters_and_floors():
-    splits = blob_splits()
-    plan = partition_noniid(splits, num_clients=3, seed=2)
-    for split_name, d in zip(("train", "val", "test"), splits):
+    ds, splits = blob_splits()
+    plan = partition_noniid(ds, splits, num_clients=3, seed=2)
+    for split_name, rows in zip(("train", "val", "test"), splits):
         all_idx = np.concatenate(
             [plan.client_indices(split_name, c) for c in range(3)])
-        assert sorted(all_idx) == list(range(d.num_samples))
-    val = splits[1]
+        assert sorted(all_idx) == list(range(rows.size))
+    val_labels = ds.labels[splits[1]]
     for c in range(3):
         idx = plan.client_indices("val", c)
         assert len(idx) >= 1
-        assert np.any(val.labels[idx] == 0)  # summary floor: a normal each
+        assert np.any(val_labels[idx] == 0)  # summary floor: a normal each
         assert len(plan.client_indices("train", c)) >= 1
         assert len(plan.client_indices("test", c)) >= 1
 
 
 def test_partition_noniid_binary_k_clusters_dealt_round_robin():
-    splits = blob_splits()
-    pooled = np.vstack([d.features for d in splits])
-    bounds = np.cumsum([0] + [d.num_samples for d in splits])
+    ds, splits = blob_splits()
+    pooled = ds.features[np.concatenate(splits)]
+    bounds = np.cumsum([0] + [rows.size for rows in splits])
     for k in (2, 3, 5):
-        plan = partition_noniid(splits, num_clients=3, k=k, seed=2)
+        plan = partition_noniid(ds, splits, num_clients=3, k=k, seed=2)
         clusters = kmeans(pooled, k, 2)
         for i, split_name in enumerate(("train", "val", "test")):
             dealt = clusters[bounds[i]:bounds[i + 1]] % 3
@@ -585,33 +615,32 @@ def test_partition_noniid_binary_k_clusters_dealt_round_robin():
                                    != c)) for c in range(3))
             assert moved <= 3
     # k defaults to num_clients
-    default = partition_noniid(splits, num_clients=3, seed=2)
-    same = partition_noniid(splits, num_clients=3, k=3, seed=2)
+    default = partition_noniid(ds, splits, num_clients=3, seed=2)
+    same = partition_noniid(ds, splits, num_clients=3, k=3, seed=2)
     for name in default.assignments:
         for a, b in zip(default.assignments[name], same.assignments[name]):
             assert np.array_equal(a, b)
     # two clusters over three clients: client 2 holds only the one train
     # sample its floor takes
-    two = partition_noniid(splits, num_clients=3, k=2, seed=2)
+    two = partition_noniid(ds, splits, num_clients=3, k=2, seed=2)
     assert len(two.client_indices("train", 2)) == 1
 
 
 def test_partition_noniid_binary_k_above_the_row_count_names_noniid_k():
     with pytest.raises(ConfigError, match="^noniid_k=681 exceeds the 680 "
                                           "rows that k-means clusters$"):
-        partition_noniid(blob_splits(), num_clients=3, k=681, seed=2)
+        partition_noniid(*blob_splits(), num_clients=3, k=681, seed=2)
 
 
 def test_partition_noniid_separated_anomaly_blobs_stay_together():
     ds = synth_blobs(400, (30, 30), dim=3, separations=(5.0, 30.0), seed=3)
     splits = split(ds, 0.6, 0.2, seed=4)
-    plan = partition_noniid(splits, num_clients=2, seed=5)
-    val, test = splits[1], splits[2]
+    plan = partition_noniid(ds, splits, num_clients=2, seed=5)
     # the far blob sits at 30 sigma: whichever client holds one far-blob
     # anomaly holds them all (cluster purity on well-separated blobs)
-    for d, split_name in ((val, "val"), (test, "test")):
-        far = set(np.where((d.labels == 1) &
-                           (d.features.mean(axis=1) > 15.0))[0])
+    for rows, split_name in ((splits[1], "val"), (splits[2], "test")):
+        far = set(np.where((ds.labels[rows] == 1) &
+                           (ds.features[rows].mean(axis=1) > 15.0))[0])
         owners = {c for c in range(2)
                   if far & set(plan.client_indices(split_name, c).tolist())}
         assert len(owners) == 1
@@ -626,9 +655,8 @@ def test_partition_noniid_multiclass_round_robin():
     ds = Dataset(features=features, labels=labels, feature_names=("a", "b", "c"),
                  name="multi", classes=classes)
     splits = split(ds, 0.5, 0.25, seed=6)
-    plan = partition_noniid(splits, num_clients=2, seed=7)
-    train = splits[0]
-    train_classes = np.asarray(train.classes)
+    plan = partition_noniid(ds, splits, num_clients=2, seed=7)
+    train_classes = ds.classes[splits[0]]
     c0 = set(train_classes[plan.client_indices("train", 0)])
     c1 = set(train_classes[plan.client_indices("train", 1)])
     # normal classes are dealt to clients as whole groups
@@ -655,7 +683,7 @@ def multiclass_splits(num_classes, num_anomaly, seed):
                for i in range(n)]
     features = rng.normal(size=(n, 3)) + 4.0 * labels[:, None]
     ds = Dataset(features, labels, ("a", "b", "c"), "multi", classes=classes)
-    return split(ds, 0.5, 0.25, seed=seed)
+    return ds, split(ds, 0.5, 0.25, seed=seed)
 
 
 def test_partition_noniid_plans_are_pinned():
@@ -663,31 +691,31 @@ def test_partition_noniid_plans_are_pinned():
     owner-array one replaced; a change here changes partition_plan.csv."""
     cases = (
         # two clusters over five clients: floors move rows in every split
-        (lambda: partition_noniid(blob_splits(), 5, k=2, seed=2),
+        (lambda: partition_noniid(*blob_splits(), 5, k=2, seed=2),
          "cb86cb6af41b98ffb6d4147e3878cbcc26f3d9bfb84d14944178cb47f0ceeed5"),
-        (lambda: partition_noniid(blob_splits(), 3, seed=2),
+        (lambda: partition_noniid(*blob_splits(), 3, seed=2),
          "c88ef54a07eb89f0f3ec69b69da39b6021cae8be742f022522a49dc4059af64a"),
         # three normal classes over four clients: client 3 takes floors
-        (lambda: partition_noniid(multiclass_splits(3, 12, 1), 4, seed=3),
+        (lambda: partition_noniid(*multiclass_splits(3, 12, 1), 4, seed=3),
          "479a18c7d92ec5f0e85dc3229bbd5f87d9744ebbd2413683cc340432d2e4a438"),
-        (lambda: partition_noniid(multiclass_splits(5, 20, 2), 2, k=3,
+        (lambda: partition_noniid(*multiclass_splits(5, 20, 2), 2, k=3,
                                   seed=4),
          "6ab679f954dccb49c6cf8ea9d018dd2394ae225963739e1e216e2cdebb0631d3"),
     )
     for make, expected in cases:
         assert plan_digest(make()) == expected
     with pytest.warns(UserWarning, match="k=9 exceeds the 6 anomalies"):
-        plan = partition_noniid(multiclass_splits(4, 6, 3), 3, k=9, seed=5)
+        plan = partition_noniid(*multiclass_splits(4, 6, 3), 3, k=9, seed=5)
     assert plan_digest(plan) == \
         "d164ccec97e09726fa667f940afb56b4f421cbd1c2c25d187bc758237c5b1890"
-    tiny = split(synth(10, 4, 2, 5.0, seed=0), 0.5, 0.25, seed=0)
+    tiny = synth(10, 4, 2, 5.0, seed=0)
     with pytest.raises(ConfigError,
                        match="^cannot give every client one train sample$"):
-        partition_noniid(tiny, 6, k=1, seed=0)
-    small = split(synth(40, 4, 2, 5.0, seed=0), 0.6, 0.1, seed=0)
+        partition_noniid(tiny, split(tiny, 0.5, 0.25, seed=0), 6, k=1, seed=0)
+    small = synth(40, 4, 2, 5.0, seed=0)
     with pytest.raises(ConfigError, match="^cannot give every client one "
                                           "normal val sample$"):
-        partition_noniid(small, 6, k=1, seed=0)
+        partition_noniid(small, split(small, 0.6, 0.1, seed=0), 6, k=1, seed=0)
 
 
 def write_plan_by_csv_writer(plan, path):
@@ -704,14 +732,14 @@ def write_plan_by_csv_writer(plan, path):
 
 
 def test_write_plan_matches_the_csv_writer_rows(tmp_path):
-    splits = blob_splits()
+    ds, splits = blob_splits()
     handmade = PartitionPlan("handmade", {
         "train": [np.array([3, 1, 0]), np.array([], dtype=np.int64)],
         "val": [np.array([], dtype=np.int64), np.array([2])],
         "test": [np.array([10**12]), np.array([0, 5], dtype=np.int32)]}, 9)
-    for plan in (partition_noniid(splits, 5, k=2, seed=2),
-                 partition_random(splits, 4, seed=1),
-                 partition_even(splits, 3, seed=0), handmade):
+    for plan in (partition_noniid(ds, splits, 5, k=2, seed=2),
+                 partition_random(ds, splits, 4, seed=1),
+                 partition_even(ds, splits, 3, seed=0), handmade):
         write_plan(plan, tmp_path / "plan.csv")
         write_plan_by_csv_writer(plan, tmp_path / "oracle.csv")
         assert (tmp_path / "plan.csv").read_bytes() == \
@@ -721,28 +749,27 @@ def test_write_plan_matches_the_csv_writer_rows(tmp_path):
 # ---- partition_random ----
 
 def test_partition_random_conserves_and_floors():
-    splits = blob_splits()
-    plan = partition_random(splits, num_clients=5, seed=8, concentration=0.1)
-    for split_name, d in zip(("train", "val", "test"), splits):
+    ds, splits = blob_splits()
+    plan = partition_random(ds, splits, num_clients=5, seed=8,
+                            concentration=0.1)
+    for split_name, rows in zip(("train", "val", "test"), splits):
         all_idx = np.concatenate(
             [plan.client_indices(split_name, c) for c in range(5)])
-        assert sorted(all_idx) == list(range(d.num_samples))
+        assert sorted(all_idx) == list(range(rows.size))
     for c in range(5):
         assert len(plan.client_indices("train", c)) >= 1
         assert len(plan.client_indices("val", c)) >= 1
 
 
 def test_partition_random_high_concentration_is_near_even():
-    splits = blob_splits()
-    plan = partition_random(splits, num_clients=4, seed=9,
+    plan = partition_random(*blob_splits(), num_clients=4, seed=9,
                             concentration=1e6)
     sizes = [len(plan.client_indices("train", c)) for c in range(4)]
     assert max(sizes) - min(sizes) <= 2
 
 
 def test_partition_random_uneven_at_low_concentration():
-    splits = blob_splits()
-    plan = partition_random(splits, num_clients=4, seed=10,
+    plan = partition_random(*blob_splits(), num_clients=4, seed=10,
                             concentration=0.05)
     sizes = [len(plan.client_indices("train", c)) for c in range(4)]
     assert max(sizes) - min(sizes) >= 10  # visibly skewed
@@ -755,28 +782,29 @@ def test_partition_random_two_by_two():
     ds = Dataset(features=features, labels=labels, feature_names=("a", "b"),
                  name="tiny")
     splits = split(ds, 0.34, 0.33, seed=0)
-    plan = partition_random(splits, num_clients=2, seed=1, concentration=0.2)
+    plan = partition_random(ds, splits, num_clients=2, seed=1,
+                            concentration=0.2)
     train_sizes = [len(plan.client_indices("train", c)) for c in range(2)]
     assert min(train_sizes) >= 1
 
 
 def test_partition_random_rejects_proportions_that_cannot_apportion():
     # a huge concentration gives all-zero Dirichlet proportions
-    splits = blob_splits()
+    ds, splits = blob_splits()
     for seed in range(5):
         for num_clients in (2, 4, 6):
             with pytest.raises(ConfigError, match=r"^concentration=1e\+308 "
                                "gives Dirichlet proportions that are "
                                "non-finite or sum to 0$"):
-                partition_random(splits, num_clients, seed, 1e308)
+                partition_random(ds, splits, num_clients, seed, 1e308)
 
 
 def test_partition_check_rejects_an_index_outside_the_split():
     splits = split(toy_dataset(), 0.6, 0.2, seed=0)
-    whole = {name: [np.arange(ds.num_samples)]
-             for name, ds in zip(data_module.SPLIT_NAMES, splits)}
+    whole = {name: [np.arange(rows.size)]
+             for name, rows in zip(data_module.SPLIT_NAMES, splits)}
     data_module._check_conservation(whole, splits)
-    n = splits[0].num_samples
+    n = splits[0].size
     for bad in (np.r_[np.arange(n - 1), 999], np.r_[np.arange(n - 1), -1],
                 np.r_[np.arange(n - 1), 0]):
         with pytest.raises(ConfigError, match="does not cover split 'train' "

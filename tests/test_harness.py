@@ -14,6 +14,7 @@ from conftest import make_config
 from fedthresh import federation, harness
 from fedthresh.autoencoder import MODEL_FORMAT_HEADER, load_model
 from fedthresh.cli import main
+from fedthresh.data import Dataset
 from fedthresh.errors import AuditError, ConfigError, StageError
 from fedthresh.federation import Channel, ClientState
 from fedthresh.harness import (AUDITED_METHODS, METHODS, Method,
@@ -41,6 +42,20 @@ def contract_digest(path: Path) -> str:
     columns = "".join(",".join(line.split(",")[1:6]) + "\n"
                       for line in lines)
     return hashlib.sha256(columns.encode()).hexdigest()
+
+
+def write_feature_csv(tmp_path, a, b) -> Path:
+    """Columns a and b; the last rows up to 60 are anomalies (label 1)."""
+    labels = np.r_[np.zeros(len(a) - 60), np.ones(60)]
+    path = tmp_path / "features.csv"
+    np.savetxt(path, np.column_stack([a, b, labels]), fmt="%.17g",
+               delimiter=",", header="a,b,label", comments="")
+    return path
+
+
+def csv_dataset(path) -> dict:
+    return {"kind": "csv", "path": str(path), "label_column": "label",
+            "positive_label": "1"}
 
 
 def fill_fedavg(channel, num_clients, rounds):
@@ -227,6 +242,33 @@ class TestRunScenario:
         with pytest.raises(StageError, match="^stage 'threshold' failed: "
                            "validation errors reach") as caught:
             run_scenario(cfg)
+        assert isinstance(caught.value.cause, ConfigError)
+
+    @pytest.mark.parametrize("method", ["minmax", "zscore"])
+    def test_a_scaler_that_overflows_fails_as_config(self, method, tmp_path):
+        # the training rows of column a span 3.4e308: its range, and the
+        # sums behind its mean and spread, overflow
+        rng = np.random.default_rng(0)
+        a = np.r_[np.tile([1.7e308, -1.7e308], 300), np.zeros(60)]
+        b = np.r_[rng.normal(size=600), rng.normal(6.0, 1.0, 60)]
+        path = write_feature_csv(tmp_path, a, b)
+        cfg = make_config(dataset=csv_dataset(path), scale_method=method)
+        with pytest.raises(StageError, match=rf"^stage 'scale' failed: "
+                           rf"scale_method='{method}' overflows on feature "
+                           "column 'a'$") as caught:
+            run_scenario(cfg)
+        assert isinstance(caught.value.cause, ConfigError)
+
+    def test_a_scaled_value_that_overflows_fails_at_scale(self, tmp_path):
+        # the training range of column a is finite (1e-300), but the
+        # anomalies, which only val and test hold, scale to inf
+        rng = np.random.default_rng(0)
+        a = np.r_[rng.uniform(size=600) * 1e-300, np.full(60, 1e300)]
+        b = np.r_[rng.normal(size=600), rng.normal(6.0, 1.0, 60)]
+        path = write_feature_csv(tmp_path, a, b)
+        with pytest.raises(StageError, match="^stage 'scale' failed: feature "
+                           "column 'a' holds non-finite values$") as caught:
+            run_scenario(make_config(dataset=csv_dataset(path)))
         assert isinstance(caught.value.cause, ConfigError)
 
     @pytest.mark.parametrize("sizes", [[1], [0, 1], [0]], ids=repr)
@@ -867,6 +909,20 @@ class TestPipelineStages:
             names.clear()
             run()
             assert names == head + tail
+
+    def test_every_entry_point_checks_the_data_twice(self, monkeypatch):
+        # one Dataset at load and one scaled: split yields row indices and
+        # each client gathers its rows from the scaled array
+        built = []
+        check = Dataset.__post_init__
+        monkeypatch.setattr(Dataset, "__post_init__",
+                            lambda ds: built.append(ds.name) or check(ds))
+        cfg = make_config(methods=("largest_mse",))
+        for run in (lambda: train_model(cfg), lambda: run_scenario(cfg),
+                    lambda: sweep_corruption(cfg, [0, 2])):
+            built.clear()
+            run()
+            assert len(built) == 2
 
 
 class TestPipelineAudit:
