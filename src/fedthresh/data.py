@@ -208,10 +208,13 @@ def fit_scaler(features: np.ndarray, method: str = "minmax") -> Scaler:
     features = np.asarray(features, dtype=np.float64)
     if features.size == 0:
         raise ConfigError("cannot fit a scaler on no data")
-    if method == "minmax":
-        lo = features.min(axis=0)
-        return Scaler(method, lo, features.max(axis=0) - lo)
-    return Scaler(method, features.mean(axis=0), features.std(axis=0))
+    # a range or spread that overflows is left inf for `apply_scaler` to
+    # reject by column name, without a numpy warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "minmax":
+            lo = features.min(axis=0)
+            return Scaler(method, lo, features.max(axis=0) - lo)
+        return Scaler(method, features.mean(axis=0), features.std(axis=0))
 
 
 def apply_scaler(dataset: Dataset, scaler: Scaler) -> Dataset:
@@ -336,7 +339,10 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
     cannot change their argmin. Deterministic under seed. Empty clusters are
     re-seeded with the farthest point of the largest cluster, which is
     force-reassigned. Within-cluster sum of squares is checked to be
-    non-increasing.
+    non-increasing: after each assignment it is read from the screen (each
+    point's best value plus its ‖x‖²) where that sum's rounding is under
+    1e-3 of the check's tolerance, and otherwise summed exactly with
+    `_exact_wcss`; the update that ends the loop is checked exactly.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
@@ -374,32 +380,86 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
     # need the exact recheck. The slack below is over 4E, for second-order
     # terms.
     n_features = points.shape[1]
-    slack = 16.0 * (n_features + 3) * np.finfo(np.float64).eps
+    eps = np.finfo(np.float64).eps
+    slack = 16.0 * (n_features + 3) * eps
+    # The screen's sum of squares: a point's best screen value plus its
+    # ‖x‖² (off by d·u·‖x‖²), one addition on a value below 2D (eps·D),
+    # is its squared distance to the nearest centroid within
+    # (d+1 + d/2 + 1)·eps·D. Where the point has one close centroid, that
+    # is its nearest and D takes its ‖c‖²; else the largest ‖c‖². numpy
+    # sums pairwise, at worst in blocks of 8192 added in turn, so each
+    # term meets at most log2(n) + 26 + n/8192 roundings of u. The bound
+    # is doubled below for second-order terms.
+    term_rate = (1.5 * n_features + 2.0) * eps
+    sum_rate = (np.log2(n) + 26.0 + n / 8192.0) * eps / 2.0
     # a centroid coordinate, a mean of up to n values of size <= reach, is
     # off by up to delta; the WCSS then by n·d·delta·(delta + 2·rms error)
-    delta = n * np.finfo(np.float64).eps * reach
+    delta = n * eps * reach
+
+    def tolerance(wcss):
+        return wcss * 1e-9 + 1e-12 + n * n_features * delta * (
+            delta + 2.0 * (wcss / (n * n_features)) ** 0.5)
+
+    def check(prev, wcss, rounding):
+        if wcss - prev > tolerance(prev) + rounding:
+            raise RuntimeError(
+                f"within-cluster SS increased: {prev} -> {wcss}")
+
     sq_norms = np.einsum("ij,ij->i", points, points)
+    sq_total = float(sq_norms.sum())
     points_t = np.ascontiguousarray(points.T)
-    ids = np.arange(k)
+    small = np.min_scalar_type(k)
+    ids = np.arange(k, dtype=small)[:, None]
     d2 = np.empty((k, n))
+    close = np.empty((k, n), dtype=bool)
+    tag = np.empty((k, n), dtype=small)
+    best = np.empty(n)
+    row = np.empty(n)  # the screen's slack bound, then its distances
     resid = np.empty(n)
     prev_assign = None
-    prev_wcss = np.inf
+    # the last sum of squares checked, and its rounding (0 for an exact sum)
+    prev, prev_err = None, 0.0
     for _ in range(max_iters):
         centroid_sq = np.einsum("ij,ij->i", centroids, centroids)
         np.matmul(centroids * -2.0, points_t, out=d2)
         d2 += centroid_sq[:, None]
-        close = d2 <= d2.min(axis=0) + slack * (sq_norms + centroid_sq.max())
+        np.min(d2, axis=0, out=best)
+        np.add(sq_norms, centroid_sq.max(), out=row)
+        row *= slack
+        row += best
+        np.less_equal(d2, row, out=close)
         # a point with one close centroid takes it (the sum of the close
         # ids is that id); one with several, or none for a NaN distance,
-        # is rechecked
-        assign = np.einsum("j,jn->n", ids, close)
-        near = np.flatnonzero(np.count_nonzero(close, axis=0) != 1)
+        # is rechecked, so its sum may wrap in the small dtype
+        assign = np.add.reduce(np.multiply(close, ids, out=tag), axis=0,
+                               dtype=small).astype(np.intp)
+        near = np.flatnonzero(np.add.reduce(close, axis=0, dtype=small) != 1)
         if near.size:
             rows = points[near]
             assign[near] = np.array(
                 [_sq_dist(rows, c) for c in centroids]).argmin(axis=0)
         sizes = np.bincount(assign, minlength=k)
+        # Lloyd's sum of squares does not rise across an update and an
+        # assignment, so the screen's sum after this assignment is checked
+        # against the last sum checked. Where it rounds too coarsely, the
+        # update before is checked with the exact sum of the assignment it
+        # followed. Each check spans one update; the first has none before.
+        np.add(best, sq_norms, out=row)
+        wcss = max(float(row.sum()), 0.0)  # a true sum of squares is >= 0
+        term_err = term_rate * (sq_total + float(sizes @ centroid_sq)
+                                + near.size * float(centroid_sq.max()))
+        err = 2.0 * (term_err + sum_rate * (wcss + 2.0 * term_err))
+        if prev is not None \
+                and prev_err + err <= 1e-3 * tolerance(min(prev, wcss)):
+            check(prev, wcss, prev_err + err)
+            prev, prev_err = wcss, err
+        elif prev_assign is not None:
+            exact = _exact_wcss(points_t, centroids, prev_assign, resid)
+            if prev is not None:
+                check(prev, exact, prev_err)
+            prev, prev_err = exact, 0.0
+        elif err <= 1e-3 * tolerance(wcss):
+            prev, prev_err = wcss, err
         # the largest cluster holds >= 2 points while any is empty, so a
         # reseed never empties another cluster
         for j in np.flatnonzero(sizes == 0):
@@ -412,21 +472,24 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
             sizes[donor] -= 1
             sizes[j] = 1
         _update_centroids(centroids, points, points_t, assign, sizes)
-        # one feature at a time, so no (n, d) gather of centroid rows
-        wcss = 0.0
-        for f in range(n_features):
-            np.take(centroids[:, f], assign, out=resid)
-            np.subtract(points_t[f], resid, out=resid)
-            wcss += float(resid @ resid)
-        if wcss > prev_wcss * (1.0 + 1e-9) + 1e-12 + n * n_features * delta \
-                * (delta + 2.0 * (prev_wcss / (n * n_features)) ** 0.5):
-            raise RuntimeError(
-                f"within-cluster SS increased: {prev_wcss} -> {wcss}")
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
-        prev_assign = assign.copy()
-        prev_wcss = wcss
+        prev_assign = assign
+    wcss = _exact_wcss(points_t, centroids, assign, resid)
+    if prev is not None:
+        check(prev, wcss, prev_err)
     return assign
+
+
+def _exact_wcss(points_t, centroids, assign, resid) -> float:
+    """Within-cluster sum of squares, one feature at a time, so no (n, d)
+    gather of centroid rows; resid is an n-vector it overwrites."""
+    wcss = 0.0
+    for f in range(points_t.shape[0]):
+        np.take(centroids[:, f], assign, out=resid)
+        np.subtract(points_t[f], resid, out=resid)
+        wcss += float(resid @ resid)
+    return wcss
 
 
 def _update_centroids(centroids, points, points_t, assign, sizes) -> None:

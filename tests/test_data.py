@@ -259,6 +259,18 @@ def test_a_scaler_that_overflows_is_rejected(method):
 
 
 @pytest.mark.parametrize("method", ["minmax", "zscore"])
+def test_a_scaler_that_overflows_warns_nothing_before_the_error(method):
+    # minmax overflows in its subtraction, zscore in its squares; the
+    # column is reported once, as a ConfigError, with no numpy warning
+    features = np.array([[1.7e308], [-1.7e308]])
+    ds = Dataset(features, np.zeros(2), ("a",), "huge")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="overflows on feature column"):
+            apply_scaler(ds, fit_scaler(features, method))
+
+
+@pytest.mark.parametrize("method", ["minmax", "zscore"])
 def test_scaling_all_rows_then_gathering_keeps_every_bit(method):
     # the scale stage transforms the whole array once and clients gather
     # their rows from it; per-split transforms give the same bits
@@ -573,6 +585,110 @@ def test_kmeans_raises_when_the_sum_of_squares_rises(monkeypatch):
     with pytest.raises(RuntimeError, match="within-cluster SS increased"):
         kmeans(points, 3, seed=0)
     assert len(calls) == 2
+
+
+def drifting_update(monkeypatch, on_call):
+    """Patch the centroid update to move the centroids off their means on
+    its on_call-th call; returns the list of calls made."""
+    real_update = data_module._update_centroids
+    calls = []
+
+    def drifting(centroids, *args):
+        real_update(centroids, *args)
+        calls.append(len(calls))
+        if len(calls) == on_call:
+            centroids += 10.0
+
+    monkeypatch.setattr(data_module, "_update_centroids", drifting)
+    return calls
+
+
+def count_exact_sums(monkeypatch):
+    """Spy on the exact sum of squares; returns the list of its calls."""
+    real_exact = data_module._exact_wcss
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return real_exact(*args)
+
+    monkeypatch.setattr(data_module, "_exact_wcss", spy)
+    return calls
+
+
+def test_kmeans_exact_check_raises_when_the_sum_of_squares_rises_far_out(
+        monkeypatch):
+    """1e6 from the origin the screen's sum rounds too coarsely to use, so
+    the exact sum catches the drifting second update."""
+    calls = drifting_update(monkeypatch, 2)
+    exact = count_exact_sums(monkeypatch)
+    points = np.random.default_rng(0).normal(size=(50, 3)) + 1e6
+    with pytest.raises(RuntimeError, match="within-cluster SS increased"):
+        kmeans(points, 3, seed=0)
+    assert len(calls) == 2
+    assert len(exact) == 2
+
+
+def test_kmeans_checks_the_update_that_ends_the_loop(monkeypatch):
+    calls = drifting_update(monkeypatch, 3)
+    points = np.random.default_rng([5, 0xC5F]).uniform(size=(500, 4))
+    assert kmeans(points, 5, seed=1, max_iters=2).shape == (500,)
+    calls.clear()
+    with pytest.raises(RuntimeError, match="within-cluster SS increased"):
+        kmeans(points, 5, seed=1, max_iters=3)
+    assert len(calls) == 3
+
+
+def test_kmeans_sums_exactly_once_near_the_origin_and_every_iteration_far_out(
+        monkeypatch):
+    exact = count_exact_sums(monkeypatch)
+    updates = []
+    real_update = data_module._update_centroids
+    monkeypatch.setattr(data_module, "_update_centroids",
+                        lambda *args: updates.append(1) or real_update(*args))
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        centres = rng.normal(0.0, 4.0, size=(5, 4))
+        points = centres[rng.integers(5, size=400)] + rng.normal(size=(400, 4))
+        cube = rng.uniform(size=(500, 3))
+        for k in (1, 3, 8):
+            for data, offset, once in ((cube, 0.0, True),
+                                       (points, 0.0, True),
+                                       (points, 1e6, False)):
+                exact.clear()
+                updates.clear()
+                kmeans(data + offset, k, seed)
+                # the screen's sum is checked after each assignment, the
+                # loop's last update exactly; far out every update is
+                # checked with the exact sum
+                assert len(exact) == (1 if once else len(updates))
+
+
+@pytest.mark.parametrize("n,k", [(10, 2), (7, 3)])
+def test_kmeans_on_identical_points_warns_nothing(n, k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assign = kmeans(np.zeros((n, 2)), k, 0)
+    assert sorted(np.bincount(assign, minlength=k))[:-1] == [1] * (k - 1)
+
+
+@pytest.mark.parametrize("seed,digest", [
+    # Lloyd converges at iteration 96
+    (3, "d49cb6e4dbd683bbae8fcb702cb2fc72beb7e7eae66a47c0c2108a84da448160"),
+    # Lloyd runs to the 100-iteration cap
+    (4, "d3ba4fc08bf9bd4dfa70b7015333aa1ca69cb37cfb222c0ec798b25427eb726f"),
+])
+def test_kmeans_pinned_near_the_lloyd_cap(seed, digest):
+    """Uniform normals and a distant blob, the shape the CSV benchmark
+    clusters, at a tenth of its rows; digests of the assignment as
+    computed before the screen's sum of squares replaced the exact one."""
+    rng = np.random.default_rng([5, 0xC5F])
+    points = np.vstack([rng.uniform(0, 1, (5000, 10)),
+                        3 + 0.3 * rng.standard_normal((250, 10))])
+    points = points[rng.permutation(5250)]
+    assign = kmeans(points, 8, seed)
+    assert hashlib.sha256(
+        assign.astype(np.int64).tobytes()).hexdigest() == digest
 
 
 # ---- partition_noniid ----
