@@ -197,8 +197,11 @@ class Scaler:
 
     def transform(self, features: np.ndarray) -> np.ndarray:
         safe = np.where(self.scale == 0.0, 1.0, self.scale)
-        out = features - self.offset
-        out /= safe  # in place: one full-size temporary, not two
+        # a value that overflows is left inf for `Dataset` to reject by
+        # column name, without a numpy warning first
+        with np.errstate(over="ignore"):
+            out = features - self.offset
+            out /= safe  # in place: one full-size temporary, not two
         out[:, self.scale == 0.0] = 0.0
         return out
 

@@ -10,7 +10,7 @@ Moment conventions: population (biased) central moments throughout;
 kurtosis is Pearson (non-excess, normal -> 3). Zero-variance vectors
 store S = K = 0 with a degenerate flag; everything else uses the straight
 formulas, so a five-tuple determines its central power sums exactly and
-pooling can be lossless.
+the server pools them losslessly.
 """
 import warnings
 from dataclasses import dataclass
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .util import SEVERAL, check
+from .util import SEVERAL
 
-AGGREGATION_MODES = ("weighted", "exact_pooled")
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,19 @@ def summarize(errors) -> ErrorSummary:
     m2 = float(np.mean(d * d))
     m3 = float(np.mean(d * d * d))
     m4 = float(np.mean(d * d * d * d))
-    if m2 == 0.0:
-        return ErrorSummary(mu, 0.0, 0.0, 0.0, n)
+    return _from_moments(mu, m2, m3, m4, n)
+
+
+def _from_moments(mu, m2, m3, m4, n) -> ErrorSummary:
+    """The five-tuple of the population central moments m2 > 0, m3, m4.
+
+    S and K divide by m2 squared. Below the normal float range that square
+    loses its leading digits, then reaches zero, so such errors are refused.
+    """
+    if m2 * m2 < _TINY:
+        raise ConfigError(
+            f"errors of scale {abs(mu) + m2 ** 0.5:.3g} are too small to "
+            f"summarize: their variance {m2:.3g} squared underflows")
     return ErrorSummary(mu, m2, m3 / m2 ** 1.5, m4 / (m2 * m2), n)
 
 
@@ -118,54 +129,22 @@ def _finish(n, mu, big_m2, big_m3, big_m4) -> ErrorSummary:
     m2 = big_m2 / n
     if m2 <= 0.0:
         return ErrorSummary(mu, 0.0, 0.0, 0.0, n)
-    skew = (big_m3 / n) / m2 ** 1.5
-    kurt = (big_m4 / n) / (m2 * m2)
-    return ErrorSummary(mu, m2, skew, kurt, n)
+    return _from_moments(mu, m2, big_m3 / n, big_m4 / n, n)
 
 
-def aggregate(summaries, mode: str = "exact_pooled") -> ErrorSummary:
+def aggregate(summaries) -> ErrorSummary:
     """Pool per-client five-tuples into one global five-tuple.
 
-    mode="exact_pooled" merges reconstructed central power sums pairwise
-    and reproduces the moments of the concatenated error vector. mode=
-    "weighted" applies count-weighted averaging: exact for mean/variance,
-    but its skewness/kurtosis terms carry sqrt(N_i) / N_i factors that do
-    not cancel (k identical clients do not return their own S, K), which
-    is why exact_pooled is the default. Zero-variance clients cannot
-    contribute to weighted-mode S/K (their terms divide by sigma_i); those
-    terms are skipped with a warning.
+    Merges the reconstructed central power sums pairwise, so the result
+    reproduces the moments of the concatenated error vector.
     """
     summaries = list(summaries)
     if not summaries:
         raise ConfigError("aggregate needs at least one summary")
-    check("formula_mode", mode, AGGREGATION_MODES)
-    if mode == "exact_pooled":
-        acc = _central_sums(summaries[0])
-        for s in summaries[1:]:
-            acc = _combine(acc, _central_sums(s))
-        return _finish(*acc)
-    counts = np.array([s.count for s in summaries], dtype=np.float64)
-    means = np.array([s.mean for s in summaries])
-    variances = np.array([s.variance for s in summaries])
-    total = counts.sum()
-    mu_g = float((counts * means).sum() / total)
-    var_g = float((counts * (variances + (means - mu_g) ** 2)).sum() / total)
-    if var_g <= 0.0:
-        return ErrorSummary(mu_g, 0.0, 0.0, 0.0, int(total))
-    sigma_g = np.sqrt(var_g)
-    skew_num = kurt_num = 0.0
-    for s in summaries:
-        sigma_i = np.sqrt(s.variance)
-        if sigma_i == 0.0:
-            warnings.warn(
-                f"weighted aggregation: skipping S/K terms of a zero-variance "
-                f"client (count {s.count})")
-            continue
-        ratio = sigma_g / sigma_i
-        skew_num += s.count * s.skewness * np.sqrt(s.count) * ratio ** 3
-        kurt_num += s.count * s.kurtosis * s.count * ratio ** 4
-    return ErrorSummary(mu_g, var_g, float(skew_num / total),
-                        float(kurt_num / total), int(total))
+    acc = _central_sums(summaries[0])
+    for s in summaries[1:]:
+        acc = _combine(acc, _central_sums(s))
+    return _finish(*acc)
 
 
 def overlap_region(normal: ErrorSummary,

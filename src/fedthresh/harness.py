@@ -29,8 +29,7 @@ from .data import (SCALE_METHODS, SPLIT_NAMES, CorruptionSpec, apply_scaler,
                    check_fractions, corrupt, fit_scaler, load_csv,
                    partition_even, partition_noniid, partition_random, split,
                    synth, synth_blobs, write_plan)
-from .error_stats import (AGGREGATION_MODES, ClassSummaries, ErrorSummary,
-                          aggregate, summarize)
+from .error_stats import ClassSummaries, ErrorSummary, aggregate, summarize
 from .errors import AuditError, ConfigError, InsufficientTail, StageError
 from .federation import Channel, ClientState, FedConfig, run_fedavg, \
     write_round_log
@@ -115,8 +114,7 @@ def _simple(tag):
 METHODS = {
     "our_method": Method(_class_summaries, "summary_stats",
                          lambda uploads, client_eval, cfg, _: our_method(
-                             uploads, client_eval, cfg.n_candidates,
-                             cfg.formula_mode)),
+                             uploads, client_eval, cfg.n_candidates)),
     "fed_minmax": Method(lambda errors, *_: (float(errors.min()),
                                              float(errors.max())),
                          "error_range", _fed_minmax_server),
@@ -205,8 +203,8 @@ SETTINGS = {
     "scheme": tuple(PARTITIONS), "num_clients": POSITIVE, "rounds": POSITIVE,
     **TRAIN_SETTINGS, "scale_method": SCALE_METHODS, "train_frac": UNIT,
     "val_frac": UNIT, "methods": METHOD_TAGS, "n_candidates": SEVERAL,
-    "formula_mode": AGGREGATION_MODES, "concentration": POSITIVE,
-    "noniid_k": POSITIVE, "noise_sigma_scale": NON_NEGATIVE,
+    "concentration": POSITIVE, "noniid_k": POSITIVE,
+    "noise_sigma_scale": NON_NEGATIVE,
     **dict.fromkeys(("data_seed", "model_seed", "partition_seed",
                      "train_seed", "corruption_seed"), NON_NEGATIVE),
 }
@@ -271,7 +269,6 @@ class ScenarioConfig:
     val_frac: float = 0.2
     methods: tuple[str, ...] = METHOD_TAGS
     n_candidates: int = 1000
-    formula_mode: str = "exact_pooled"
     concentration: float = 0.5
     noniid_k: int | None = None
     corrupt_client_ids: tuple[int, ...] = ()
@@ -850,10 +847,9 @@ def build_followup_dataset(base_cfg: ScenarioConfig, num_runs: int,
         local_f1 = {r.client_id: r.f1 for r in rows
                     if r.method == "local_minmax"}
         summaries = method_results[needed.index("our_method")].uploads
-        global_normal = aggregate([cs.normal for cs in summaries],
-                                  cfg.formula_mode)
+        global_normal = aggregate([cs.normal for cs in summaries])
         global_anomaly = aggregate([cs.anomaly for cs in summaries
-                                    if cs.anomaly], cfg.formula_mode)
+                                    if cs.anomaly])
         for i, cs in enumerate(summaries):
             feature_rows.append(collect_stat_features(
                 cs, global_normal, global_anomaly, local_f1[str(i)],

@@ -27,8 +27,7 @@ METHOD_TAGS = (
 )
 
 
-def our_method(client_class_summaries, client_eval, n: int = 1000,
-               mode: str = "exact_pooled") -> float:
+def our_method(client_class_summaries, client_eval, n: int = 1000) -> float:
     """Threshold with the best mean client F1 over the overlap region.
 
     client_class_summaries: per-client ClassSummaries. client_eval maps a
@@ -47,8 +46,8 @@ def our_method(client_class_summaries, client_eval, n: int = 1000,
         raise NoAnomalyStatistics(
             "no client reported anomaly statistics; the overlap region "
             "requires both class distributions")
-    global_normal = aggregate(normals, mode)
-    global_anomaly = aggregate(anomalies, mode)
+    global_normal = aggregate(normals)
+    global_anomaly = aggregate(anomalies)
     region = overlap_region(global_normal, global_anomaly)
     return _grid_search(region, n, client_eval)
 

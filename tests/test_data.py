@@ -270,6 +270,22 @@ def test_a_scaler_that_overflows_warns_nothing_before_the_error(method):
             apply_scaler(ds, fit_scaler(features, method))
 
 
+@pytest.mark.parametrize("fit_on, value", [((0.0, 1e-300), 1e300),
+                                           ((1.7e308, 1.6e308), -1.7e308)],
+                         ids=["divide", "subtract"])
+def test_a_scaled_value_that_overflows_warns_nothing_before_the_error(
+        fit_on, value):
+    # the scaler is finite, the value it maps to is not: the column is
+    # reported once, by Dataset, with no numpy warning first
+    scaler = fit_scaler(np.array(fit_on)[:, None], "minmax")
+    ds = Dataset(np.array([[value], [0.0]]), np.zeros(2), ("a",), "huge")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="^feature column 'a' holds "
+                           "non-finite values$"):
+            apply_scaler(ds, scaler)
+
+
 @pytest.mark.parametrize("method", ["minmax", "zscore"])
 def test_scaling_all_rows_then_gathering_keeps_every_bit(method):
     # the scale stage transforms the whole array once and clients gather

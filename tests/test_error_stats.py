@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedthresh.error_stats import (AGGREGATION_MODES, ErrorSummary,
-                                   OverlapRegion, aggregate,
+from fedthresh.error_stats import (ErrorSummary, OverlapRegion, aggregate,
                                    generate_candidates, overlap_region,
                                    summarize)
 from fedthresh.errors import ConfigError
@@ -59,7 +58,7 @@ def test_summarize_empty_rejected():
 
 def test_exact_pooled_spec_example():
     parts = [summarize(np.array([0.0, 2.0])), summarize(np.array([4.0]))]
-    g = aggregate(parts, mode="exact_pooled")
+    g = aggregate(parts)
     mu, m2, skew, kurt = moments_oracle(np.array([0.0, 2.0, 4.0]))
     assert np.isclose(g.mean, mu, rtol=1e-12)
     assert np.isclose(g.variance, m2, rtol=1e-12)
@@ -78,7 +77,7 @@ def test_exact_pooled_equals_concatenation(data):
     cuts = np.sort(rng.integers(0, n + 1, size=clients - 1))
     parts = np.split(x, cuts)
     summaries = [summarize(p) for p in parts if len(p) > 0]
-    g = aggregate(summaries, mode="exact_pooled")
+    g = aggregate(summaries)
     whole = summarize(x)
     for got, want in ((g.mean, whole.mean), (g.variance, whole.variance),
                       (g.skewness, whole.skewness),
@@ -87,65 +86,36 @@ def test_exact_pooled_equals_concatenation(data):
     assert g.count == whole.count
 
 
-def test_weighted_mode_mean_variance_exact(rng):
-    parts = [rng.normal(1.0, 2.0, size=m) for m in (50, 120, 11)]
-    summaries = [summarize(p) for p in parts]
-    g_w = aggregate(summaries, mode="weighted")
-    whole = summarize(np.concatenate(parts))
-    assert np.isclose(g_w.mean, whole.mean, rtol=1e-12)
-    assert np.isclose(g_w.variance, whole.variance, rtol=1e-12)
-
-
-def test_weighted_mode_formula_oracle():
-    """Hand-computed scaled-moment aggregation for two clients."""
-    a = ErrorSummary(mean=0.0, variance=4.0, skewness=1.0, kurtosis=4.0,
-                     count=10)
-    b = ErrorSummary(mean=2.0, variance=1.0, skewness=-0.5, kurtosis=3.0,
-                     count=30)
-    g = aggregate([a, b], mode="weighted")
-    n = 40
-    mu = (10 * 0.0 + 30 * 2.0) / n
-    var = (10 * (4.0 + 0.0 ** 2) + 30 * (1.0 + 2.0 ** 2)) / n - mu ** 2
-    sg = np.sqrt(var)
-    skew = (10 * 1.0 * np.sqrt(10) * (sg / 2.0) ** 3
-            + 30 * -0.5 * np.sqrt(30) * (sg / 1.0) ** 3) / n
-    kurt = (10 * 4.0 * 10 * (sg / 2.0) ** 4
-            + 30 * 3.0 * 30 * (sg / 1.0) ** 4) / n
-    assert np.isclose(g.mean, mu, rtol=1e-12)
-    assert np.isclose(g.variance, var, rtol=1e-12)
-    assert np.isclose(g.skewness, skew, rtol=1e-12)
-    assert np.isclose(g.kurtosis, kurt, rtol=1e-12)
-
-
-def test_weighted_mode_skips_zero_variance_clients():
-    a = summarize(np.full(4, 1.0))
-    b = summarize(np.array([0.0, 1.0, 2.0, 3.0]))
-    with pytest.warns(UserWarning):
-        g = aggregate([a, b], mode="weighted")
-    assert np.isfinite(g.skewness) and np.isfinite(g.kurtosis)
-
-
-def test_aggregate_rejects_unknown_mode():
-    with pytest.raises(ConfigError):
-        aggregate([summarize(np.array([1.0, 2.0]))], mode="telepathy")
-    assert set(AGGREGATION_MODES) == {"weighted", "exact_pooled"}
-
-
 def test_aggregate_single_summary_identity_by_mode(rng):
     s = summarize(rng.normal(size=100))
-    g = aggregate([s], mode="exact_pooled")
+    g = aggregate([s])
     assert np.isclose(g.mean, s.mean, rtol=1e-12)
     assert np.isclose(g.variance, s.variance, rtol=1e-12)
     assert np.isclose(g.skewness, s.skewness, rtol=1e-12)
     assert np.isclose(g.kurtosis, s.kurtosis, rtol=1e-12)
-    # the count-weighted formulas are exact only for mean/variance: their
-    # S and K terms scale with sqrt(N) and N, so even one client round-trips
-    # S to S*sqrt(N). This inexactness is why exact_pooled is the default.
-    g_w = aggregate([s], mode="weighted")
-    assert np.isclose(g_w.mean, s.mean, rtol=1e-12)
-    assert np.isclose(g_w.variance, s.variance, rtol=1e-12)
-    assert np.isclose(g_w.skewness, s.skewness * np.sqrt(100), rtol=1e-12)
-    assert np.isclose(g_w.kurtosis, s.kurtosis * 100, rtol=1e-12)
+
+
+@pytest.mark.parametrize("k", [250, 260, 270, 1000])
+def test_summarize_rejects_errors_whose_variance_squared_underflows(k):
+    # near 2**-260 the kurtosis reads 3.76235 against 3.76273, and from
+    # 2**-265 on it divides by zero
+    x = np.random.default_rng(0).normal(1.0, 0.3, 1000) ** 2 * 0.02
+    with pytest.raises(ConfigError, match=r"^errors of scale \S+ are too "
+                       r"small to summarize: their variance \S+ squared "
+                       r"underflows$"):
+        summarize(x * 2.0 ** -k)
+    # a little larger, the same errors keep their kurtosis
+    assert np.isclose(summarize(x * 2.0 ** -245).kurtosis,
+                      summarize(x).kurtosis, rtol=1e-9)
+
+
+@pytest.mark.parametrize("variance", [1e-155, 1e-170])
+def test_aggregate_rejects_uploads_whose_pooled_variance_squared_underflows(
+        variance):
+    # each client's tuple is valid; the server divides by the square too
+    uploads = [ErrorSummary(1e-80, variance, 0.0, 3.0, 50)] * 2
+    with pytest.raises(ConfigError, match="too small to summarize"):
+        aggregate(uploads)
 
 
 def gs(mean, var):

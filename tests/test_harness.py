@@ -82,8 +82,6 @@ class TestScenarioConfig:
             make_config(methods=())
         with pytest.raises(ConfigError, match=r"methods lists \['iqr'\]"):
             make_config(methods=["iqr", "kqe", "iqr"])
-        with pytest.raises(ConfigError, match="formula_mode"):
-            make_config(formula_mode="verbatim")
         with pytest.raises(ConfigError, match="n_candidates"):
             make_config(n_candidates=1)
         with pytest.raises(ConfigError, match="num_clients"):
@@ -185,7 +183,8 @@ class TestScenarioConfig:
             ScenarioConfig.from_dict(raw)
         # options that no longer exist are unknown keys too
         for key, value in (("refine", False), ("aggregation", "mean"),
-                           ("client_weighting", "by_sample_count")):
+                           ("client_weighting", "by_sample_count"),
+                           ("formula_mode", "exact_pooled")):
             raw = make_config().to_dict()
             raw[key] = value
             with pytest.raises(ConfigError,
@@ -270,6 +269,26 @@ class TestRunScenario:
                            "column 'a' holds non-finite values$") as caught:
             run_scenario(make_config(dataset=csv_dataset(path)))
         assert isinstance(caught.value.cause, ConfigError)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("method", ["minmax", "zscore"])
+    def test_feature_columns_scaled_by_a_power_of_two_keep_every_result(
+            self, method, tmp_path):
+        # scaling is exact under a power of two, so the scaled features,
+        # and every result after them, keep their bits
+        rng = np.random.default_rng(0)
+        a = np.r_[rng.uniform(size=600), rng.normal(3.0, 0.3, 60)]
+        b = np.r_[rng.uniform(size=600), rng.normal(3.0, 0.3, 60)]
+        digests = []
+        for k in (0, -40, 10, 40):
+            run_dir = tmp_path / f"k{k}"
+            run_dir.mkdir()
+            path = write_feature_csv(run_dir, a * 2.0 ** k, b * 2.0 ** k)
+            cfg = make_config(dataset=csv_dataset(path), scale_method=method,
+                              scheme="noniid_kmeans", methods=METHOD_TAGS)
+            run_scenario(cfg, out_dir=run_dir)
+            digests.append(contract_digest(run_dir / "results.csv"))
+        assert digests == digests[:1] * 4
 
     @pytest.mark.parametrize("sizes", [[1], [0, 1], [0]], ids=repr)
     def test_blob_sizes_below_two_fail_at_load(self, sizes):
@@ -976,7 +995,6 @@ OPTION_EFFECTS = {
     "methods": (["our_method"], {}, "results"),
     # our_method's best candidate here is its grid's lower end at any size
     "n_candidates": (7, {"methods": ["fed_minmax"]}, "results"),
-    "formula_mode": ("weighted", {}, "pooled_moments"),
     "concentration": (5.0, {"scheme": "random"}, "results"),
     "noniid_k": (2, {"scheme": "noniid_kmeans"}, "results"),
     "corrupt_client_ids": ([0], {}, "results"),
@@ -1024,11 +1042,6 @@ def option_output(option, value, overrides, output, tmp_path):
     cfg = make_config(**overrides)
     if output == "results":  # config_hash aside, which any option moves
         return [row_key(r)[:-1] for r in run_scenario(cfg)]
-    if output == "pooled_moments":
-        rows, _, _ = build_followup_dataset(cfg, 2)
-        return [(r.normal_aggr_skewness, r.normal_aggr_kurtosis,
-                 r.anomaly_aggr_skewness, r.anomaly_aggr_kurtosis)
-                for r in rows]
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
     args = dict(CLI_ARGS[output])
