@@ -625,9 +625,10 @@ def write_plan(plan: PartitionPlan, path) -> None:
         csv.writer(fh).writerow(["split", "client_id", "sample_index"])
         for split_name in sorted(plan.assignments):
             for client_id, indices in enumerate(plan.assignments[split_name]):
-                prefix = f"{split_name},{client_id},"
-                fh.write("".join(prefix + str(i) + "\r\n"
-                                 for i in indices.tolist()))
+                if indices.size:
+                    prefix = f"{split_name},{client_id},"
+                    fh.write(prefix + ("\r\n" + prefix).join(
+                        map(str, indices.tolist())) + "\r\n")
 
 
 @dataclass(frozen=True)

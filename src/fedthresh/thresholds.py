@@ -10,6 +10,7 @@ _grid_search, use the strict "error > theta" decision rule, and break
 score ties toward the smallest candidate. A zero-width range gives a
 one-point grid, with a warning.
 """
+import math
 import warnings
 
 import numpy as np
@@ -133,6 +134,19 @@ def local_simple(method: str, errors, params=None) -> float:
     return float(LOCAL_RULES[method](errors, params or {}))
 
 
+# Phi(-KQE_BAND) = 5.2e-17 < 2**-54, so a kernel term Phi((x - e)/h) is
+# 1.0 to double precision from (x - e)/h >= KQE_BAND up, and below 2**-54
+# from (x - e)/h <= -KQE_BAND down. Counting the first kind as 1 and
+# dropping the second moves each such term by less than 2**-54, so the
+# mean F moves by less than 2**-54 * (#counted + #dropped) / n <= 2**-54.
+# The terms in the band add the rounding of libm's erfc, an exact sum
+# (fsum), one add and one divide: a few ulps of F.
+KQE_BAND = 8.3
+# brentq's step tolerance, as a multiple of the bandwidth h: every step
+# of the solver then scales with the errors
+KQE_XTOL = 1e-10
+
+
 def kqe(errors, q: float = 0.99, bandwidth: float | None = None) -> float:
     """Gaussian-kernel-smoothed quantile of the error distribution.
 
@@ -143,6 +157,15 @@ def kqe(errors, q: float = 0.99, bandwidth: float | None = None) -> float:
     h -> 0 limit. The result is clipped to the observed error range: the
     kernel tails put mass beyond the sample extremes, and a threshold
     outside what was observed carries no information.
+
+    F is evaluated on the sorted errors in a band: the errors with
+    (x - X_i)/h >= KQE_BAND (8.3) count as 1, those at or below -KQE_BAND
+    are left out, and Phi is computed only in between, so F is within
+    2**-54 of the full mean, plus a few ulps of rounding. _brentq finds
+    the root to a step tolerance of KQE_XTOL * h (1e-10 h) plus 4 eps of
+    the root, relative: every step scales with h, so multiplying every
+    error by a power of two multiplies the result by exactly that power
+    (barring underflow and overflow).
     """
     errors = np.asarray(errors, dtype=np.float64).ravel()
     if errors.size == 0:
@@ -160,21 +183,88 @@ def kqe(errors, q: float = 0.99, bandwidth: float | None = None) -> float:
     if not bandwidth > 0.0:
         return float(np.quantile(errors, q))
     h = float(bandwidth)
-    # imported here: scipy takes about half a second to import, and every
-    # CLI call, --help and config errors included, would pay it
-    from scipy.optimize import brentq
-    from scipy.special import ndtr
+    ordered = np.sort(errors)
+    smoothed_cdf = _smoothed_cdf(ordered, h)
+    low, high = float(ordered[0]), float(ordered[-1])
+    lo, hi = low - 10.0 * h, high + 10.0 * h
+    f_lo, f_hi = smoothed_cdf(lo), smoothed_cdf(hi)
+    # the band makes f_lo 0 and f_hi 1 unless h is lost in the rounding
+    # of the errors; a q they do not bracket puts the root past an end,
+    # and the clip below returns that end of the errors
+    q = min(max(q, f_lo), f_hi)
+    root = _brentq(lambda x: smoothed_cdf(x) - q, lo, hi, f_lo - q, f_hi - q,
+                   xtol=KQE_XTOL * h)
+    return min(max(root, low), high)
+
+
+def _smoothed_cdf(ordered, h: float):
+    """x -> mean(Phi((x - e)/h)) over the sorted errors `ordered`, with
+    the terms outside the band |x - e| < KQE_BAND * h counted as 1 (e
+    below it) or left out (e above it)."""
+    n = ordered.size
+    reach = KQE_BAND * h
+    width = h * math.sqrt(2.0)
 
     def smoothed_cdf(x):
-        return float(np.mean(ndtr((x - errors) / h)))
+        ones = int(np.searchsorted(ordered, x - reach, side="right"))
+        end = int(np.searchsorted(ordered, x + reach, side="left"))
+        band = ((ordered[ones:end] - x) / width).tolist()
+        # Phi(a) = erfc(-a / sqrt(2)) / 2
+        return (ones + 0.5 * math.fsum(map(math.erfc, band))) / n
+    return smoothed_cdf
 
-    lo = float(errors.min()) - 10.0 * h
-    hi = float(errors.max()) + 10.0 * h
-    # a q the bracket's CDF does not reach puts the root past an end, and
-    # the clip below returns that end of the errors
-    q = min(max(q, smoothed_cdf(lo)), smoothed_cdf(hi))
-    root = float(brentq(lambda x: smoothed_cdf(x) - q, lo, hi, xtol=1e-12))
-    return float(np.clip(root, errors.min(), errors.max()))
+
+def _brentq(f, xa, xb, fa, fb, xtol=2e-12, rtol=4 * np.finfo(float).eps,
+            maxiter=100):
+    """A root of f in [xa, xb], given fa = f(xa) and fb = f(xb).
+
+    A step-for-step port of SciPy's optimize.brentq (Brent's method, as
+    in its brentq.c) with the same defaults, so the same f gives the same
+    bits; the caller passes f at the ends instead of having them
+    evaluated again. Raises ValueError when fa and fb share a sign and
+    RuntimeError when maxiter steps do not converge.
+    """
+    xpre, xcur, fpre, fcur = xa, xb, fa, fb
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / \
+                    (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def pot(errors, u_quantile: float = 0.98, risk: float = 1e-3) -> float:

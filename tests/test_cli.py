@@ -44,6 +44,22 @@ class TestThresholdCommand:
         assert (out / "results.csv").exists()
         assert (out / "timing.csv").exists()
 
+    def test_a_kqe_run_imports_no_scipy(self, tmp_path):
+        # kqe carries its own root finder and normal CDF
+        config = write_config(tmp_path, methods=["our_method", "kqe"])
+        src = Path(fedthresh.__file__).resolve().parents[1]
+        code = ("import sys; from fedthresh.cli import main; "
+                "main(sys.argv[1:], standalone_mode=False); "
+                "print([m for m in sys.modules if m.partition('.')[0] "
+                "== 'scipy'])")
+        done = subprocess.run(
+            [sys.executable, "-c", code, "threshold", "--config", str(config),
+             "--out", str(tmp_path / "out")], check=True, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert any(line.startswith("kqe")
+                   for line in done.stdout.splitlines())
+        assert done.stdout.splitlines()[-1] == "[]"
+
     def test_method_filter(self, runner, config_file):
         result = runner.invoke(main, ["threshold", "--config",
                                       str(config_file),
@@ -371,13 +387,3 @@ class TestHelp:
         for cmd in ("train", "threshold", "sweep-clients",
                     "sweep-corruption", "followup-dataset"):
             assert cmd in result.output
-
-    def test_cli_import_leaves_scipy_optimize_unloaded(self):
-        # scipy takes about half a second to import; only kqe needs it
-        src = Path(fedthresh.__file__).resolve().parents[1]
-        code = ("import sys, fedthresh.cli; "
-                "print('scipy.optimize' in sys.modules)")
-        done = subprocess.run([sys.executable, "-c", code], check=True,
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(src)})
-        assert done.stdout.strip() == "False"

@@ -546,6 +546,36 @@ class TestMethods:
         assert result.client_thetas == [float(np.median(e[:30]))
                                         for e in errors]
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("tag", METHOD_TAGS)
+    def test_scaling_every_error_by_a_power_of_two_scales_each_threshold(
+            self, tag):
+        # exact in IEEE arithmetic without underflow or overflow, so every
+        # threshold must scale bit for bit
+        rng = np.random.default_rng(27)
+        clients = []
+        for anomalies in (40, 0, 25, 60, 10, 30):  # client 1 holds none
+            normal = rng.gamma(2.0, size=500)
+            anomaly = 3.0 + rng.gamma(2.0, size=anomalies)
+            errors = 0.02 * np.concatenate([normal, anomaly])
+            clients.append((errors, np.repeat([0, 1], [500, anomalies])))
+
+        def thresholds(scale):
+            work = []
+            for i, (errors, labels) in enumerate(clients):
+                w = harness._ClientWork(None, ClientState(
+                    i, np.ones((2, 1)), errors[:, None], labels,
+                    np.ones((0, 1)), np.zeros(0)))
+                w.errors = errors * scale
+                work.append(w)
+            result = _compute_method(tag, make_config(n_candidates=200), work,
+                                     Channel())
+            return [result.global_theta, *result.client_thetas]
+
+        base = thresholds(1.0)
+        for k in (-200, -60, -40, -20, 20, 60, 200):
+            assert thresholds(2.0 ** k) == [t * 2.0 ** k for t in base], k
+
 
 class TestEmitReport:
     def test_empty_rows_rejected(self, tmp_path):
@@ -805,11 +835,6 @@ class TestSweepReuse:
         assert [(Path(w.filename).name, str(w.message)) for w in log] == \
             LEVEL_WARNINGS * len(SWEEP_LEVELS)
         assert {w.category for w in log} == {UserWarning}
-        # kqe imports these; importing them first keeps the filters they
-        # add on import from resetting the once-per-location registries
-        # in the middle of the sweep
-        import scipy.optimize  # noqa: F401
-        import scipy.special  # noqa: F401
         with warnings.catch_warnings(record=True) as log:
             warnings.simplefilter("default")
             sweep_corruption(toy_sweep_config(), SWEEP_LEVELS)

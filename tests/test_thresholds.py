@@ -1,3 +1,5 @@
+import inspect
+import math
 import warnings
 
 import numpy as np
@@ -9,9 +11,12 @@ from fedthresh.errors import (ConfigError, InsufficientTail,
                               NoAnomalyStatistics)
 from fedthresh.metrics import f1_curve
 from fedthresh.harness import METHODS
-from fedthresh.thresholds import (METHOD_TAGS, classify, fed_filtered,
+from fedthresh.thresholds import (KQE_BAND, KQE_XTOL, METHOD_TAGS, _brentq,
+                                  _smoothed_cdf, classify, fed_filtered,
                                   fed_minmax, fed_mse_std, kqe, local_minmax,
                                   local_simple, our_method, pot)
+
+EPS = np.finfo(float).eps
 
 
 def brute_force_best_f1(errors, labels):
@@ -172,8 +177,9 @@ def test_kqe_constant_vector_warns():
 
 
 def test_kqe_level_below_the_bracket_returns_the_minimum():
-    # the smoothed CDF is about 7.6e-24 at the bracket's lower end, so no
-    # root of F(x) = 1e-300 lies inside it
+    # the smoothed CDF is 0 up to where the lowest error enters the band,
+    # 8.3 h below it, and jumps there past 1e-300; the clip returns the
+    # minimum
     x = np.random.default_rng(8).normal(size=200)
     assert kqe(x, q=1e-300) == x.min()
 
@@ -198,6 +204,93 @@ def test_kqe_smoothing_pulls_toward_center():
     assert abs(theta - empirical) < 0.5
     with pytest.raises(ConfigError):
         kqe(x, q=1.5)
+
+
+def kqe_bandwidth(errors):
+    """The normal-reference bandwidth kqe picks by default."""
+    q1, q3 = np.quantile(errors, [0.25, 0.75])
+    spread = min(float(np.std(errors, ddof=1)), (q3 - q1) / 1.34)
+    return 0.9 * spread * errors.size ** (-0.2)
+
+
+def full_cdf(errors, h):
+    """kqe's smoothed CDF over every error, by scipy's normal CDF."""
+    special = pytest.importorskip("scipy.special")
+    return lambda x: float(np.mean(special.ndtr((x - errors) / h)))
+
+
+def test_kqe_band_edge_is_one_to_double_precision():
+    tail = 0.5 * math.erfc(KQE_BAND / math.sqrt(2.0))
+    assert tail < 2.0 ** -54
+    assert 0.5 * math.erfc(-KQE_BAND / math.sqrt(2.0)) == 1.0
+
+
+def test_brentq_port_has_scipy_defaults_and_errors():
+    optimize = pytest.importorskip("scipy.optimize")
+    ours = inspect.signature(_brentq).parameters
+    theirs = inspect.signature(optimize.brentq).parameters
+    for name in ("xtol", "rtol", "maxiter"):
+        assert ours[name].default == theirs[name].default
+
+    def f(x):
+        return x ** 3 - 2.0
+    # too few steps, and ends of one sign
+    for a, b, maxiter in ((0.0, 3.0, 2), (2.0, 3.0, 100)):
+        with pytest.raises((RuntimeError, ValueError)) as want:
+            optimize.brentq(f, a, b, maxiter=maxiter)
+        with pytest.raises(want.type) as got:
+            _brentq(f, a, b, f(a), f(b), maxiter=maxiter)
+        assert str(got.value) == str(want.value)
+
+
+def test_brentq_port_returns_scipy_bits_on_kqe_problems():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(27)
+    for _ in range(300):
+        errors = 10.0 ** rng.uniform(-9, 3) * rng.gamma(
+            2.0, size=int(rng.integers(2, 600)))
+        h = kqe_bandwidth(errors)
+        q = rng.uniform(0.01, 0.99)
+        lo, hi = errors.min() - 10.0 * h, errors.max() + 10.0 * h
+        for cdf in (full_cdf(errors, h), _smoothed_cdf(np.sort(errors), h)):
+            def f(x):
+                return cdf(x) - q
+            got = _brentq(f, lo, hi, f(lo), f(hi), xtol=KQE_XTOL * h)
+            assert got == optimize.brentq(f, lo, hi, xtol=KQE_XTOL * h)
+
+
+@pytest.mark.parametrize("spread", [1e-9, 1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("n", [2, 50, 4080])
+@pytest.mark.parametrize("q", [0.01, 0.5, 0.99])
+def test_banded_cdf_stays_within_its_bound_of_the_full_mean(q, n, spread):
+    errors = spread * np.random.default_rng(n).gamma(2.0, size=n)
+    h = kqe_bandwidth(errors)
+    full, banded = full_cdf(errors, h), _smoothed_cdf(np.sort(errors), h)
+    # the band's 2**-54, plus a few ulps of rounding on each side and the
+    # pairwise sum's log2(n) in the full mean
+    bound = 2.0 ** -54 + (math.log2(n) + 4) * EPS
+    theta = kqe(errors, q)
+    for x in theta + h * np.arange(-12.0, 13.0):
+        assert abs(banded(x) - full(x)) <= bound
+    # and the root matches scipy's over the full mean, to the tolerance
+    optimize = pytest.importorskip("scipy.optimize")
+    lo, hi = errors.min() - 10.0 * h, errors.max() + 10.0 * h
+    level = min(max(q, full(lo)), full(hi))
+    want = optimize.brentq(lambda x: full(x) - level, lo, hi,
+                           xtol=KQE_XTOL * h)
+    want = min(max(want, errors.min()), errors.max())
+    assert abs(theta - want) <= 2.0 * (KQE_XTOL * h + 4 * EPS * abs(want))
+
+
+def test_kqe_median_evaluates_a_wide_band():
+    # at q = 0.5 most errors lie within 8.3 h of the root, so the band,
+    # not the count below it, carries F
+    errors = np.random.default_rng(4080).gamma(2.0, size=4080)
+    h = kqe_bandwidth(errors)
+    theta = kqe(errors, 0.5)
+    inside = np.abs(errors - theta) < KQE_BAND * h
+    assert inside.mean() > 0.6
+    assert abs(_smoothed_cdf(np.sort(errors), h)(theta) - 0.5) < 1e-12
 
 
 def test_pot_exponential_oracle():
