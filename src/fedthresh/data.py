@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .error_stats import FEATURE_CAP
 from .errors import ConfigError
 from .util import (NON_NEGATIVE, POSITIVE, SEVERAL, UNIT, check,
                    largest_remainder)
@@ -213,7 +214,7 @@ def fit_scaler(features: np.ndarray, method: str = "minmax") -> Scaler:
         raise ConfigError("cannot fit a scaler on no data")
     # a range or spread that overflows is left inf for `apply_scaler` to
     # reject by column name, without a numpy warning first
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         if method == "minmax":
             lo = features.min(axis=0)
             return Scaler(method, lo, features.max(axis=0) - lo)
@@ -631,34 +632,29 @@ def write_plan(plan: PartitionPlan, path) -> None:
                         map(str, indices.tolist())) + "\r\n")
 
 
-@dataclass(frozen=True)
-class CorruptionSpec:
-    corrupt_client_ids: frozenset
-    noise_sigma_scale: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "corrupt_client_ids",
-                           frozenset(self.corrupt_client_ids))
-        NON_NEGATIVE.check("noise_sigma_scale", self.noise_sigma_scale)
-
-
-def corrupt(client_state, spec: CorruptionSpec, seed: int):
-    """Gaussian-noise a corrupt client's validation features.
+def corrupt(client_state, noise_sigma_scale: float, seed: int):
+    """Gaussian-noise one client's validation features.
 
     Noise std per feature is noise_sigma_scale times that feature's std in
     the client's own training data, so constant features stay untouched.
-    Labels, train, and test data are never modified; clients not listed
-    come back unchanged.
+    Labels, train, and test data are never modified; at scale 0 the client
+    comes back unchanged. Noise that takes a validation feature beyond
+    FEATURE_CAP is refused, naming the scale and the client.
     """
-    if client_state.client_id not in spec.corrupt_client_ids or \
-            spec.noise_sigma_scale == 0.0:
+    NON_NEGATIVE.check("noise_sigma_scale", noise_sigma_scale)
+    if noise_sigma_scale == 0.0:
         return client_state
     rng = np.random.default_rng(np.random.SeedSequence(
         [seed, client_state.client_id]))
     feature_std = client_state.train_data.std(axis=0)
-    noise = rng.standard_normal(client_state.val_data.shape) * \
-        (spec.noise_sigma_scale * feature_std)
-    return replace(client_state, val_data=client_state.val_data + noise)
+    with np.errstate(over="ignore"):
+        val_data = client_state.val_data + rng.standard_normal(
+            client_state.val_data.shape) * (noise_sigma_scale * feature_std)
+    if not np.all(np.abs(val_data) <= FEATURE_CAP):
+        raise ConfigError(f"noise_sigma_scale={noise_sigma_scale!r} takes "
+                          f"client {client_state.client_id}'s validation "
+                          f"features beyond {FEATURE_CAP:g}")
+    return replace(client_state, val_data=val_data)
 
 
 def synth(num_normal: int, num_anomaly: int, dim: int, separation: float,

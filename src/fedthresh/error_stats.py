@@ -21,6 +21,11 @@ from .errors import ConfigError
 from .util import SEVERAL
 
 _TINY = np.finfo(np.float64).tiny
+# The largest validation error the summaries take: its fourth power stays
+# finite. A feature past its square root squares past it, so the scale and
+# corrupt stages refuse such a validation feature, naming the setting.
+ERROR_CAP = 1e50
+FEATURE_CAP = ERROR_CAP ** 0.5
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ in timing.csv so results.csv stays byte-reproducible.
 """
 import hashlib
 import json
-import sys
 import time
 import types
 import warnings
@@ -25,34 +24,36 @@ import numpy as np
 
 from .autoencoder import (TRAIN_SETTINGS, TrainConfig, mse_per_sample,
                           save_model)
-from .data import (SCALE_METHODS, SPLIT_NAMES, CorruptionSpec, apply_scaler,
-                   check_fractions, corrupt, fit_scaler, load_csv,
-                   partition_even, partition_noniid, partition_random, split,
-                   synth, synth_blobs, write_plan)
-from .error_stats import ClassSummaries, ErrorSummary, aggregate, summarize
+from .data import (SCALE_METHODS, SPLIT_NAMES, apply_scaler, check_fractions,
+                   corrupt, fit_scaler, load_csv, partition_even,
+                   partition_noniid, partition_random, split, synth,
+                   synth_blobs, write_plan)
+from .error_stats import (ERROR_CAP, FEATURE_CAP, ClassSummaries, ErrorSummary,
+                          aggregate, summarize)
 from .errors import AuditError, ConfigError, InsufficientTail, StageError
 from .federation import Channel, ClientState, FedConfig, run_fedavg, \
     write_round_log
-from .metrics import (STAT_FEATURE_COLUMNS, Confusion, collect_stat_features,
-                      correlation_matrix, f1, sort_errors)
+from .metrics import (STAT_FEATURE_COLUMNS, collect_stat_features,
+                      correlation_matrix, f1_scores, sort_errors)
 # not called here any more; perfbench/tracing.py replaces these attributes
 # by name, so they stay importable from this module
 from .metrics import confusion, f1_curve  # noqa: F401
 from .thresholds import classify  # noqa: F401
 from .thresholds import (METHOD_TAGS, fed_filtered, fed_minmax, fed_mse_std,
-                         kqe, local_minmax, local_simple, our_method, pot)
+                         iqr, kqe, largest_mse, local_minmax, local_mse_std,
+                         local_simple, our_method, percentile, pot)
 from .util import (FINITE, NON_NEGATIVE, PERCENT, POSITIVE, SEVERAL, UNIT,
                    check, derive_seed)
 
 
 @dataclass(frozen=True)
 class Method:
-    """client(errors, labels, i, cfg, params) turns client i's validation
-    errors into its upload, of channel kind `upload`. server(uploads,
-    client_eval, cfg, params) turns the uploads, and the F1 vectors that
-    client_eval gathers for a grid, into the shared threshold; without
-    one, each client keeps its own. `params`: each method_params key and
-    the Range it must lie in."""
+    """client(work, cfg, params) turns one client's _ClientWork into its
+    upload, of channel kind `upload`; a label-blind step reads
+    `work.normal` alone. server(uploads, client_eval, cfg, params) turns
+    the uploads, and the F1 vectors that client_eval gathers for a grid,
+    into the shared threshold; without one, each client keeps its own.
+    `params`: each method_params key and the Range it must lie in."""
 
     client: Callable
     upload: str
@@ -67,10 +68,10 @@ class Method:
                              "client_eval")
 
 
-def _class_summaries(errors, labels, i, cfg, params):
-    normal = summarize(errors[labels == 0])
-    anomaly = summarize(errors[labels == 1]) if np.any(labels == 1) else None
-    return ClassSummaries(normal, anomaly)
+def _class_summaries(work, cfg, params):
+    anomalous = work.errors[work.client.val_labels == 1]
+    return ClassSummaries(summarize(work.normal),
+                          summarize(anomalous) if anomalous.size else None)
 
 
 def _fed_minmax_server(uploads, client_eval, cfg, params):
@@ -78,64 +79,64 @@ def _fed_minmax_server(uploads, client_eval, cfg, params):
     return fed_minmax(min(lows), max(highs), cfg.n_candidates, client_eval)
 
 
-def _mean_plus_std(errors, labels, i, cfg, params):
-    s = summarize(errors)
+def _mean_plus_std(work, cfg, params):
+    s = summarize(work.errors)
     return s.mean + np.sqrt(s.variance)
 
 
-def _local_minmax_client(errors, labels, i, cfg, params):
+def _local_minmax_client(work, cfg, params):
+    errors, labels = work.errors, work.client.val_labels
     if np.any(labels == 1):
         return local_minmax(errors, labels, cfg.n_candidates)
     # no anomalies: every threshold scores F1 = 0 locally; the max error
     # at least predicts nothing falsely
-    warnings.warn(f"client {i} holds no anomalies; local_minmax falls back "
-                  "to max(errors)")
+    warnings.warn(f"client {work.client.client_id} holds no anomalies; "
+                  "local_minmax falls back to max(errors)")
     return float(errors.max())
 
 
-def _pot_client(errors, labels, i, cfg, params):
-    normal = errors[labels == 0]
+def _pot_client(work, cfg, params):
     try:
-        return pot(normal, **params)
+        return pot(work.normal, **params)
     except InsufficientTail as exc:
-        warnings.warn(f"client {i}: thin tail, pot falls back to the "
-                      f"{exc.u_quantile:.0%} percentile")
-        return local_simple("percentile", normal,
+        warnings.warn(f"client {work.client.client_id}: thin tail, pot falls "
+                      f"back to the {exc.u_quantile:.0%} percentile")
+        return local_simple(percentile, work.normal,
                             {"p": exc.u_quantile * 100.0})
 
 
-def _simple(tag):
-    return lambda errors, labels, i, cfg, params: local_simple(
-        tag, errors[labels == 0], params)
-
-
-# Label-blind local methods see normal errors only. fed_minmax's extremes
-# are error samples, so it is outside the summary contract.
+# fed_minmax's extremes are error samples, so it is outside the summary
+# contract.
 METHODS = {
     "our_method": Method(_class_summaries, "summary_stats",
                          lambda uploads, client_eval, cfg, _: our_method(
                              uploads, client_eval, cfg.n_candidates)),
-    "fed_minmax": Method(lambda errors, *_: (float(errors.min()),
-                                             float(errors.max())),
+    "fed_minmax": Method(lambda work, *_: (float(work.errors.min()),
+                                           float(work.errors.max())),
                          "error_range", _fed_minmax_server),
-    "fed_mse_std": Method(lambda errors, *_: summarize(errors), "summary_stats",
+    "fed_mse_std": Method(lambda work, *_: summarize(work.errors),
+                          "summary_stats",
                           lambda uploads, *_: fed_mse_std(uploads)),
     "fed_filtered": Method(_mean_plus_std, "summary_stats",
                            lambda uploads, _, cfg, params:
                            fed_filtered(uploads, **params),
                            {"z_cut": POSITIVE}),
     "local_minmax": Method(_local_minmax_client, "local_threshold"),
-    "kqe": Method(lambda errors, labels, i, cfg, params:
-                  kqe(errors[labels == 0], **params), "local_threshold",
+    "kqe": Method(lambda work, _, params: kqe(work.normal, **params),
+                  "local_threshold",
                   params={"q": UNIT,
                           "bandwidth": replace(NON_NEGATIVE, nullable=True)}),
-    "iqr": Method(_simple("iqr"), "local_threshold"),
-    "percentile": Method(_simple("percentile"), "local_threshold",
-                         params={"p": PERCENT}),
-    "largest_mse": Method(_simple("largest_mse"), "local_threshold"),
+    "iqr": Method(lambda work, _, params: local_simple(
+        iqr, work.normal, params), "local_threshold"),
+    "percentile": Method(lambda work, _, params: local_simple(
+        percentile, work.normal, params), "local_threshold",
+        params={"p": PERCENT}),
+    "largest_mse": Method(lambda work, _, params: local_simple(
+        largest_mse, work.normal, params), "local_threshold"),
     "pot": Method(_pot_client, "local_threshold",
                   params={"u_quantile": UNIT, "risk": UNIT}),
-    "local_mse_std": Method(_simple("local_mse_std"), "local_threshold"),
+    "local_mse_std": Method(lambda work, _, params: local_simple(
+        local_mse_std, work.normal, params), "local_threshold"),
 }
 
 # the summary protocol, whose uploads audit_channel checks
@@ -404,17 +405,24 @@ def build_client_states(plan, dataset, splits):
 
 
 def _scale(dataset, splits, method):
-    """The whole dataset scaled by a scaler fit on its training rows."""
-    return apply_scaler(dataset, fit_scaler(dataset.features[splits[0]],
-                                            method))
+    """The whole dataset scaled by a scaler fit on its training rows. A
+    scaled validation feature beyond FEATURE_CAP is refused, naming its
+    column: its errors would overflow the summaries."""
+    scaled = apply_scaler(dataset, fit_scaler(dataset.features[splits[0]],
+                                              method))
+    peaks = np.abs(scaled.features[splits[1]]).max(axis=0, initial=0.0)
+    for name, peak in zip(scaled.feature_names, peaks):
+        if peak > FEATURE_CAP:
+            raise ConfigError(f"validation feature column {name!r} reaches "
+                              f"{peak:g} once scaled, beyond {FEATURE_CAP:g}")
+    return scaled
 
 
 def _apply_corruption(cfg: ScenarioConfig, levels, clients):
-    ids = frozenset(i for level in levels for i in level.corrupt_client_ids)
-    if not ids:
-        return clients
-    spec = CorruptionSpec(ids, cfg.noise_sigma_scale)
-    return [corrupt(c, spec, cfg.corruption_seed) for c in clients]
+    """Each client that some level corrupts, corrupted once."""
+    ids = {i for level in levels for i in level.corrupt_client_ids}
+    return [corrupt(c, cfg.noise_sigma_scale, cfg.corruption_seed)
+            if c.client_id in ids else c for c in clients]
 
 
 def _train(cfg: ScenarioConfig, clients, channel, round_log):
@@ -425,43 +433,13 @@ def _train(cfg: ScenarioConfig, clients, channel, round_log):
                       channel=channel, round_log=round_log)
 
 
-class _WarningLog(list):
-    """Collects each warning shown while it is open, still showing it as
-    usual; show_again() issues them again from where they were raised."""
-
-    def __enter__(self):
-        self._shown = warnings.showwarning
-
-        def observe(message, category, filename, lineno, file=None,
-                    line=None):
-            self.append((message, category, filename, lineno))
-            self._shown(message, category, filename, lineno, file, line)
-        warnings.showwarning = observe
-        return self
-
-    def __exit__(self, *exc):
-        warnings.showwarning = self._shown
-
-    def show_again(self):
-        """The same filters and the raising module's once-per-location
-        registry apply as to the first showing."""
-        if not self:
-            return
-        modules = {getattr(m, "__file__", None): m
-                   for m in list(sys.modules.values())}
-        for message, category, filename, lineno in self:
-            module = modules.get(filename)
-            warnings.warn_explicit(
-                message, category, filename, lineno,
-                module=module.__name__ if module else None,
-                registry=vars(module).setdefault("__warningregistry__", {})
-                if module else None)
-
-
 class _ClientWork:
-    """One client state's threshold-stage work under one model: its
-    validation errors, their sorted view, its sorted test errors and each
-    method's client step, each computed on first use."""
+    """One client state's threshold-stage work under one model, and the
+    one input of every method's client step: its validation errors, their
+    normal-labelled subset (all a label-blind step reads), their sorted
+    view, its sorted test errors and each method's upload, each computed
+    on first use. An upload is kept only if computing it showed no
+    warning, so a step that warned runs, and warns, again at each call."""
 
     def __init__(self, model, client):
         self.model = model
@@ -471,9 +449,13 @@ class _ClientWork:
     @cached_property
     def errors(self):
         errors = mse_per_sample(self.model, self.client.val_data)
-        if np.max(errors, initial=0.0) > 1e50:  # errors**4 stays finite
+        if np.max(errors, initial=0.0) > ERROR_CAP:
             raise ConfigError(f"validation errors reach {errors.max():g}")
         return errors
+
+    @cached_property
+    def normal(self):
+        return self.errors[self.client.val_labels == 0]
 
     @cached_property
     def view(self):
@@ -484,17 +466,24 @@ class _ClientWork:
         return sort_errors(mse_per_sample(self.model, self.client.test_data),
                            self.client.test_labels)
 
-    def step(self, method, tag, i, cfg, params):
-        """Client i's upload for `tag`; a later call returns it and shows
-        the first call's warnings again."""
+    def step(self, method, tag, cfg, params):
+        """This client's upload for `tag`. Whether the step warned is read
+        off warnings.showwarning: catch_warnings would reset every module's
+        once-per-location registry."""
         if tag in self._steps:
-            upload, log = self._steps[tag]
-            log.show_again()
-            return upload
-        with _WarningLog() as log:
-            upload = method.client(self.errors, self.client.val_labels, i,
-                                   cfg, params)
-        self._steps[tag] = (upload, log)
+            return self._steps[tag]
+        shown, warned = warnings.showwarning, []
+
+        def observe(*args, **kwargs):
+            warned.append(args)
+            shown(*args, **kwargs)
+        warnings.showwarning = observe
+        try:
+            upload = method.client(self, cfg, params)
+        finally:
+            warnings.showwarning = shown
+        if not warned:
+            self._steps[tag] = upload
         return upload
 
 
@@ -519,7 +508,7 @@ def _wire(payload) -> list:
 
 def _compute_method(tag, cfg, work, channel: Channel) -> MethodResult:
     """Run one method over one _ClientWork per client: every client step
-    (one already in the work is reused), each upload logged at its
+    (an upload the work kept is reused), each upload logged at its
     measured size, then the server step on the uploads alone."""
     method = METHODS[tag]
     params = _method_kwargs(tag, cfg.method_params.get(tag, {}))
@@ -530,7 +519,7 @@ def _compute_method(tag, cfg, work, channel: Channel) -> MethodResult:
         channel.record(direction, kind, np.size(payload), cid, context=tag)
 
     uploads = _timed_per_client(
-        lambda i: work[i].step(method, tag, i, cfg, params), client_ms)
+        lambda i: work[i].step(method, tag, cfg, params), client_ms)
     for i, payload in enumerate(uploads):
         for part in _wire(payload):
             send("upload", method.upload, part, i)
@@ -568,24 +557,25 @@ def _evaluate(cfg, method_results, work):
     deployed threshold (shared for federated methods, per-client for local
     ones); its threshold column carries the shared or mean threshold.
     Each client's confusions at every method's threshold come from one
-    binary search into its sorted test errors.
+    binary search into its sorted test errors, and every F1 from one
+    f1_scores call.
     """
     thetas = np.array([mr.client_thetas for mr in method_results])
-    # clients x (tp, fp, tn, fn) x methods
+    # (tp, fp, tn, fn) x clients x methods
     counts = np.stack([w.test_view.confusion_counts(thetas[:, i])
-                       for i, w in enumerate(work)])
+                       for i, w in enumerate(work)], axis=1)
+    # methods x (pooled, then each client)
+    scores = f1_scores(np.concatenate(
+        [counts.sum(axis=1, keepdims=True), counts], axis=1)).T.tolist()
     scenario_id, config_hash = cfg.effective_id, cfg.config_hash()
     rows = []
-    for m, mr in enumerate(method_results):
-        pooled = Confusion(*(int(v) for v in counts[:, :, m].sum(axis=0)))
-        rows.append(ResultRow(scenario_id, mr.tag, "global", "test",
-                              f1(pooled), mr.global_theta, mr.global_ms,
-                              config_hash))
-        for i in range(len(work)):
-            conf = Confusion(*(int(v) for v in counts[i, :, m]))
-            rows.append(ResultRow(scenario_id, mr.tag, str(i), "test",
-                                  f1(conf), mr.client_thetas[i],
-                                  mr.client_ms[i], config_hash))
+    for mr, (pooled, *per_client) in zip(method_results, scores):
+        rows.append(ResultRow(scenario_id, mr.tag, "global", "test", pooled,
+                              mr.global_theta, mr.global_ms, config_hash))
+        rows += [ResultRow(scenario_id, mr.tag, str(i), "test", score, theta,
+                           ms, config_hash)
+                 for i, (score, theta, ms) in enumerate(zip(
+                     per_client, mr.client_thetas, mr.client_ms))]
     return rows
 
 
@@ -604,12 +594,14 @@ def _pipeline(cfg: ScenarioConfig, levels):
     clean state of the rest. That equals corrupting its ids alone, as a
     client's noise depends only on its id and the corruption seed; test
     data is never corrupted, so every level scores on the clean test
-    errors. Each state's validation errors, their sorted view and its
-    client steps are computed once per call, and a client that corruption
-    leaves unchanged (noise scale 0) has one state. Every level still
-    sends every upload, shows each reused step's warnings again, and
-    computes its own server steps, F1 rows and test confusions; a reused
-    step adds only its lookup to wall_time_ms.
+    errors. Each state's validation errors, their sorted view and each
+    client step that showed no warning are computed once per call, and a
+    client that corruption leaves unchanged (noise scale 0) has one state.
+    A step that warned runs again at each level, so its warnings pass the
+    filters as any other does and its wall_time_ms covers the rerun.
+    Every level still sends every upload and computes its own server
+    steps, F1 rows and test confusions; a reused step adds only its
+    lookup to wall_time_ms.
     """
     dataset = _stage("load", _build_dataset, cfg)
     splits = _stage("split", split, dataset, cfg.train_frac, cfg.val_frac,

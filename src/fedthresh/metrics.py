@@ -47,6 +47,15 @@ def f1(c: Confusion) -> float:
     return 0.0 if denom == 0.0 else (2.0 * c.tp) / denom
 
 
+def f1_scores(counts) -> np.ndarray:
+    """f1 of each (tp, fp, tn, fn) in counts, whose first axis holds the
+    four counts: the same arithmetic, one array op at a time."""
+    tp, fp, _, fn = counts
+    denom = 2.0 * tp + fp + fn
+    return np.divide(2.0 * tp, denom, out=np.zeros_like(denom),
+                     where=denom != 0.0)
+
+
 @dataclass(frozen=True)
 class SortedErrors:
     """One error vector sorted once, with its anomaly counts, so that the
@@ -77,12 +86,7 @@ class SortedErrors:
         candidates = np.ascontiguousarray(candidates, dtype=np.float64).ravel()
         if candidates.size and np.any(np.diff(candidates) < 0):
             raise ConfigError("candidates must be sorted ascending")
-        tp, fp, _, fn = self.confusion_counts(candidates)
-        denom = 2.0 * tp + fp + fn
-        out = np.zeros(candidates.size)
-        nz = denom != 0.0
-        out[nz] = (2.0 * tp[nz]) / denom[nz]
-        return out
+        return f1_scores(self.confusion_counts(candidates))
 
 
 def sort_errors(errors, labels) -> SortedErrors:

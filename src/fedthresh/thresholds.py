@@ -104,34 +104,32 @@ def local_minmax(errors, labels, n: int) -> float:
         errors, labels, candidates)[None, :])
 
 
-def _iqr_fence(errors, params):
+def iqr(errors) -> float:
+    """Tukey's upper fence, q3 + 1.5 (q3 - q1)."""
     q1, q3 = np.quantile(errors, [0.25, 0.75])
     return q3 + 1.5 * (q3 - q1)
 
 
-def _percentile(errors, params):
-    p = params.get("p", 99.0)
+def percentile(errors, p: float = 99.0) -> float:
     PERCENT.check("p", p)
     return np.quantile(errors, float(p) / 100.0)
 
 
-# tag -> rule(errors, params) of local_simple
-LOCAL_RULES = {
-    "iqr": _iqr_fence,
-    "percentile": _percentile,
-    "largest_mse": lambda errors, _: errors.max(),
-    "local_mse_std": lambda errors, _: errors.mean() + errors.std(),
-}
+def largest_mse(errors) -> float:
+    return errors.max()
 
 
-def local_simple(method: str, errors, params=None) -> float:
-    """One label-free rule of LOCAL_RULES over the errors."""
+def local_mse_std(errors) -> float:
+    return errors.mean() + errors.std()
+
+
+def local_simple(rule, errors, params=None) -> float:
+    """rule(errors, **params), one of the label-free rules above, over the
+    errors as a flat, non-empty float array."""
     errors = np.asarray(errors, dtype=np.float64).ravel()
     if errors.size == 0:
         raise ConfigError("no errors")
-    if method not in LOCAL_RULES:
-        raise ConfigError(f"unknown local_simple method {method!r}")
-    return float(LOCAL_RULES[method](errors, params or {}))
+    return float(rule(errors, **(params or {})))
 
 
 # Phi(-KQE_BAND) = 5.2e-17 < 2**-54, so a kernel term Phi((x - e)/h) is

@@ -1,14 +1,15 @@
 import csv
 import hashlib
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedthresh.data import (KNOWN_DATASET_SHAPES, CorruptionSpec, Dataset,
-                            PartitionPlan,
+from fedthresh.data import (KNOWN_DATASET_SHAPES, Dataset, PartitionPlan,
                             corrupt, fit_scaler, apply_scaler, kmeans,
                             load_csv, partition_even,
                             partition_noniid, partition_random, split, synth,
@@ -381,6 +382,8 @@ def test_partition_even_stratifies_anomalies():
     assert sum(per_client) == val_labels.sum()
 
 
+@pytest.mark.filterwarnings("ignore:test split. 7 anomalies across 10 "
+                            "clients; some clients hold none:UserWarning")
 def test_partition_even_rejects_more_clients_than_train_rows():
     # 10 train rows and 20 val normals, so the train rows bind first
     ds = toy_dataset(40, 20)
@@ -391,6 +394,8 @@ def test_partition_even_rejects_more_clients_than_train_rows():
         partition_even(ds, splits, 11, seed=0)
 
 
+@pytest.mark.filterwarnings("ignore:(val|test) split. 5 anomalies across 15 "
+                            "clients; some clients hold none:UserWarning")
 def test_partition_even_rejects_more_clients_than_val_normals():
     # 30 train rows but 15 val normals: a 16th client would get no val
     # normal, and the summary protocol needs one on every client
@@ -963,12 +968,9 @@ def make_client(rng, cid=0):
         test_labels=(rng.random(20) < 0.2).astype(np.int64))
 
 
-def test_corrupt_only_listed_clients(rng):
-    a, b = make_client(rng, 0), make_client(rng, 1)
-    spec = CorruptionSpec(frozenset([1]), noise_sigma_scale=2.0)
-    a2 = corrupt(a, spec, seed=0)
-    b2 = corrupt(b, spec, seed=0)
-    assert a2 is a  # untouched client passes through
+def test_corrupt_changes_validation_features_only(rng):
+    b = make_client(rng, 1)
+    b2 = corrupt(b, 2.0, seed=0)
     assert not np.array_equal(b2.val_data, b.val_data)
     assert np.array_equal(b2.train_data, b.train_data)
     assert np.array_equal(b2.val_labels, b.val_labels)
@@ -977,8 +979,7 @@ def test_corrupt_only_listed_clients(rng):
 
 def test_corrupt_zero_scale_identity(rng):
     c = make_client(rng)
-    spec = CorruptionSpec(frozenset([0]), noise_sigma_scale=0.0)
-    assert np.array_equal(corrupt(c, spec, seed=3).val_data, c.val_data)
+    assert corrupt(c, 0.0, seed=3) is c
 
 
 def test_corrupt_constant_feature_unchanged(rng):
@@ -987,24 +988,37 @@ def test_corrupt_constant_feature_unchanged(rng):
     train[:, 1] = 4.0  # zero train std
     c = ClientState(c.client_id, train, c.val_data, c.val_labels,
                     c.test_data, c.test_labels)
-    out = corrupt(c, CorruptionSpec(frozenset([0]), 1.0), seed=4)
+    out = corrupt(c, 1.0, seed=4)
     assert np.array_equal(out.val_data[:, 1], c.val_data[:, 1])
     assert not np.array_equal(out.val_data[:, 0], c.val_data[:, 0])
 
 
 def test_corrupt_per_client_streams_independent(rng):
     a, b = make_client(rng, 0), make_client(rng, 1)
-    both = CorruptionSpec(frozenset([0, 1]), 1.0)
-    only_b = CorruptionSpec(frozenset([1]), 1.0)
-    b_with_both = corrupt(b, both, seed=5)
-    b_alone = corrupt(b, only_b, seed=5)
-    # corrupting client 0 as well must not change client 1's noise
-    assert np.array_equal(b_with_both.val_data, b_alone.val_data)
+    # client 1's noise is the same whether or not client 0 was corrupted
+    # first, and differs from client 0's under the same seed
+    alone = corrupt(b, 1.0, seed=5)
+    corrupt(a, 1.0, seed=5)
+    after_a = corrupt(b, 1.0, seed=5)
+    assert np.array_equal(after_a.val_data, alone.val_data)
+    same_rows = replace(a, val_data=b.val_data, train_data=b.train_data)
+    assert not np.array_equal(corrupt(same_rows, 1.0, seed=5).val_data,
+                              alone.val_data)
 
 
-def test_corruption_spec_validation():
-    with pytest.raises(ConfigError):
-        CorruptionSpec(frozenset([0]), noise_sigma_scale=-1.0)
+def test_corrupt_rejects_a_negative_scale(rng):
+    with pytest.raises(ConfigError, match="^noise_sigma_scale must be in"):
+        corrupt(make_client(rng), -1.0, seed=0)
+
+
+@pytest.mark.parametrize("scale", [1e30, 1e308])
+def test_corrupt_rejects_noise_beyond_the_feature_cap(rng, scale):
+    # noise past FEATURE_CAP would overflow the error summaries; at 1e308
+    # the noise itself overflows to inf, with no numpy warning
+    with pytest.raises(ConfigError, match="^" + re.escape(
+            f"noise_sigma_scale={scale!r} takes client 2's validation "
+            "features beyond 1e+25") + "$"):
+        corrupt(make_client(rng, 2), scale, seed=0)
 
 
 # ---- synth ----

@@ -233,15 +233,54 @@ class TestScenarioConfig:
 
 
 class TestRunScenario:
-    def test_errors_beyond_the_summaries_range_fail_as_config(self):
-        # validation errors near 1e118, whose summary moments overflow
-        cfg = make_config(dataset={"kind": "synth", "num_normal": 600,
-                                   "num_anomaly": 60, "dim": 6,
-                                   "separation": 1e60})
+    def test_errors_beyond_the_summaries_range_fail_as_config(
+            self, monkeypatch):
+        # these separations used to train, then fail in the threshold
+        # stage on validation errors near 2.2e58 and 2.2e118, whose
+        # summary moments overflow; the scaled features fail first now
+        for separation, exponent in ((1e30, 29), (1e60, 59)):
+            cfg = make_config(dataset={"kind": "synth", "num_normal": 600,
+                                       "num_anomaly": 60, "dim": 6,
+                                       "separation": separation})
+            with pytest.raises(StageError, match="^stage 'scale' failed: "
+                               "validation feature column 'f0' reaches "
+                               rf"\d\.\d*e\+{exponent} once scaled, beyond "
+                               r"1e\+25$") as caught:
+                run_scenario(cfg)
+            assert isinstance(caught.value.cause, ConfigError)
+        # errors past ERROR_CAP from features within FEATURE_CAP still
+        # fail in the threshold stage
+        monkeypatch.setattr(harness, "mse_per_sample",
+                            lambda model, data: np.full(len(data), 1e51))
         with pytest.raises(StageError, match="^stage 'threshold' failed: "
-                           "validation errors reach") as caught:
+                           r"validation errors reach 1e\+51$") as caught:
+            run_scenario(make_config())
+        assert isinstance(caught.value.cause, ConfigError)
+
+    def test_a_noise_scale_beyond_the_feature_cap_fails_at_corrupt(
+            self, monkeypatch):
+        # it used to train, then fail in the threshold stage on errors
+        # near 7.3e58; nothing trains now
+        monkeypatch.setattr(harness, "run_fedavg", None)
+        cfg = make_config(corrupt_client_ids=(1,), noise_sigma_scale=1e30)
+        with pytest.raises(StageError, match="^stage 'corrupt' failed: "
+                           r"noise_sigma_scale=1e\+30 takes client 1's "
+                           r"validation features beyond 1e\+25$") as caught:
             run_scenario(cfg)
         assert isinstance(caught.value.cause, ConfigError)
+
+    def test_corruption_touches_only_the_clients_a_level_lists(self):
+        rng = np.random.default_rng(0)
+        clients = [ClientState(i, rng.normal(size=(30, 3)),
+                               rng.normal(size=(20, 3)), np.zeros(20),
+                               rng.normal(size=(20, 3)), np.zeros(20))
+                   for i in range(4)]
+        levels = [make_config(corrupt_client_ids=ids) for ids in ((1,),
+                                                                  (1, 3))]
+        out = harness._apply_corruption(make_config(), levels, clients)
+        assert [o is c for o, c in zip(out, clients)] == \
+            [True, False, True, False]
+        assert not np.array_equal(out[1].val_data, clients[1].val_data)
 
     @pytest.mark.parametrize("method", ["minmax", "zscore"])
     def test_a_scaler_that_overflows_fails_as_config(self, method, tmp_path):
@@ -466,7 +505,7 @@ class TestAuditChannel:
         """Upload sizes are measured, so a method that labels its error
         vector as a summary cannot pass the audit."""
         monkeypatch.setitem(METHODS, "leaky", Method(
-            lambda errors, *_: errors, "summary_stats",
+            lambda work, *_: work.errors, "summary_stats",
             lambda uploads, *_: 0.0))
         channel = Channel()
         fill_fedavg(channel, 2, 1)
@@ -479,9 +518,9 @@ class TestAuditChannel:
         """An F1 vector must answer a grid the server broadcast to that
         client, so whole error vectors cannot pass as F1 scores."""
         with pytest.raises(AuditError, match="'f1_scores' is reserved"):
-            Method(lambda errors, *_: errors, "f1_scores")
+            Method(lambda work, *_: work.errors, "f1_scores")
         with pytest.raises(AuditError, match="'candidates' is reserved"):
-            Method(lambda errors, *_: errors, "candidates")
+            Method(lambda work, *_: work.errors, "candidates")
         errors, _ = method_inputs()
         for grid in (None, 100):
             channel = Channel()
@@ -760,9 +799,9 @@ class TestSweepReuse:
         steps, forwards = [], []
         iqr = METHODS["iqr"]
 
-        def spy_step(errors, labels, i, cfg, params):
-            steps.append(i)
-            return iqr.client(errors, labels, i, cfg, params)
+        def spy_step(work, cfg, params):
+            steps.append(work.client.client_id)
+            return iqr.client(work, cfg, params)
         monkeypatch.setitem(METHODS, "iqr", replace(iqr, client=spy_step))
         mse_per_sample = harness.mse_per_sample
 
@@ -792,6 +831,29 @@ class TestSweepReuse:
         # a reused upload is still sent at its level
         assert channels[0].count("upload", "local_threshold", "iqr") == \
             6 * len(SWEEP_LEVELS)
+
+    def test_a_step_that_warned_runs_at_every_level(self, monkeypatch):
+        iqr_steps, _ = self.spy_work(monkeypatch)
+        pot_steps = []
+        pot = METHODS["pot"]
+
+        def spy_pot(work, cfg, params):
+            pot_steps.append(work.client.client_id)
+            return pot.client(work, cfg, params)
+        monkeypatch.setitem(METHODS, "pot", replace(pot, client=spy_pot))
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            sweep_corruption(toy_sweep_config(), SWEEP_LEVELS)
+        # pot falls back, warning, on every client's thin tail
+        assert pot_steps == list(range(6)) * len(SWEEP_LEVELS)
+        assert iqr_steps == [0, 1, 2, 3, 4, 5] + [0] + [1, 2]
+        assert len(log) == len(LEVEL_WARNINGS) * len(SWEEP_LEVELS)
+        # a warning the filters do not show leaves the upload kept
+        del pot_steps[:], iqr_steps[:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sweep_corruption(toy_sweep_config(), SWEEP_LEVELS)
+        assert pot_steps == iqr_steps == [0, 1, 2, 3, 4, 5] + [0] + [1, 2]
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_clients_left_unchanged_keep_their_clean_work(self, monkeypatch):
@@ -976,7 +1038,7 @@ class TestPipelineAudit:
     @pytest.fixture(autouse=True)
     def leak(self, monkeypatch):
         monkeypatch.setitem(METHODS, "our_method", Method(
-            lambda errors, *_: errors, "summary_stats",
+            lambda work, *_: work.errors, "summary_stats",
             lambda uploads, *_: 0.0))
 
     @pytest.mark.parametrize("run", [

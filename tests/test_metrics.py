@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from fedthresh.errors import ConfigError
 from fedthresh.metrics import (Confusion, aggregate_f1,
                                collect_stat_features, confusion,
-                               correlation_matrix, f1, f1_curve, sort_errors)
+                               correlation_matrix, f1, f1_curve, f1_scores,
+                               sort_errors)
 from fedthresh.thresholds import classify
 from fedthresh.error_stats import ClassSummaries, ErrorSummary, summarize
 
@@ -43,6 +44,19 @@ def test_f1_values():
     assert f1(Confusion(2, 1, 1, 1)) == pytest.approx(2 * 2 / (2 * 2 + 1 + 1))
     assert f1(Confusion(0, 0, 10, 0)) == 0.0  # no positives anywhere
     assert f1(Confusion(5, 0, 0, 0)) == 1.0
+
+
+def test_f1_scores_equal_f1_bit_for_bit(rng):
+    # (tp, fp, tn, fn) x 3 x 400, a quarter of them all zero but tn, and
+    # counts up to 2**40, where a pooled count can reach
+    counts = rng.integers(0, 2 ** rng.integers(1, 41, (4, 3, 400)))
+    counts[[0, 1, 3], :, :100] = 0
+    got = f1_scores(counts)
+    assert got.shape == (3, 400) and np.count_nonzero(got == 0.0) >= 300
+    want = [[f1(Confusion(*(int(v) for v in counts[:, i, j])))
+             for j in range(400)] for i in range(3)]
+    assert np.array_equal(got.view(np.uint64),
+                          np.array(want).view(np.uint64))
 
 
 def test_f1_curve_simple_case():

@@ -13,8 +13,9 @@ from fedthresh.metrics import f1_curve
 from fedthresh.harness import METHODS
 from fedthresh.thresholds import (KQE_BAND, KQE_XTOL, METHOD_TAGS, _brentq,
                                   _smoothed_cdf, classify, fed_filtered,
-                                  fed_minmax, fed_mse_std, kqe, local_minmax,
-                                  local_simple, our_method, pot)
+                                  fed_minmax, fed_mse_std, iqr, kqe,
+                                  largest_mse, local_minmax, local_mse_std,
+                                  local_simple, our_method, percentile, pot)
 
 EPS = np.finfo(float).eps
 
@@ -156,19 +157,16 @@ def test_local_minmax_examples():
 
 
 def test_local_simple_examples():
-    assert local_simple("iqr", np.array([1.0, 2, 3, 4, 5])) == pytest.approx(7.0)
-    assert local_simple("largest_mse", np.array([0.3, 0.9, 0.1])) == \
+    assert local_simple(iqr, np.array([1.0, 2, 3, 4, 5])) == pytest.approx(7.0)
+    assert local_simple(largest_mse, np.array([0.3, 0.9, 0.1])) == \
         pytest.approx(0.9)
-    assert local_simple("local_mse_std", np.array([0.0, 2.0])) == \
+    assert local_simple(local_mse_std, np.array([0.0, 2.0])) == \
         pytest.approx(2.0)
-    assert local_simple("percentile", np.array([1.0, 2.0, 3.0]),
+    assert local_simple(percentile, np.array([1.0, 2.0, 3.0]),
                         {"p": 50}) == pytest.approx(2.0)
-    assert local_simple("percentile", np.arange(101.0)) == 99.0  # default p
-    with pytest.raises(ConfigError,
-                       match=r"^unknown local_simple method 'our_method'$"):
-        local_simple("our_method", np.array([1.0]))
+    assert local_simple(percentile, np.arange(101.0)) == 99.0  # default p
     with pytest.raises(ConfigError, match=r"^p must be in \(0, 100\), got 0$"):
-        local_simple("percentile", np.array([1.0]), {"p": 0})
+        local_simple(percentile, np.array([1.0]), {"p": 0})
 
 
 def test_kqe_constant_vector_warns():
