@@ -7,6 +7,7 @@ training returns a new value, so a shared model can be evaluated from
 multiple threads.
 """
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DivergedTraining
-from .util import NON_NEGATIVE, POSITIVE, check
+from .util import NON_NEGATIVE, POSITIVE, check, check_dataclass
 
 MODEL_FORMAT_HEADER = "fedthresh-model v1"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -96,8 +97,9 @@ class TrainConfig:
     optimizer: str = "sgd"
 
     def __post_init__(self):
-        for name, domain in TRAIN_SETTINGS.items():
-            check(name, getattr(self, name), domain)
+        # seed is no ScenarioConfig setting (its train_seed is), so it
+        # stays out of TRAIN_SETTINGS
+        check_dataclass(self, {**TRAIN_SETTINGS, "seed": NON_NEGATIVE})
 
 
 def default_hidden_dims(input_dim: int) -> tuple:
@@ -165,25 +167,48 @@ def mse_per_sample(model: ModelParams, data: np.ndarray) -> np.ndarray:
 
 class _StepSpace:
     """What every step of one group of stacked clients reuses: views of its
-    (P,) or (clients, P) parameter block `flat`, a gradient buffer shaped
-    like flat, and per layer a contiguous (rows, clients, width) scratch
-    view for the bias gradient, or None where np.sum takes that gradient
-    (no client axis, or width 1). `grads` and the 1-D `scratch` (at least
-    rows * clients * widest width entries) are allocated unless given;
-    spaces whose steps never overlap can share them."""
+    (P,) or (clients, P) parameter block `flat` and of a gradient buffer
+    `grads` shaped like it, and views of a 1-D `scratch` of at least
+    rows * clients * (sum of dims[1:]) entries. `grads` and `scratch` are
+    allocated unless given; spaces whose steps never overlap can share
+    them.
+
+    The scratch holds the squared residuals while the loss is taken, then
+    the bias gradients' rows: a (rows, clients, sum of widths) block whose
+    columns follow the biases at the end of flat. `slots[k]` is layer k's
+    (clients, rows, width) view of it, or None where np.sum takes that
+    gradient (no client axis, or width 1); each run of consecutive wide
+    layers is one (rows block, gradient view) pair of `reductions`."""
 
     def __init__(self, flat, dims, rows, grads=None, scratch=None):
+        self.flat = flat
         self.weights, self.biases = _split(flat, dims)
         self.weights_t = tuple(w.swapaxes(-1, -2) for w in self.weights)
         self.biases_r = tuple(b[..., None, :] for b in self.biases)
         self.grads = np.empty_like(flat) if grads is None else grads
         self.grad_w, self.grad_b = _split(self.grads, dims)
-        clients = flat.shape[:-1]
-        if clients and scratch is None:
-            scratch = np.empty(rows * clients[0] * max(dims[1:]))
-        self.rowwise = tuple(
-            scratch[:rows * clients[0] * w].reshape(rows, clients[0], w)
-            if clients and w > 1 else None for w in dims[1:])
+        lead, widths = flat.shape[:-1], dims[1:]
+        clients, bias = math.prod(lead), sum(widths)
+        if scratch is None:
+            scratch = np.empty(rows * clients * bias)
+        self.squares = scratch[:rows * clients * dims[-1]].reshape(
+            lead + (rows, dims[-1]))
+        self.slots, self.reductions = (None,) * len(widths), ()
+        if not lead:
+            return
+        block = scratch[:rows * clients * bias].reshape(rows, clients, bias)
+        ends = list(itertools.accumulate(widths))
+        self.slots = tuple(block[:, :, end - w:end].swapaxes(0, 1)
+                           if w > 1 else None for w, end in zip(widths, ends))
+        runs = []  # [first, end) columns of each run of wide layers
+        for w, end in zip(widths, ends):
+            if w > 1 and runs and runs[-1][1] == end - w:
+                runs[-1][1] = end
+            elif w > 1:
+                runs.append([end - w, end])
+        bias_grads = self.grads[:, self.grads.shape[-1] - bias:]
+        self.reductions = tuple((block[:, :, a:b], bias_grads[:, a:b])
+                                for a, b in runs)
 
 
 def _loss_and_grads(flat, dims, x, space=None):
@@ -197,12 +222,16 @@ def _loss_and_grads(flat, dims, x, space=None):
 
     `space` is flat's _StepSpace for n rows, built here if not given; the
     gradients it returns are space.grads, overwritten by its next call.
-    Bias add and ReLU run in place in each matmul's output. A bias
-    gradient adds the rows one after another, row 0 first, as the 2-D
-    `delta.sum(axis=0)` does; with a client axis, delta is copied to the
-    (rows, clients, width) scratch and reduced over its first axis, so each
-    add spans every client. Width-1 layers keep np.sum: numpy drops the
-    size-1 axis and sums the rows pairwise, in 2-D and stacked alike.
+    Bias add and ReLU run in place in each matmul's output, and the loss
+    runs the ops of np.mean (square, add.reduce, divide) into the space's
+    scratch. A bias gradient adds the rows one after another, row 0
+    first, as the 2-D `delta.sum(axis=0)` does: with a client axis, each
+    wide layer's delta is copied to its slot of the bias block, and one
+    reduce over the block's first axis per run of wide layers (one in all
+    for a chain without width-1 layers) writes their gradients, each add
+    spanning every client and layer. Width-1 layers keep np.sum: numpy
+    drops the size-1 axis and sums the rows pairwise, in 2-D and stacked
+    alike.
     """
     if space is None:
         space = _StepSpace(flat, dims, x.shape[-2])
@@ -217,21 +246,24 @@ def _loss_and_grads(flat, dims, x, space=None):
     diff = acts.pop()
     diff -= x
     n, d = x.shape[-2:]
-    loss = np.mean(diff * diff, axis=(-2, -1))
+    loss = np.add.reduce(np.multiply(diff, diff, out=space.squares),
+                         axis=(-2, -1))
+    loss /= n * d
     delta = diff
     delta *= 2.0 / (n * d)
     for k in range(last, -1, -1):
         np.matmul(delta.swapaxes(-1, -2), acts[k], out=space.grad_w[k])
-        rowwise = space.rowwise[k]
-        if rowwise is None:
+        slot = space.slots[k]
+        if slot is None:
             np.sum(delta, axis=-2, out=space.grad_b[k])
         else:
-            np.copyto(rowwise.swapaxes(0, 1), delta)
-            np.add.reduce(rowwise, axis=0, out=space.grad_b[k])
+            np.copyto(slot, delta)
         if k > 0:
             # acts[k] = max(z, 0), so acts[k] > 0 exactly where z > 0
             delta = delta @ space.weights[k]
             delta *= acts[k] > 0.0
+    for block, out in space.reductions:
+        np.add.reduce(block, axis=0, out=out)
     return loss, space.grads
 
 
@@ -264,107 +296,142 @@ def _batch_schedule(sizes, batch_size: int) -> list:
     return schedule
 
 
+class _Stack:
+    """The stacked training state of one set of clients under cfg's
+    epochs, batch size and optimizer (its seed is ignored): everything
+    that does not change from one FedAvg round to the next, built once.
+
+    Clients sit largest first (`order`), their rows concatenated in that
+    order into one `pool`. Every client's parameters (and Adam moments)
+    are a row of one (clients, P) block, so a step is one batched matmul
+    for every client with a batch at that step. Each (lo, hi, rows) group
+    of the batch schedule has one _StepSpace, whose views follow
+    params[lo:hi] as updates change it; all spaces share one gradient
+    buffer and one scratch, sized for the largest group (a step holds at
+    most min(batch_size, n) rows of each client). Adam's bias corrections
+    come from one table per run, indexed by step count."""
+
+    def __init__(self, model: ModelParams, datas, cfg: TrainConfig):
+        datas = [_check_batch(model, d) for d in datas]
+        if not datas or any(d.shape[0] == 0 for d in datas):
+            raise ConfigError("training data is empty")
+        self.cfg = cfg
+        self.dims = dims = model.dims
+        self.order = sorted(range(len(datas)), key=lambda i: -datas[i].shape[0])
+        self.sizes = sizes = [datas[i].shape[0] for i in self.order]
+        self.rows_of = np.argsort(self.order)  # row j of params is client order[j]
+        self.pool = np.concatenate([datas[i] for i in self.order])
+        self.params = np.empty((len(sizes), model.flat.size))
+        grads = np.empty_like(self.params)
+        scratch = np.empty(sum(min(cfg.batch_size, n) for n in sizes)
+                           * sum(dims[1:]))
+        # perm[j, :n] indexes pool with client j's shuffle of its n rows
+        self.perm = np.empty((len(sizes), sizes[0]), dtype=np.intp)
+        self.offsets = np.cumsum([0] + sizes[:-1])[:, None]
+        # clients of one size draw the same shuffle: their generators all
+        # start from the round's seed; (lo, hi, n) per distinct size
+        self.size_groups = [(sizes.index(n), sizes.index(n) + sizes.count(n), n)
+                            for n in dict.fromkeys(sizes)]
+        spaces = {}  # (lo, hi, rows) -> _StepSpace
+        self.steps = []  # (space, lo, hi, perm view, rows) per step of an epoch
+        for lo, hi, start, rows in _batch_schedule(sizes, cfg.batch_size):
+            if (lo, hi, rows) not in spaces:
+                spaces[lo, hi, rows] = _StepSpace(
+                    self.params[lo:hi], dims, rows, grads[lo:hi], scratch)
+            self.steps.append((spaces[lo, hi, rows], lo, hi,
+                               self.perm[lo:hi, start:start + rows], rows))
+        if cfg.optimizer == "adam":
+            # first and second moments and the update's temporary
+            self.adam = tuple(np.empty_like(self.params) for _ in range(3))
+            self.t = np.empty(len(sizes), dtype=np.int64)
+            # Adam's bias corrections by step count, from Python's float
+            # power; numpy's power of an int array rounds differently
+            most = cfg.local_epochs * -(-sizes[0] // cfg.batch_size)
+            self.corr = tuple(
+                np.array([1.0 - b ** s for s in range(most + 1)])[:, None]
+                for b in (ADAM_BETA1, ADAM_BETA2))
+        else:
+            self.adam = None
+
+    def train(self, model: ModelParams, seed: int) -> tuple:
+        """One round from `model` under shuffle seed `seed`; see
+        train_clients."""
+        cfg, dims, order, params = self.cfg, self.dims, self.order, self.params
+        params[:] = model.flat
+        lr, b1, b2, eps = cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+        if self.adam is not None:
+            m, v, adam_tmp = self.adam
+            m.fill(0.0)
+            v.fill(0.0)
+            self.t.fill(0)
+            corr1, corr2 = self.corr
+        rngs = [np.random.default_rng(seed) for _ in self.size_groups]
+        diverged = {}  # list index -> first epoch with a non-finite loss
+        loss_sums = np.zeros(len(order))  # last epoch's loss x rows, in order
+        last_epoch = cfg.local_epochs - 1
+        for epoch in range(cfg.local_epochs):
+            for rng, (lo, hi, n) in zip(rngs, self.size_groups):
+                np.add(self.offsets[lo:hi], rng.permutation(n),
+                       out=self.perm[lo:hi, :n])
+            for space, lo, hi, rows_of_pool, rows in self.steps:
+                batch = self.pool.take(rows_of_pool, axis=0)
+                loss, step = _loss_and_grads(space.flat, dims, batch, space)
+                if not np.isfinite(loss).all():
+                    for j in np.flatnonzero(~np.isfinite(loss)):
+                        diverged.setdefault(order[lo + j], epoch)
+                if epoch == last_epoch:
+                    loss_sums[lo:hi] += loss * rows
+                if self.adam is not None:
+                    # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g², then
+                    # params -= lr (m / corr1) / (sqrt(v / corr2) + eps),
+                    # each op in place and in that order
+                    mk, vk, tmp = m[lo:hi], v[lo:hi], adam_tmp[lo:hi]
+                    t = self.t[lo:hi]
+                    t += 1
+                    mk *= b1
+                    np.multiply(step, 1 - b1, out=tmp)
+                    mk += tmp
+                    vk *= b2
+                    np.square(step, out=tmp)
+                    tmp *= 1 - b2
+                    vk += tmp
+                    np.divide(mk, corr1[t], out=step)
+                    step *= lr
+                    np.divide(vk, corr2[t], out=tmp)
+                    np.sqrt(tmp, out=tmp)
+                    tmp += eps
+                    step /= tmp
+                else:
+                    step *= lr
+                space.flat -= step
+        # the loss check runs before each update; catch a blow-up on the last one
+        for j in np.flatnonzero(~np.isfinite(params).all(axis=1)):
+            diverged.setdefault(order[j], last_epoch)
+        if diverged:
+            first = min(diverged)
+            raise DivergedTraining(diverged[first], client=first)
+        return ([ModelParams(*_split(params[j], dims)) for j in self.rows_of],
+                (loss_sums / self.sizes)[self.rows_of].tolist())
+
+
 def train_clients(model: ModelParams, datas, cfg: TrainConfig) -> tuple:
     """train_local for every client at once: (models, last_epoch_mse) in
     datas' order, with each client's mean step loss over its last epoch.
 
-    All clients start from `model` and share cfg. Their parameters (and
-    Adam moments) sit on a leading client axis, so a step is one batched
-    matmul for every client with a batch at that step. Each client keeps
-    its own shuffle generator, step count and float ops, so its result is
-    bit-identical to training it alone. Raises DivergedTraining for the
-    first client in list order that would fail alone: the first epoch with
-    a non-finite loss, or the last epoch if its final parameters are
-    non-finite.
+    All clients start from `model` and share cfg. This builds their
+    stacked state (_Stack) and trains it one round; run_fedavg builds the
+    state once and trains every round from it. Each client keeps its own
+    shuffle, step count and float ops, so its result is bit-identical to
+    training it alone. Raises DivergedTraining for the first client in
+    list order that would fail alone: the first epoch with a non-finite
+    loss, or the last epoch if its final parameters are non-finite.
 
-    Each (lo, hi, rows) group of the batch schedule builds one _StepSpace
-    at its first step; its views follow params[lo:hi] as updates change
-    it, and all groups share one gradient buffer and one scratch. A bias
-    gradient adds a client's rows in row order, pairwise on width-1
-    layers, as training it alone does (see _loss_and_grads). The update
-    runs in place in the gradient buffer, with the ops of the
-    out-of-place formula in the same order; Adam's bias corrections come
-    from one table per call, indexed by step count.
+    A bias gradient adds a client's rows in row order, pairwise on
+    width-1 layers, as training it alone does (see _loss_and_grads). The
+    update runs in place in the gradient buffer, with the ops of the
+    out-of-place formula in the same order.
     """
-    datas = [_check_batch(model, d) for d in datas]
-    if not datas or any(d.shape[0] == 0 for d in datas):
-        raise ConfigError("training data is empty")
-    order = sorted(range(len(datas)), key=lambda i: -datas[i].shape[0])
-    sizes = [datas[i].shape[0] for i in order]
-    offsets = np.cumsum([0] + sizes[:-1])
-    pool = np.concatenate([datas[i] for i in order])
-    rngs = [np.random.default_rng(cfg.seed) for _ in order]
-    schedule = _batch_schedule(sizes, cfg.batch_size)
-    dims = model.dims
-    params = np.repeat(model.flat[None], len(order), axis=0)
-    adam = cfg.optimizer == "adam"
-    # Adam's first and second moments; SGD skips them, because on a small
-    # client allocating them is a measurable share of its training
-    m = np.zeros_like(params) if adam else None
-    v = np.zeros_like(params) if adam else None
-    adam_tmp = np.empty_like(params) if adam else None
-    lr, b1, b2, eps = cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-    t = np.zeros(len(order), dtype=np.int64)
-    if adam:
-        # Adam's bias corrections by step count, from Python's float
-        # power; numpy's power of an int array rounds differently
-        most = cfg.local_epochs * -(-sizes[0] // cfg.batch_size)
-        corr1 = np.array([1.0 - b1 ** s for s in range(most + 1)])[:, None]
-        corr2 = np.array([1.0 - b2 ** s for s in range(most + 1)])[:, None]
-    spaces = {}  # (lo, hi, rows) -> _StepSpace
-    # the steps run one at a time, so every space shares these buffers; a
-    # step holds at most min(batch_size, n) rows of each client
-    grads = np.empty_like(params)
-    scratch = np.empty(sum(min(cfg.batch_size, n) for n in sizes)
-                       * max(dims[1:]))
-    diverged = {}  # list index -> first epoch with a non-finite loss
-    perm = np.empty((len(order), sizes[0]), dtype=np.intp)  # rows of pool
-    loss_sums = np.zeros(len(order))  # last epoch's loss x rows, in order
-    for epoch in range(cfg.local_epochs):
-        for j, (rng, n) in enumerate(zip(rngs, sizes)):
-            perm[j, :n] = offsets[j] + rng.permutation(n)
-        for lo, hi, start, rows in schedule:
-            space = spaces.get((lo, hi, rows))
-            if space is None:
-                space = spaces[lo, hi, rows] = _StepSpace(
-                    params[lo:hi], dims, rows, grads[lo:hi], scratch)
-            batch = np.take(pool, perm[lo:hi, start:start + rows], axis=0)
-            loss, step = _loss_and_grads(params[lo:hi], dims, batch, space)
-            for j in np.flatnonzero(~np.isfinite(loss)):
-                diverged.setdefault(order[lo + j], epoch)
-            if epoch == cfg.local_epochs - 1:
-                loss_sums[lo:hi] += loss * rows
-            t[lo:hi] += 1
-            if adam:
-                # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g², then
-                # params -= lr (m / corr1) / (sqrt(v / corr2) + eps),
-                # each op in place and in that order
-                mk, vk, tmp = m[lo:hi], v[lo:hi], adam_tmp[lo:hi]
-                mk *= b1
-                np.multiply(step, 1 - b1, out=tmp)
-                mk += tmp
-                vk *= b2
-                np.square(step, out=tmp)
-                tmp *= 1 - b2
-                vk += tmp
-                np.divide(mk, corr1[t[lo:hi]], out=step)
-                step *= lr
-                np.divide(vk, corr2[t[lo:hi]], out=tmp)
-                np.sqrt(tmp, out=tmp)
-                tmp += eps
-                step /= tmp
-            else:
-                step *= lr
-            params[lo:hi] -= step
-    # the loss check runs before each update; catch a blow-up on the last one
-    for j in np.flatnonzero(~np.isfinite(params).all(axis=1)):
-        diverged.setdefault(order[j], cfg.local_epochs - 1)
-    if diverged:
-        first = min(diverged)
-        raise DivergedTraining(diverged[first], client=first)
-    rows_of = np.argsort(order)  # row j of params is client order[j]
-    return ([ModelParams(*_split(params[j], dims)) for j in rows_of],
-            (loss_sums / sizes)[rows_of].tolist())
+    return _Stack(model, datas, cfg).train(model, cfg.seed)
 
 
 def save_model(model: ModelParams, path) -> None:

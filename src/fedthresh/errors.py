@@ -13,7 +13,8 @@ class AuditError(AssertionError):
 
 class DivergedTraining(RuntimeError):
     """Training loss became non-finite; `client` is the index of the
-    failing client in the list handed to train_clients."""
+    failing client among the data sets trained together (the list handed
+    to train_clients, or run_fedavg's clients in list order)."""
 
     def __init__(self, epoch: int, message: str | None = None,
                  client: int = 0):

@@ -5,22 +5,23 @@ exactly what crosses the client->server boundary. Determinism contract:
 client order is list order, aggregation order is fixed, and every client
 derives the same per-round training seed, so N identical clients behave
 exactly like centralized training. A round trains one copy per client,
-all of them in one stacked pass (`train_clients`); each copy is
-bit-identical to training that client alone. Averaging works on each
-model's flat parameter vector (`ModelParams.flat`), never on its layers.
+all of them in one stacked pass (`autoencoder._Stack`, built once per
+run); each copy is bit-identical to training that client alone.
+Averaging works on each model's flat parameter vector
+(`ModelParams.flat`), never on its layers.
 """
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autoencoder import (ModelParams, TrainConfig, _split, default_hidden_dims,
-                          init_model, train_clients)
+from .autoencoder import (ModelParams, TrainConfig, _split, _Stack,
+                          default_hidden_dims, init_model)
 # not called here any more; perfbench/tracing.py replaces these attributes
 # by name, so they stay importable from this module
 from .autoencoder import mse_per_sample, train_local  # noqa: F401
 from .errors import ConfigError, DivergedTraining, FederationError
-from .util import POSITIVE, derive_seed
+from .util import NON_NEGATIVE, POSITIVE, check_dataclass, derive_seed
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,7 @@ class FedConfig:
     model_seed: int = 0
 
     def __post_init__(self):
-        POSITIVE.check("rounds", self.rounds)
+        check_dataclass(self, {"rounds": POSITIVE, "model_seed": NON_NEGATIVE})
 
 
 @dataclass(frozen=True)
@@ -94,19 +95,26 @@ def average_params(params_list, weights) -> ModelParams:
     """Element-wise weighted mean of model parameters.
 
     Weights are normalized to sum 1, so a single model comes back
-    bit-identical (its normalized weight is exactly 1.0).
+    bit-identical (its normalized weight is exactly 1.0). They must be
+    finite, non-negative, and have a positive sum that does not overflow.
     """
     params_list = list(params_list)
     weights = np.asarray(weights, dtype=np.float64)
     if not params_list or weights.shape != (len(params_list),):
         raise ConfigError("need one weight per model")
-    if np.any(weights < 0) or weights.sum() <= 0:
+    if not np.isfinite(weights).all():
+        raise ConfigError(f"weights must be finite, got {weights}")
+    with np.errstate(over="ignore"):
+        weight_sum = weights.sum()
+    if np.any(weights < 0) or weight_sum <= 0:
         raise ConfigError("weights must be non-negative with a positive sum")
+    if not np.isfinite(weight_sum):
+        raise ConfigError(f"weights must have a finite sum, got {weights}")
     first = params_list[0]
     for p in params_list[1:]:
         if p.dims != first.dims:
             raise ConfigError(f"model dims differ: {p.dims} vs {first.dims}")
-    norm = weights / weights.sum()
+    norm = weights / weight_sum
     total = norm[0] * first.flat
     for coeff, params in zip(norm[1:], params_list[1:]):
         total += coeff * params.flat
@@ -130,10 +138,14 @@ def run_fedavg(clients, cfg: FedConfig, channel: Channel | None = None,
     Per round: broadcast the global model, train one copy per client for
     cfg.train_cfg.local_epochs epochs (every client in one stacked pass),
     replace the global model with the average weighted by each client's
-    training-sample count (McMahan et al. 2017). A diverging client
-    aborts with the round and client index; it names the client that
-    training the clients one by one in list order would. Pass a Channel to
-    audit synchronization (2 messages per client per round) and a list as
+    training-sample count (McMahan et al. 2017). The stacked training
+    state (the pooled rows, batch schedule, step spaces and buffers) is
+    built once per run, before the first round; each round resets its
+    parameters and optimizer moments and draws its own shuffles, exactly
+    as a train_clients call per round would. A diverging client aborts
+    with the round and client index; it names the client that training
+    the clients one by one in list order would. Pass a Channel to audit
+    synchronization (2 messages per client per round) and a list as
     round_log to collect per-client round rows (see write_round_log),
     read off training's own losses.
     """
@@ -149,16 +161,16 @@ def run_fedavg(clients, cfg: FedConfig, channel: Channel | None = None,
     model = init_model(input_dim, hidden, cfg.model_seed)
     weights = np.array([c.train_data.shape[0] for c in clients],
                        dtype=np.float64)
+    stack = _Stack(model, [c.train_data for c in clients], cfg.train_cfg)
     for t in range(cfg.rounds):
-        cfg_t = replace(cfg.train_cfg, seed=round_seed(cfg.train_cfg.seed, t))
         if channel is not None:
             for c in clients:
                 channel.record("broadcast", "model", model.flat.size,
                                c.client_id, t, context="fedavg")
         started = time.perf_counter()
         try:
-            local_models, last_mse = train_clients(
-                model, [c.train_data for c in clients], cfg_t)
+            local_models, last_mse = stack.train(
+                model, round_seed(cfg.train_cfg.seed, t))
         except DivergedTraining as exc:
             raise FederationError(t, clients[exc.client].client_id,
                                   exc) from exc
@@ -181,7 +193,8 @@ def write_round_log(rows, path) -> None:
     last_epoch_mse is the client's row-weighted mean batch loss over its
     last local epoch, each batch's loss taken before that step's update.
     Clients train in one stacked pass, so wall_time_ms is that round's
-    training time for all clients together, repeated on each client row.
+    training time for all clients together, repeated on each client row;
+    it leaves out the stacked state's one-time setup before round 0.
     """
     lines = ["round,client_id,last_epoch_mse,wall_time_ms"]
     for row in rows:

@@ -13,7 +13,6 @@ in timing.csv so results.csv stays byte-reproducible.
 import hashlib
 import json
 import time
-import types
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
@@ -43,7 +42,7 @@ from .thresholds import (METHOD_TAGS, fed_filtered, fed_minmax, fed_mse_std,
                          iqr, kqe, largest_mse, local_minmax, local_mse_std,
                          local_simple, our_method, percentile, pot)
 from .util import (FINITE, NON_NEGATIVE, PERCENT, POSITIVE, SEVERAL, UNIT,
-                   check, derive_seed)
+                   check, check_dataclass, check_fields, derive_seed)
 
 
 @dataclass(frozen=True)
@@ -211,40 +210,6 @@ SETTINGS = {
 }
 
 
-def _is_instance(value, annotation) -> bool:
-    """isinstance against a field annotation. JSON has no tuple, so a list
-    passes for one; an int within 2**53 (exact as a float and an int64)
-    passes for a float; a bool never passes for a number; `tuple[int, ...]`
-    checks every element. Nothing is coerced: a config hashes as before."""
-    if isinstance(annotation, types.UnionType):
-        return any(_is_instance(value, a) for a in annotation.__args__)
-    if isinstance(annotation, types.GenericAlias):
-        return _is_instance(value, annotation.__origin__) and \
-            all(_is_instance(v, annotation.__args__[0]) for v in value)
-    if isinstance(value, bool):
-        return annotation is bool
-    if annotation is float:
-        return isinstance(value, float) or \
-            isinstance(value, int) and abs(value) <= 2 ** 53
-    if annotation is tuple:
-        annotation = (tuple, list)
-    return isinstance(value, annotation)
-
-
-def _check_fields(values: dict, key_types: dict, domains: dict,
-                  prefix: str = "") -> None:
-    """Each value against its type, then its domain, if it has one; None
-    passes where its type allows it."""
-    for key, annotation in key_types.items():
-        name, value = prefix + key, values[key]
-        if not _is_instance(value, annotation):
-            shown = annotation.__name__ if isinstance(annotation, type) \
-                else annotation
-            raise ConfigError(f"{name} must be {shown}, got {value!r}")
-        if value is not None and key in domains:
-            check(name, value, domains[key])
-
-
 def _distinct(name: str, values):
     repeated = sorted({v for v in values if values.count(v) > 1})
     if repeated:
@@ -283,8 +248,7 @@ class ScenarioConfig:
     scenario_id: str = ""
 
     def __post_init__(self):
-        _check_fields(vars(self), {f.name: f.type for f in fields(self)},
-                      SETTINGS)
+        check_dataclass(self, SETTINGS)
         for name in ("methods", "hidden_dims", "corrupt_client_ids"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, tuple(getattr(self, name)))
@@ -385,7 +349,7 @@ def _build_dataset(cfg: ScenarioConfig):
     if set(spec) != set(key_types):
         raise ConfigError(f"dataset kind {kind!r} takes keys "
                           f"{list(key_types)}, got {list(spec)}")
-    _check_fields(spec, key_types, ranges, "dataset.")
+    check_fields(spec, key_types, ranges, "dataset.")
     if kind == "blobs":  # split gives val and test an anomaly each
         check("dataset.anomaly_blob_sizes total",
               sum(spec["anomaly_blob_sizes"]), SEVERAL)
@@ -760,7 +724,7 @@ def _sweep_counts(counts, name: str, domain) -> list:
     """A sweep's counts, each given once and checked as a config field's
     ints are: no bool, float or string passes, and each lies in domain."""
     counts = _distinct("counts", list(counts))
-    _check_fields({name: counts}, {name: tuple[int, ...]}, {name: domain})
+    check_fields({name: counts}, {name: tuple[int, ...]}, {name: domain})
     return counts
 
 

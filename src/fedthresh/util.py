@@ -1,5 +1,7 @@
-"""Small shared helpers: setting ranges, seeding and integer apportionment."""
-from dataclasses import dataclass
+"""Small shared helpers: setting ranges and field types, seeding and
+integer apportionment."""
+import types
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,6 +59,46 @@ def check(name: str, value, domain) -> None:
         domain.check(f"{name} entries" if many else name, value)
     raise ConfigError(f"unknown {name} {unknown if many else value!r}; "
                       f"valid: {domain}")
+
+
+def _is_instance(value, annotation) -> bool:
+    """isinstance against a field annotation. JSON has no tuple, so a list
+    passes for one; an int within 2**53 (exact as a float and an int64)
+    passes for a float; a bool never passes for a number; `tuple[int, ...]`
+    checks every element. Nothing is coerced: a config hashes as before."""
+    if isinstance(annotation, types.UnionType):
+        return any(_is_instance(value, a) for a in annotation.__args__)
+    if isinstance(annotation, types.GenericAlias):
+        return _is_instance(value, annotation.__origin__) and \
+            all(_is_instance(v, annotation.__args__[0]) for v in value)
+    if isinstance(value, bool):
+        return annotation is bool
+    if annotation is float:
+        return isinstance(value, float) or \
+            isinstance(value, int) and abs(value) <= 2 ** 53
+    if annotation is tuple:
+        annotation = (tuple, list)
+    return isinstance(value, annotation)
+
+
+def check_fields(values: dict, key_types: dict, domains: dict,
+                 prefix: str = "") -> None:
+    """Each value against its type, then its domain, if it has one; None
+    passes where its type allows it."""
+    for key, annotation in key_types.items():
+        name, value = prefix + key, values[key]
+        if not _is_instance(value, annotation):
+            shown = annotation.__name__ if isinstance(annotation, type) \
+                else annotation
+            raise ConfigError(f"{name} must be {shown}, got {value!r}")
+        if value is not None and key in domains:
+            check(name, value, domains[key])
+
+
+def check_dataclass(obj, domains: dict) -> None:
+    """check_fields on every field of the dataclass instance obj, each
+    against its annotation: the one type rule of every config class."""
+    check_fields(vars(obj), {f.name: f.type for f in fields(obj)}, domains)
 
 
 def derive_seed(*path: int) -> int:

@@ -411,21 +411,54 @@ def architectures():
                                + "x".join(map(str, hidden)))
 
 
+# clients of one size draw the same shuffle; 24 rows at batch 16 leave a
+# remainder group of all five
+EQUAL_SIZES = (24,) * 5
+
+
 @pytest.mark.parametrize("optimizer, dim, hidden", architectures())
 def test_train_clients_matches_reference_bit_for_bit(rng, optimizer, dim,
                                                      hidden):
-    datas = [c.train_data for c in ragged_clients(rng, RAGGED_SIZES, dim)]
     model = init_model(dim, hidden, seed=9)
-    for epochs in (1, 3):
-        cfg = TrainConfig(local_epochs=epochs, learning_rate=0.05,
-                          batch_size=16, seed=4, optimizer=optimizer)
-        stacked, last_mse = train_clients(model, datas, cfg)
-        assert len(stacked) == len(last_mse) == len(datas)
-        for data, got, mse in zip(datas, stacked, last_mse):
-            expected, expected_mse = reference_train_local(model, data, cfg)
-            assert_same_params(got, expected)
-            assert type(mse) is float and mse == expected_mse
-            assert_same_params(train_local(model, data, cfg), got)
+    for sizes in (RAGGED_SIZES, EQUAL_SIZES):
+        datas = [c.train_data for c in ragged_clients(rng, sizes, dim)]
+        for epochs in (1, 3):
+            cfg = TrainConfig(local_epochs=epochs, learning_rate=0.05,
+                              batch_size=16, seed=4, optimizer=optimizer)
+            stacked, last_mse = train_clients(model, datas, cfg)
+            assert len(stacked) == len(last_mse) == len(datas)
+            for data, got, mse in zip(datas, stacked, last_mse):
+                expected, expected_mse = reference_train_local(model, data,
+                                                               cfg)
+                assert_same_params(got, expected)
+                assert type(mse) is float and mse == expected_mse
+                assert_same_params(train_local(model, data, cfg), got)
+
+
+def chains():
+    """Each distinct layer chain of architectures(), as (dim, hidden)."""
+    return [pytest.param(dim, hidden, id=f"{dim}-" + "x".join(map(str, hidden)))
+            for dim, hidden in sorted({p.values[1:] for p in architectures()})]
+
+
+@pytest.mark.parametrize("rows", [1, 37])
+@pytest.mark.parametrize("dim, hidden", chains())
+def test_loss_and_grads_matches_reference_bit_for_bit(rng, dim, hidden, rows):
+    models = [init_model(dim, hidden, seed=s) for s in range(3)]
+    dims = models[0].dims
+    block = np.stack([m.flat for m in models])  # (clients, P)
+    x = rng.normal(size=(len(models), rows, dim))
+    loss, grads = _loss_and_grads(block, dims, x)
+    assert loss.shape == (len(models),) and grads.shape == block.shape
+    for j, model in enumerate(models):
+        want_loss, want = reference_loss_and_grads(
+            list(model.weights + model.biases), x[j])
+        want = np.concatenate([np.ravel(g) for g in want])
+        assert loss[j] == want_loss and np.array_equal(grads[j], want)
+        # the 1-D path without a client axis, as the gradient check runs it
+        flat_loss, flat_grads = _loss_and_grads(model.flat, dims, x[j])
+        assert flat_loss.ndim == 0 and flat_loss == want_loss
+        assert np.array_equal(flat_grads, want)
 
 
 @pytest.mark.parametrize("optimizer, dim, hidden", architectures())

@@ -111,11 +111,51 @@ class TestAverageParams:
         with pytest.raises(ConfigError, match="positive sum"):
             average_params([a, a], [0.0, 0.0])
 
+    @pytest.mark.parametrize("weights, message", [
+        ([math.nan, 1.0], "weights must be finite"),
+        ([math.inf, 1.0], "weights must be finite"),
+        ([1.0, -math.inf], "weights must be finite"),
+        # each weight is finite, but their sum overflows to inf, which
+        # would scale every parameter to zero
+        ([1e308, 1e308], "weights must have a finite sum"),
+    ])
+    def test_non_finite_weights_or_sum_rejected(self, weights, message):
+        a = constant_model((3, 2, 3), 1.0)
+        with pytest.raises(ConfigError, match=message) as err:
+            average_params([a, a], weights)
+        assert "parameter" not in str(err.value)
+
 
 class TestFedConfig:
     def test_zero_rounds_rejected(self):
         with pytest.raises(ConfigError, match="rounds"):
             FedConfig(rounds=0, train_cfg=TrainConfig())
+
+    # (class, bad field and value, the start of the message naming it)
+    @pytest.mark.parametrize("cls, field, value, message", [
+        (TrainConfig, "seed", -1, "seed must be in [0, inf)"),
+        (TrainConfig, "seed", 1.5, "seed must be int"),
+        (TrainConfig, "seed", True, "seed must be int"),
+        (TrainConfig, "batch_size", 2.0, "batch_size must be int"),
+        (TrainConfig, "local_epochs", np.float64(1.0),
+         "local_epochs must be int"),
+        (TrainConfig, "learning_rate", "0.1", "learning_rate must be float"),
+        (TrainConfig, "optimizer", None, "optimizer must be str"),
+        (FedConfig, "rounds", 2.0, "rounds must be int"),
+        (FedConfig, "rounds", True, "rounds must be int"),
+        (FedConfig, "model_seed", -1, "model_seed must be in [0, inf)"),
+        (FedConfig, "model_seed", 0.5, "model_seed must be int"),
+        (FedConfig, "train_cfg", {}, "train_cfg must be TrainConfig"),
+        (FedConfig, "hidden_dims", 3, "hidden_dims must be tuple | None"),
+    ])
+    def test_field_types_checked_at_construction(self, cls, field, value,
+                                                 message):
+        given = {"rounds": 2, "train_cfg": TrainConfig()} \
+            if cls is FedConfig else {}
+        with pytest.raises(ConfigError) as err:
+            cls(**{**given, field: value})
+        assert str(err.value).startswith(message)
+        assert str(err.value).endswith(f"got {value!r}")
 
 
 class TestClientState:
