@@ -127,19 +127,13 @@ def _read_table(fh, num_columns: int, label_idx: int):
     label cell holding a quote, a row of another width, no data row or a
     non-finite value sends the file to the per-cell reader.
     """
-    codes = {}
-
-    def label_code(cell):
-        if '"' in cell:
-            raise ValueError("quoted label")
-        return codes.setdefault(cell.strip(), len(codes))
-
+    codes = _LabelCodes()
     try:
         with warnings.catch_warnings():
             # an empty table warns; the per-cell reader reports it
             warnings.simplefilter("ignore", UserWarning)
             table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                               converters={label_idx: label_code})
+                               converters={label_idx: codes.__getitem__})
     except ValueError:
         return None
     if table.shape[0] == 0 or table.shape[1] != num_columns:
@@ -147,8 +141,26 @@ def _read_table(fh, num_columns: int, label_idx: int):
     features = np.delete(table, label_idx, axis=1)
     if not np.isfinite(features).all():
         return None
-    classes = np.array(list(codes))[table[:, label_idx].astype(np.intp)]
+    classes = np.array(list(codes.labels))[table[:, label_idx].astype(np.intp)]
     return features, classes
+
+
+class _LabelCodes(dict):
+    """Label cell -> the code of its stripped label, numbered in order of
+    first sighting. np.loadtxt calls `__getitem__` once per row, a dict
+    lookup with no Python frame; `__missing__` runs once per distinct
+    cell, and a cell holding a quote raises there."""
+
+    def __init__(self):
+        super().__init__()
+        self.labels = {}  # stripped label -> code
+
+    def __missing__(self, cell):
+        if '"' in cell:
+            raise ValueError("quoted label")
+        code = self[cell] = self.labels.setdefault(cell.strip(),
+                                                   len(self.labels))
+        return code
 
 
 def _read_cells(reader, path, header, label_idx: int, feature_names):
@@ -196,12 +208,14 @@ class Scaler:
     offset: np.ndarray
     scale: np.ndarray
 
-    def transform(self, features: np.ndarray) -> np.ndarray:
+    def transform(self, features: np.ndarray, out=None) -> np.ndarray:
+        """The scaled features, written to `out` (as numpy's out=) if
+        given; `out=features` scales in place."""
         safe = np.where(self.scale == 0.0, 1.0, self.scale)
         # a value that overflows is left inf for `Dataset` to reject by
         # column name, without a numpy warning first
         with np.errstate(over="ignore"):
-            out = features - self.offset
+            out = np.subtract(features, self.offset, out=out)
             out /= safe  # in place: one full-size temporary, not two
         out[:, self.scale == 0.0] = 0.0
         return out
@@ -221,14 +235,17 @@ def fit_scaler(features: np.ndarray, method: str = "minmax") -> Scaler:
         return Scaler(method, features.mean(axis=0), features.std(axis=0))
 
 
-def apply_scaler(dataset: Dataset, scaler: Scaler) -> Dataset:
-    """The dataset scaled; overflow in the scaler or in a value is rejected."""
+def apply_scaler(dataset: Dataset, scaler: Scaler, out=None) -> Dataset:
+    """The dataset scaled; overflow in the scaler or in a value is rejected.
+    The features go to `out` as in `Scaler.transform`: a new array by
+    default, the dataset's own with `out=dataset.features`, for a caller
+    that alone holds that array."""
     finite = np.isfinite(scaler.offset) & np.isfinite(scaler.scale)
     if not finite.all():
         name = dataset.feature_names[int(finite.argmin())]
         raise ConfigError(f"scale_method={scaler.method!r} overflows on "
                           f"feature column {name!r}")
-    return replace(dataset, features=scaler.transform(dataset.features))
+    return replace(dataset, features=scaler.transform(dataset.features, out))
 
 
 def check_fractions(train_frac: float, val_frac: float) -> None:
@@ -327,9 +344,37 @@ def partition_even(dataset: Dataset, splits, num_clients: int,
     return PartitionPlan("even", assignments, seed)
 
 
+# rows per block where k-means reads a column-major array by rows
+_BLOCK_ROWS = 4096
+
+
 def _sq_dist(points: np.ndarray, centroid: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance from every row of points to one centroid."""
     return ((points - centroid) ** 2).sum(axis=1)
+
+
+def _row_sq_dist(points: np.ndarray, centroid: np.ndarray) -> np.ndarray:
+    """`_sq_dist` with every row summed as numpy sums a C-ordered row: a
+    column-major array's rows (which numpy sums in another order, so to
+    other bits) go through in C-ordered blocks of rows."""
+    if points.flags.c_contiguous:
+        return _sq_dist(points, centroid)
+    out = np.empty(points.shape[0])
+    for start in range(0, out.size, _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        out[start:stop] = _sq_dist(np.ascontiguousarray(points[start:stop]),
+                                   centroid)
+    return out
+
+
+def _gather_columns(features: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """features[rows] laid out (features, rows), the layout `kmeans` works
+    in; gathered in blocks of rows, so no full (rows, features) copy."""
+    out = np.empty((features.shape[1], rows.size))
+    for start in range(0, rows.size, _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        out[:, start:stop] = features[rows[start:stop]].T
+    return out
 
 
 def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.ndarray:
@@ -347,6 +392,10 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
     point's best value plus its ‖x‖²) where that sum's rounding is under
     1e-3 of the check's tolerance, and otherwise summed exactly with
     `_exact_wcss`; the update that ends the loop is checked exactly.
+
+    points may be column-major, such as the transpose of a (features, rows)
+    array: k-means works in that layout and then makes no copy of points.
+    The bits do not depend on the layout: `_sq_dist` reads C-ordered rows.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
@@ -360,7 +409,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
     rng = np.random.default_rng(seed)
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
-    closest = _sq_dist(points, centroids[0])
+    closest = _row_sq_dist(points, centroids[0])
     for j in range(1, k):
         total = closest.sum()
         if total > 0.0:
@@ -368,7 +417,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
         else:
             pick = int(rng.integers(n))
         centroids[j] = points[pick]
-        closest = np.minimum(closest, _sq_dist(points, centroids[j]))
+        closest = np.minimum(closest, _row_sq_dist(points, centroids[j]))
 
     # The screen is s = ‖c‖² − 2·c·x, the squared distance less ‖x‖²,
     # which is the same for every centroid of a point and so leaves its
@@ -411,7 +460,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
 
     sq_norms = np.einsum("ij,ij->i", points, points)
     sq_total = float(sq_norms.sum())
-    points_t = np.ascontiguousarray(points.T)
+    points_t = np.ascontiguousarray(points.T)  # no copy if column-major
     small = np.min_scalar_type(k)
     ids = np.arange(k, dtype=small)[:, None]
     d2 = np.empty((k, n))
@@ -439,7 +488,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
                                dtype=small).astype(np.intp)
         near = np.flatnonzero(np.add.reduce(close, axis=0, dtype=small) != 1)
         if near.size:
-            rows = points[near]
+            rows = points[near]  # a gather of rows is C-ordered
             assign[near] = np.array(
                 [_sq_dist(rows, c) for c in centroids]).argmin(axis=0)
         sizes = np.bincount(assign, minlength=k)
@@ -542,8 +591,10 @@ def partition_noniid(dataset: Dataset, splits, num_clients: int = 6,
     k = num_clients if k is None else k
     normal_classes = [] if dataset.classes is None else [
         dataset.classes[rows][lab == 0] for rows, lab in zip(splits, labels)]
-    sorted_classes = np.unique(np.concatenate(normal_classes)) \
-        if normal_classes else ()
+    # the distinct classes by hashing, sorted: np.unique would sort every
+    # row's class object
+    sorted_classes = np.fromiter(sorted(set().union(*normal_classes)),
+                                 dtype=object)
 
     # owners[s][i] is the client holding row i of split s; -1 is no client
     if len(sorted_classes) >= 2:
@@ -553,8 +604,8 @@ def partition_noniid(dataset: Dataset, splits, num_clients: int = 6,
             owner[lab == 0] = np.searchsorted(sorted_classes, c) % num_clients
             owners.append(owner)
         val_anom, test_anom = labels[1] == 1, labels[2] == 1
-        pooled = dataset.features[np.concatenate(
-            [splits[1][val_anom], splits[2][test_anom]])]
+        pooled = _gather_columns(dataset.features, np.concatenate(
+            [splits[1][val_anom], splits[2][test_anom]])).T
         if k > pooled.shape[0]:
             warnings.warn(f"k={k} exceeds the {pooled.shape[0]} anomalies; "
                           f"reduced to {pooled.shape[0]}")
@@ -563,7 +614,7 @@ def partition_noniid(dataset: Dataset, splits, num_clients: int = 6,
         owners[1][val_anom], owners[2][test_anom] = np.split(
             dealt, [np.count_nonzero(val_anom)])
     else:
-        pooled = dataset.features[np.concatenate(splits)]
+        pooled = _gather_columns(dataset.features, np.concatenate(splits)).T
         if k > pooled.shape[0]:
             raise ConfigError(f"noniid_k={k} exceeds the {pooled.shape[0]} "
                               f"rows that k-means clusters")
@@ -674,10 +725,16 @@ def synth_blobs(num_normal: int, anomaly_blob_sizes, dim: int, separations,
         raise ConfigError(f"anomaly_blob_sizes and separations differ in "
                           f"length: {anomaly_blob_sizes}, {separations}")
     rng = np.random.default_rng(seed)
-    blocks = [rng.standard_normal((num_normal, dim))]
+    # each blob drawn into its rows of one array, as vstack of fresh draws
+    # would give them
+    features = np.empty((num_normal + sum(anomaly_blob_sizes), dim))
+    rng.standard_normal(out=features[:num_normal])
+    start = num_normal
     for size, sep in zip(anomaly_blob_sizes, separations):
-        blocks.append(rng.standard_normal((size, dim)) + sep)
-    features = np.vstack(blocks)
+        block = features[start:start + size]
+        rng.standard_normal(out=block)
+        block += sep
+        start += size
     labels = np.concatenate([np.zeros(num_normal, dtype=np.int64),
                              np.ones(sum(anomaly_blob_sizes), dtype=np.int64)])
     name = (f"synth(n={num_normal}, a={anomaly_blob_sizes}, dim={dim}, "

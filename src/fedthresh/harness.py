@@ -86,7 +86,7 @@ def _mean_plus_std(work, cfg, params):
 def _local_minmax_client(work, cfg, params):
     errors, labels = work.errors, work.client.val_labels
     if np.any(labels == 1):
-        return local_minmax(errors, labels, cfg.n_candidates)
+        return local_minmax(errors, labels, cfg.n_candidates, work.view)
     # no anomalies: every threshold scores F1 = 0 locally; the max error
     # at least predicts nothing falsely
     warnings.warn(f"client {work.client.client_id} holds no anomalies; "
@@ -167,7 +167,9 @@ def _method_kwargs(tag, given) -> dict:
 
 
 # Each entry calls through this module's globals when it runs, as METHODS
-# does, so replacing `harness.synth` (say) reaches every later load.
+# does, so replacing `harness.synth` (say) reaches every later load. A load
+# returns arrays that nothing else holds: the scale stage scales the
+# features in place.
 # kind -> (load(spec, seed), spec key -> type, spec key -> the Range its
 # value, or each entry of a tuple value, must lie in)
 DATASET_KINDS = {
@@ -369,12 +371,15 @@ def build_client_states(plan, dataset, splits):
 
 
 def _scale(dataset, splits, method):
-    """The whole dataset scaled by a scaler fit on its training rows. A
-    scaled validation feature beyond FEATURE_CAP is refused, naming its
-    column: its errors would overflow the summaries."""
+    """The whole dataset scaled by a scaler fit on its training rows, in
+    place: the pipeline alone holds the loaded array. A scaled validation
+    feature beyond FEATURE_CAP is refused, naming its column: its errors
+    would overflow the summaries."""
     scaled = apply_scaler(dataset, fit_scaler(dataset.features[splits[0]],
-                                              method))
-    peaks = np.abs(scaled.features[splits[1]]).max(axis=0, initial=0.0)
+                                              method), out=dataset.features)
+    val = scaled.features[splits[1]]
+    peaks = np.maximum(val.max(axis=0, initial=0.0),
+                       -val.min(axis=0, initial=0.0))
     for name, peak in zip(scaled.feature_names, peaks):
         if peak > FEATURE_CAP:
             raise ConfigError(f"validation feature column {name!r} reaches "
@@ -547,8 +552,9 @@ def _pipeline(cfg: ScenarioConfig, levels):
     """Load through train once for `cfg`, threshold and evaluate per level,
     then audit: (model, plan, channel, round_log, [(clients, results, rows)]).
 
-    Split yields row indices, scale makes one scaled Dataset (the data is
-    checked at load and once scaled), and each client gathers its rows.
+    Split yields row indices, scale scales the loaded features in place
+    (the data is checked at load and once scaled), and each client gathers
+    its rows, so one full-size feature array is alive until then.
 
     A level is `cfg` with its own corrupt_client_ids and scenario_id.
     Corruption touches validation data only, so the model trains once, on

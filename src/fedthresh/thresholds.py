@@ -18,7 +18,10 @@ import numpy as np
 from .errors import ConfigError, InsufficientTail, NoAnomalyStatistics
 from .error_stats import (OverlapRegion, aggregate, generate_candidates,
                           overlap_region)
-from .metrics import aggregate_f1, f1_curve
+from .metrics import aggregate_f1, sort_errors
+# not called here any more; perfbench/tracing.py replaces this attribute
+# by name, so it stays importable from this module
+from .metrics import f1_curve  # noqa: F401
 from .util import PERCENT, UNIT
 
 # the tags of harness.METHODS, which runs each method, in report order
@@ -93,15 +96,18 @@ def fed_filtered(local_thresholds, z_cut: float = 1.5) -> float:
     return float(survivors.max())
 
 
-def local_minmax(errors, labels, n: int) -> float:
-    """Local F1 argmax over n candidates spanning this client's errors."""
+def local_minmax(errors, labels, n: int, view=None) -> float:
+    """Local F1 argmax over n candidates spanning this client's errors.
+    view: `sort_errors(errors, labels)`, where the caller holds it."""
     errors = np.asarray(errors, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel()
     if not (np.any(labels != 0) and np.any(labels == 0)):
         raise ConfigError("local_minmax needs both classes in the labels")
     region = OverlapRegion(float(errors.min()), float(errors.max()))
-    return _grid_search(region, n, lambda candidates: f1_curve(
-        errors, labels, candidates)[None, :])
+    if view is None:
+        view = sort_errors(errors, labels)
+    return _grid_search(region, n, lambda candidates: view.f1_scores(
+        candidates)[None, :])
 
 
 def iqr(errors) -> float:

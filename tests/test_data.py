@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -302,6 +303,20 @@ def test_scaling_all_rows_then_gathering_keeps_every_bit(method):
                               scaler.transform(x[rows]).view(np.int64))
 
 
+@pytest.mark.parametrize("method", ["minmax", "zscore"])
+def test_apply_scaler_leaves_its_input_untouched(method):
+    ds = toy_dataset()
+    before = ds.features.copy()
+    scaled = apply_scaler(ds, fit_scaler(ds.features[:50], method))
+    assert np.array_equal(ds.features, before)
+    assert not np.shares_memory(scaled.features, ds.features)
+    # out=features scales in place, to the same bits
+    again = apply_scaler(ds, fit_scaler(before[:50], method), out=ds.features)
+    assert again.features is ds.features
+    assert np.array_equal(again.features.view(np.int64),
+                          scaled.features.view(np.int64))
+
+
 def test_scale_operation_fits_on_train_only():
     ds = toy_dataset()
     fit_idx = np.arange(10)
@@ -492,6 +507,18 @@ def _reference_kmeans(points, k, seed, max_iters=100):
     return assign
 
 
+def column_major(points):
+    """points as the transpose of a (features, rows) array, the layout
+    partition_noniid hands kmeans."""
+    points = np.asarray(points, dtype=np.float64)
+    return np.ascontiguousarray(points.reshape(points.shape[0], -1).T).T
+
+
+def layouts(points):
+    """points row-major, then column-major."""
+    return np.asarray(points), column_major(points)
+
+
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_kmeans_matches_reference_on_blobs(k):
     for seed in range(3):
@@ -501,8 +528,9 @@ def test_kmeans_matches_reference_on_blobs(k):
         # far from the origin the expanded distance cancels badly, so the
         # screen must send (nearly) every point to the exact recheck
         for offset in (0.0, 1e6):
-            assert np.array_equal(kmeans(points + offset, k, seed),
-                                  _reference_kmeans(points + offset, k, seed))
+            expected = _reference_kmeans(points + offset, k, seed)
+            for laid_out in layouts(points + offset):
+                assert np.array_equal(kmeans(laid_out, k, seed), expected)
 
 
 @pytest.mark.parametrize("step", [1.0, 0.1])
@@ -514,8 +542,9 @@ def test_kmeans_matches_reference_on_grids(step):
         points = np.random.default_rng(seed).integers(
             0, 4, size=(300, 3)) * step
         for k in (2, 5, 9):
-            assert np.array_equal(kmeans(points, k, seed),
-                                  _reference_kmeans(points, k, seed))
+            expected = _reference_kmeans(points, k, seed)
+            for laid_out in layouts(points):
+                assert np.array_equal(kmeans(laid_out, k, seed), expected)
 
 
 def test_kmeans_rechecks_exact_ties(monkeypatch):
@@ -542,8 +571,9 @@ def test_kmeans_rechecks_exact_ties(monkeypatch):
 
 def test_kmeans_matches_reference_on_reseed_and_1d_inputs(rng):
     for k in (2, 3, 7):
-        assert np.array_equal(kmeans(np.zeros((7, 2)), k, 0),
-                              _reference_kmeans(np.zeros((7, 2)), k, 0))
+        for laid_out in layouts(np.zeros((7, 2))):
+            assert np.array_equal(kmeans(laid_out, k, 0),
+                                  _reference_kmeans(np.zeros((7, 2)), k, 0))
     line = rng.normal(size=200)
     for k in (2, 4):
         assert np.array_equal(kmeans(line, k, 5), _reference_kmeans(line, k, 5))
@@ -707,9 +737,39 @@ def test_kmeans_pinned_near_the_lloyd_cap(seed, digest):
     points = np.vstack([rng.uniform(0, 1, (5000, 10)),
                         3 + 0.3 * rng.standard_normal((250, 10))])
     points = points[rng.permutation(5250)]
-    assign = kmeans(points, 8, seed)
-    assert hashlib.sha256(
-        assign.astype(np.int64).tobytes()).hexdigest() == digest
+    for laid_out in layouts(points):
+        assign = kmeans(laid_out, 8, seed)
+        assert hashlib.sha256(
+            assign.astype(np.int64).tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("dim", [3, 10, 16])
+def test_row_distances_keep_row_major_bits_on_a_column_major_view(dim):
+    """numpy sums a column-major row of 8 or more values in another order;
+    the distances k-means++ seeds from keep the row-major bits."""
+    rng = np.random.default_rng(dim)
+    points = rng.uniform(size=(9000, dim)) * 10.0 ** rng.uniform(-3, 3, dim)
+    for c in points[:3]:
+        expected = data_module._sq_dist(points, c)
+        got = data_module._row_sq_dist(column_major(points), c)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_kmeans_on_a_column_major_view_makes_no_copy_of_it():
+    """Column-major points are clustered in place: the call's traced peak
+    stays under one copy of the points."""
+    rng = np.random.default_rng(0)
+    points = column_major(np.vstack([rng.normal(size=(50_000, 16)),
+                                     rng.normal(8.0, size=(50_000, 16))]))
+    expected = kmeans(np.ascontiguousarray(points), 2, 0)
+    tracemalloc.start()
+    try:
+        assign = kmeans(points, 2, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(assign, expected)
+    assert peak < points.nbytes
 
 
 # ---- partition_noniid ----
@@ -1037,6 +1097,18 @@ def test_synth_shapes_and_determinism():
 def test_synth_normal_only():
     ds = synth(30, 0, 3, separation=2.0, seed=0)
     assert ds.num_anomalies == 0
+
+
+def test_synth_blobs_draws_the_bits_of_stacked_blocks():
+    for seed in range(5):
+        ds = synth_blobs(300, (7, 0, 25), dim=5, separations=(3.0, 9.0, -2.5),
+                         seed=seed)
+        rng = np.random.default_rng(seed)
+        blocks = [rng.standard_normal((300, 5))]
+        for size, sep in zip((7, 0, 25), (3.0, 9.0, -2.5)):
+            blocks.append(rng.standard_normal((size, 5)) + sep)
+        assert np.array_equal(ds.features.view(np.int64),
+                              np.vstack(blocks).view(np.int64))
 
 
 def test_synth_blobs_labeling():

@@ -2,6 +2,7 @@
 import copy
 import hashlib
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -1147,3 +1148,24 @@ def test_every_option_changes_its_output(option, tmp_path):
     default = option_output(option, None, overrides, output, tmp_path)
     assert option_output(option, value, overrides, output, tmp_path) != \
         default
+
+
+@pytest.mark.parametrize("method", ["minmax", "zscore"])
+def test_the_scale_stage_scales_the_loaded_array_in_place(method):
+    """The pipeline's scale stage writes the bits of an out-of-place
+    apply_scaler into the loaded array, and its traced peak stays under
+    a second copy of the features."""
+    ds = harness.synth(40_000, 2_000, 8, 3.0, seed=0)
+    splits = harness.split(ds, 0.5, 0.25, seed=1)
+    expected = harness.apply_scaler(ds, harness.fit_scaler(
+        ds.features[splits[0]], method)).features
+    features = ds.features
+    tracemalloc.start()
+    try:
+        scaled = harness._scale(ds, splits, method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scaled.features is features
+    assert np.array_equal(features.view(np.int64), expected.view(np.int64))
+    assert peak < features.nbytes
