@@ -344,26 +344,21 @@ def partition_even(dataset: Dataset, splits, num_clients: int,
     return PartitionPlan("even", assignments, seed)
 
 
-# rows per block where k-means reads a column-major array by rows
+# rows per block where k-means reads its points by rows
 _BLOCK_ROWS = 4096
 
 
 def _sq_dist(points: np.ndarray, centroid: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance from every row of points to one centroid."""
-    return ((points - centroid) ** 2).sum(axis=1)
+    """Squared Euclidean distance from every row of points to one centroid.
 
-
-def _row_sq_dist(points: np.ndarray, centroid: np.ndarray) -> np.ndarray:
-    """`_sq_dist` with every row summed as numpy sums a C-ordered row: a
-    column-major array's rows (which numpy sums in another order, so to
-    other bits) go through in C-ordered blocks of rows."""
-    if points.flags.c_contiguous:
-        return _sq_dist(points, centroid)
+    The rows go through in C-ordered blocks, so every row is summed as
+    numpy sums a C-ordered row whatever the layout of points (numpy sums a
+    column-major row in another order, so to other bits), and no temporary
+    is larger than a block."""
     out = np.empty(points.shape[0])
     for start in range(0, out.size, _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        out[start:stop] = _sq_dist(np.ascontiguousarray(points[start:stop]),
-                                   centroid)
+        block = np.ascontiguousarray(points[start:start + _BLOCK_ROWS])
+        out[start:start + _BLOCK_ROWS] = ((block - centroid) ** 2).sum(axis=1)
     return out
 
 
@@ -409,7 +404,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
     rng = np.random.default_rng(seed)
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
-    closest = _row_sq_dist(points, centroids[0])
+    closest = _sq_dist(points, centroids[0])
     for j in range(1, k):
         total = closest.sum()
         if total > 0.0:
@@ -417,7 +412,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
         else:
             pick = int(rng.integers(n))
         centroids[j] = points[pick]
-        closest = np.minimum(closest, _row_sq_dist(points, centroids[j]))
+        closest = np.minimum(closest, _sq_dist(points, centroids[j]))
 
     # The screen is s = ‖c‖² − 2·c·x, the squared distance less ‖x‖²,
     # which is the same for every centroid of a point and so leaves its
@@ -488,7 +483,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
                                dtype=small).astype(np.intp)
         near = np.flatnonzero(np.add.reduce(close, axis=0, dtype=small) != 1)
         if near.size:
-            rows = points[near]  # a gather of rows is C-ordered
+            rows = points[near]
             assign[near] = np.array(
                 [_sq_dist(rows, c) for c in centroids]).argmin(axis=0)
         sizes = np.bincount(assign, minlength=k)

@@ -746,13 +746,16 @@ def test_kmeans_pinned_near_the_lloyd_cap(seed, digest):
 @pytest.mark.parametrize("dim", [3, 10, 16])
 def test_row_distances_keep_row_major_bits_on_a_column_major_view(dim):
     """numpy sums a column-major row of 8 or more values in another order;
-    the distances k-means++ seeds from keep the row-major bits."""
+    the distances k-means reads, taken block by block, keep the bits of the
+    whole row-major array's distances in either layout."""
     rng = np.random.default_rng(dim)
     points = rng.uniform(size=(9000, dim)) * 10.0 ** rng.uniform(-3, 3, dim)
     for c in points[:3]:
-        expected = data_module._sq_dist(points, c)
-        got = data_module._row_sq_dist(column_major(points), c)
-        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        expected = ((points - c) ** 2).sum(axis=1)
+        for laid_out in layouts(points):
+            got = data_module._sq_dist(laid_out, c)
+            assert np.array_equal(got.view(np.int64),
+                                  expected.view(np.int64))
 
 
 def test_kmeans_on_a_column_major_view_makes_no_copy_of_it():
