@@ -15,7 +15,7 @@ import numpy as np
 
 from .error_stats import FEATURE_CAP
 from .errors import ConfigError
-from .util import (NON_NEGATIVE, POSITIVE, SEVERAL, UNIT, check,
+from .util import (NON_NEGATIVE, POSITIVE, SEVERAL, UNIT, check, distinct,
                    largest_remainder)
 
 # shapes of the widely used public benchmarks, keyed by a filename hint:
@@ -76,36 +76,34 @@ class Dataset:
 
 
 def load_csv(path, label_column: str, positive_label: str) -> Dataset:
-    """Read a headered numeric CSV; label_column equal to positive_label
-    marks the anomaly class. Non-numeric and non-finite cells (nan, inf)
-    are rejected with their row and column.
+    """Read a headered numeric CSV in UTF-8, with or without a byte-order
+    mark; label_column equal to positive_label marks the anomaly class.
+    Header names must be unique. Non-numeric and non-finite cells (nan,
+    inf) are rejected with their row and column, a byte that is not UTF-8
+    with its offset.
 
     numpy's C parser reads the table; a file it rejects, or may read
     differently from `csv.reader` and `float()`, is read again cell by
     cell, which also names the row and column of any bad cell.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"{path}: no such file")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            feature_names, (features, classes) = _read_csv(
+                fh, path, label_column)
+    except FileNotFoundError:
+        raise ConfigError(f"{path}: no such file") from None
+    except IsADirectoryError:
+        raise ConfigError(f"{path}: is a directory") from None
+    except UnicodeDecodeError:
+        # the codec counts from the chunk it was decoding, not the file
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if label_column not in header:
-            raise ConfigError(f"{path}: label column {label_column!r} not in "
-                              f"header {header}")
-        label_idx = header.index(label_column)
-        feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-        table = _read_table(fh, len(header), label_idx)
-        if table is None:
-            fh.seek(0)
-            next(reader)
-            table = _read_cells(reader, path, header, label_idx,
-                                feature_names)
-    features, classes = table
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8: byte "
+                              f"{exc.object[exc.start]:#04x} at offset "
+                              f"{exc.start}") from None
+        raise
     ds = Dataset(features, classes == positive_label, feature_names,
                  path.stem, classes=classes)
     for hint, (n, n_anom, dim) in KNOWN_DATASET_SHAPES.items():
@@ -115,6 +113,27 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
                 warnings.warn(f"{path.name}: shape {got} differs from the "
                               f"published {(n, n_anom, dim)}")
     return ds
+
+
+def _read_csv(fh, path, label_column: str):
+    """The feature names of an open CSV and its (features, classes)."""
+    reader = csv.reader(fh)
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ConfigError(f"{path}: empty file") from None
+    if label_column not in header:
+        raise ConfigError(f"{path}: label column {label_column!r} not in "
+                          f"header {header}")
+    distinct(f"{path}: header", header)
+    label_idx = header.index(label_column)
+    feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+    table = _read_table(fh, len(header), label_idx)
+    if table is None:
+        fh.seek(0)
+        next(reader)
+        table = _read_cells(reader, path, header, label_idx, feature_names)
+    return feature_names, table
 
 
 def _read_table(fh, num_columns: int, label_idx: int):
@@ -382,11 +401,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
     screen values lie within the rounding bound of each other; the rest
     cannot change their argmin. Deterministic under seed. Empty clusters are
     re-seeded with the farthest point of the largest cluster, which is
-    force-reassigned. Within-cluster sum of squares is checked to be
-    non-increasing: after each assignment it is read from the screen (each
-    point's best value plus its ‖x‖²) where that sum's rounding is under
-    1e-3 of the check's tolerance, and otherwise summed exactly with
-    `_exact_wcss`; the update that ends the loop is checked exactly.
+    force-reassigned.
 
     points may be column-major, such as the transpose of a (features, rows)
     array: k-means works in that layout and then makes no copy of points.
@@ -395,14 +410,14 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
-    n = points.shape[0]
+    n, n_features = points.shape
     if not 1 <= k <= n:
         raise ConfigError(f"need 1 <= k <= {n}, got k={k}")
     reach = float(max(points.max(), -points.min()))
-    if not 4.0 * n * points.shape[1] * reach * reach < np.inf:
+    if not 4.0 * n * n_features * reach * reach < np.inf:
         raise ConfigError(f"k-means overflows at features of {reach:g}")
     rng = np.random.default_rng(seed)
-    centroids = np.empty((k, points.shape[1]))
+    centroids = np.empty((k, n_features))
     centroids[0] = points[rng.integers(n)]
     closest = _sq_dist(points, centroids[0])
     for j in range(1, k):
@@ -427,34 +442,8 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
     # beats theirs too, so only points with a second centroid that close
     # need the exact recheck. The slack below is over 4E, for second-order
     # terms.
-    n_features = points.shape[1]
-    eps = np.finfo(np.float64).eps
-    slack = 16.0 * (n_features + 3) * eps
-    # The screen's sum of squares: a point's best screen value plus its
-    # ‖x‖² (off by d·u·‖x‖²), one addition on a value below 2D (eps·D),
-    # is its squared distance to the nearest centroid within
-    # (d+1 + d/2 + 1)·eps·D. Where the point has one close centroid, that
-    # is its nearest and D takes its ‖c‖²; else the largest ‖c‖². numpy
-    # sums pairwise, at worst in blocks of 8192 added in turn, so each
-    # term meets at most log2(n) + 26 + n/8192 roundings of u. The bound
-    # is doubled below for second-order terms.
-    term_rate = (1.5 * n_features + 2.0) * eps
-    sum_rate = (np.log2(n) + 26.0 + n / 8192.0) * eps / 2.0
-    # a centroid coordinate, a mean of up to n values of size <= reach, is
-    # off by up to delta; the WCSS then by n·d·delta·(delta + 2·rms error)
-    delta = n * eps * reach
-
-    def tolerance(wcss):
-        return wcss * 1e-9 + 1e-12 + n * n_features * delta * (
-            delta + 2.0 * (wcss / (n * n_features)) ** 0.5)
-
-    def check(prev, wcss, rounding):
-        if wcss - prev > tolerance(prev) + rounding:
-            raise RuntimeError(
-                f"within-cluster SS increased: {prev} -> {wcss}")
-
+    slack = 16.0 * (n_features + 3) * np.finfo(np.float64).eps
     sq_norms = np.einsum("ij,ij->i", points, points)
-    sq_total = float(sq_norms.sum())
     points_t = np.ascontiguousarray(points.T)  # no copy if column-major
     small = np.min_scalar_type(k)
     ids = np.arange(k, dtype=small)[:, None]
@@ -462,11 +451,8 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
     close = np.empty((k, n), dtype=bool)
     tag = np.empty((k, n), dtype=small)
     best = np.empty(n)
-    row = np.empty(n)  # the screen's slack bound, then its distances
-    resid = np.empty(n)
+    row = np.empty(n)  # the screen's slack bound
     prev_assign = None
-    # the last sum of squares checked, and its rounding (0 for an exact sum)
-    prev, prev_err = None, 0.0
     for _ in range(max_iters):
         centroid_sq = np.einsum("ij,ij->i", centroids, centroids)
         np.matmul(centroids * -2.0, points_t, out=d2)
@@ -487,27 +473,6 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
             assign[near] = np.array(
                 [_sq_dist(rows, c) for c in centroids]).argmin(axis=0)
         sizes = np.bincount(assign, minlength=k)
-        # Lloyd's sum of squares does not rise across an update and an
-        # assignment, so the screen's sum after this assignment is checked
-        # against the last sum checked. Where it rounds too coarsely, the
-        # update before is checked with the exact sum of the assignment it
-        # followed. Each check spans one update; the first has none before.
-        np.add(best, sq_norms, out=row)
-        wcss = max(float(row.sum()), 0.0)  # a true sum of squares is >= 0
-        term_err = term_rate * (sq_total + float(sizes @ centroid_sq)
-                                + near.size * float(centroid_sq.max()))
-        err = 2.0 * (term_err + sum_rate * (wcss + 2.0 * term_err))
-        if prev is not None \
-                and prev_err + err <= 1e-3 * tolerance(min(prev, wcss)):
-            check(prev, wcss, prev_err + err)
-            prev, prev_err = wcss, err
-        elif prev_assign is not None:
-            exact = _exact_wcss(points_t, centroids, prev_assign, resid)
-            if prev is not None:
-                check(prev, exact, prev_err)
-            prev, prev_err = exact, 0.0
-        elif err <= 1e-3 * tolerance(wcss):
-            prev, prev_err = wcss, err
         # the largest cluster holds >= 2 points while any is empty, so a
         # reseed never empties another cluster
         for j in np.flatnonzero(sizes == 0):
@@ -519,41 +484,21 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> np.nd
             assign[far] = j
             sizes[donor] -= 1
             sizes[j] = 1
-        _update_centroids(centroids, points, points_t, assign, sizes)
+        if n_features == 1:
+            # numpy sums a single column pairwise, not in index order as
+            # bincount does, so 1-D input keeps the per-cluster mean
+            for j in range(k):
+                centroids[j] = points[assign == j].mean(axis=0)
+        else:
+            # bincount sums each cluster's rows in index order, as the mean
+            # over the cluster's rows does, so the centroids keep their bits
+            for f in range(n_features):
+                centroids[:, f] = np.bincount(assign, weights=points_t[f],
+                                              minlength=k) / sizes
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign
-    wcss = _exact_wcss(points_t, centroids, assign, resid)
-    if prev is not None:
-        check(prev, wcss, prev_err)
     return assign
-
-
-def _exact_wcss(points_t, centroids, assign, resid) -> float:
-    """Within-cluster sum of squares, one feature at a time, so no (n, d)
-    gather of centroid rows; resid is an n-vector it overwrites."""
-    wcss = 0.0
-    for f in range(points_t.shape[0]):
-        np.take(centroids[:, f], assign, out=resid)
-        np.subtract(points_t[f], resid, out=resid)
-        wcss += float(resid @ resid)
-    return wcss
-
-
-def _update_centroids(centroids, points, points_t, assign, sizes) -> None:
-    """Set each centroid to the mean of its cluster's rows, in place."""
-    k, n_features = centroids.shape
-    if n_features == 1:
-        # numpy sums a single column pairwise, not in index order as
-        # bincount does, so 1-D input keeps the per-cluster mean
-        for j in range(k):
-            centroids[j] = points[assign == j].mean(axis=0)
-    else:
-        # bincount sums each cluster's rows in index order, as the mean
-        # over the cluster's rows does, so the centroids keep their bits
-        for f in range(n_features):
-            centroids[:, f] = np.bincount(assign, weights=points_t[f],
-                                          minlength=k) / sizes
 
 
 def _ensure_each_has(owner, eligible, num_clients: int, what: str):

@@ -42,7 +42,8 @@ from .thresholds import (METHOD_TAGS, fed_filtered, fed_minmax, fed_mse_std,
                          iqr, kqe, largest_mse, local_minmax, local_mse_std,
                          local_simple, our_method, percentile, pot)
 from .util import (FINITE, NON_NEGATIVE, PERCENT, POSITIVE, SEVERAL, UNIT,
-                   check, check_dataclass, check_fields, derive_seed)
+                   check, check_dataclass, check_fields, derive_seed,
+                   distinct)
 
 
 @dataclass(frozen=True)
@@ -212,13 +213,6 @@ SETTINGS = {
 }
 
 
-def _distinct(name: str, values):
-    repeated = sorted({v for v in values if values.count(v) > 1})
-    if repeated:
-        raise ConfigError(f"{name} lists {repeated} more than once")
-    return values
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a run depends on; hashable to bind result rows to it."""
@@ -263,7 +257,7 @@ class ScenarioConfig:
         check_fractions(self.train_frac, self.val_frac)
         if not self.methods:
             raise ConfigError("methods must name at least one method, got []")
-        _distinct("methods", self.methods)
+        distinct("methods", self.methods)
         if self.hidden_dims is not None and \
                 min(self.hidden_dims, default=0) not in POSITIVE:
             raise ConfigError(f"hidden_dims must be non-empty widths in "
@@ -293,6 +287,8 @@ class ScenarioConfig:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"{path}: no such config file") from None
+        except IsADirectoryError:
+            raise ConfigError(f"{path}: is a directory") from None
         except ValueError as exc:  # JSONDecodeError, bad UTF-8, huge ints
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
         if not isinstance(raw, dict):
@@ -729,7 +725,7 @@ def emit_report(rows, out_dir, cfg: ScenarioConfig | None = None):
 def _sweep_counts(counts, name: str, domain) -> list:
     """A sweep's counts, each given once and checked as a config field's
     ints are: no bool, float or string passes, and each lies in domain."""
-    counts = _distinct("counts", list(counts))
+    counts = distinct("counts", list(counts))
     check_fields({name: counts}, {name: tuple[int, ...]}, {name: domain})
     return counts
 

@@ -61,6 +61,14 @@ def check(name: str, value, domain) -> None:
                       f"valid: {domain}")
 
 
+def distinct(name: str, values):
+    """values, unless one is given twice: a ConfigError names each such."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"{name} lists {repeated} more than once")
+    return values
+
+
 def _is_instance(value, annotation) -> bool:
     """isinstance against a field annotation. JSON has no tuple, so a list
     passes for one; an int within 2**53 (exact as a float and an int64)

@@ -302,6 +302,33 @@ class TestThresholdCommand:
         assert result.exit_code == 0, result.output
         assert result.output.splitlines()[1].startswith("fed_minmax")
 
+    def test_config_path_naming_a_directory_exits_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["threshold", "--config", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.output == f"error: {tmp_path}: is a directory\n"
+
+    @pytest.mark.parametrize("data, message", [
+        (None, "is a directory"),
+        ("a,b,label\n1,2,caf\xe9\n".encode("latin-1"),
+         "not UTF-8: byte 0xe9 at offset 17"),
+        ("a,b,label\n1,2,0\n".encode("utf-16"),
+         "not UTF-8: byte 0xff at offset 0")],
+        ids=["directory", "latin-1", "utf-16"])
+    def test_an_unreadable_dataset_file_exits_2(self, runner, tmp_path, data,
+                                                message):
+        csv_path = tmp_path / "data.csv"
+        if data is None:
+            csv_path.mkdir()
+        else:
+            csv_path.write_bytes(data)
+        path = write_config(tmp_path, dataset={
+            "kind": "csv", "path": str(csv_path), "label_column": "label",
+            "positive_label": "1"})
+        result = runner.invoke(main, ["threshold", "--config", str(path)])
+        assert result.exit_code == 2
+        assert result.output == (f"error: stage 'load' failed: {csv_path}: "
+                                 f"{message}\n")
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_3(self, runner, tmp_path):
         path = write_config(tmp_path, learning_rate=1e200, rounds=1)

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fedthresh.data import (KNOWN_DATASET_SHAPES, Dataset, PartitionPlan,
@@ -212,6 +212,68 @@ def test_load_csv_readers_agree_on_any_text(tmp_path, body):
     path.write_text("a,b,label\n" + body, encoding="utf-8", newline="")
     fast, cells, _ = load_both_ways(path)
     assert_same_outcome(fast, cells)
+
+
+CLEAN_CSV = "a,b,label\n1.5,-2,normal\n1000,4e-1,attack\n0.25,7,normal\n"
+
+
+def label_first(text):
+    """text with its last column moved first."""
+    rows = (line.split(",") for line in text.splitlines())
+    return "".join(",".join([row[-1], *row[:-1]]) + "\n" for row in rows)
+
+
+def latin1_past_the_first_chunk(text):
+    """A Latin-1 byte beyond the first 8 KiB the codec decodes."""
+    return (text + "1,2,normal\n" * 2000
+            + "3,4,attaqu\xe9\n").encode("latin-1")
+
+
+# mutation name -> (the file's bytes from the clean text, the error; None:
+# it loads the clean file's dataset bit for bit)
+CSV_MUTATIONS = {
+    "crlf": (lambda t: t.replace("\n", "\r\n").encode(), None),
+    "trailing_blank_lines": (lambda t: (t + "\n\n\n").encode(), None),
+    "bom_label_last": (lambda t: b"\xef\xbb\xbf" + t.encode(), None),
+    "bom_label_first": (lambda t: b"\xef\xbb\xbf" + label_first(t).encode(),
+                        None),
+    "quoted_numbers": (lambda t: t.replace("1.5,-2", '"1.5","-2"').encode(),
+                       None),
+    "digit_separators": (lambda t: t.replace("1000", "1_000").encode(), None),
+    "latin1": (lambda t: t.replace("attack", "attaqu\xe9").encode("latin-1"),
+               r"not UTF-8: byte 0xe9 at offset 40$"),
+    "latin1_past_the_first_chunk": (latin1_past_the_first_chunk,
+                                    r"not UTF-8: byte 0xe9 at offset 22065$"),
+    "utf16": (lambda t: t.encode("utf-16"),
+              r"not UTF-8: byte 0xff at offset 0$"),
+    "duplicate_header": (lambda t: t.replace("a,b,", "a,a,").encode(),
+                         r"header lists \['a'\] more than once$"),
+    "directory": (None, r"is a directory$"),
+}
+
+
+@pytest.mark.parametrize("name", CSV_MUTATIONS)
+def test_load_csv_on_a_mutated_file_loads_the_same_or_names_the_path(
+        tmp_path, name):
+    mutate, error = CSV_MUTATIONS[name]
+    clean_path, path = tmp_path / "clean.csv", tmp_path / "mutated.csv"
+    clean_path.write_text(CLEAN_CSV, encoding="utf-8", newline="")
+    if mutate is None:
+        path.mkdir()
+    else:
+        path.write_bytes(mutate(CLEAN_CSV))
+    if error is not None:
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: "
+                           + error):
+            load_csv(path, label_column="label", positive_label="attack")
+        return
+    clean = load_csv(clean_path, label_column="label", positive_label="attack")
+    got = load_csv(path, label_column="label", positive_label="attack")
+    assert np.array_equal(got.features.view(np.uint64),
+                          clean.features.view(np.uint64))
+    assert np.array_equal(got.labels, clean.labels)
+    assert got.classes.tolist() == clean.classes.tolist()
+    assert got.feature_names == clean.feature_names == ("a", "b")
 
 
 # ---- scaling ----
@@ -590,6 +652,51 @@ def test_kmeans_matches_reference_on_reseed_and_1d_inputs(rng):
                               _reference_kmeans(line, k, seed))
 
 
+@st.composite
+def kmeans_cases(draw):
+    """(points, k, seed): n in 2-200 points of 1-12 features (a 1-D array
+    too), drawn normal, uniform, on a grid or as repeats of a few rows,
+    scaled by 10^[-3, 3] and moved to an offset as far as -7e15."""
+    n, dim = draw(st.integers(2, 200)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "uniform", "grid", "duplicated"]))
+    if kind == "normal":
+        points = rng.normal(size=(n, dim))
+    elif kind == "uniform":
+        points = rng.uniform(size=(n, dim))
+    elif kind == "grid":
+        step = draw(st.sampled_from([1.0, 0.1, 0.3]))
+        points = rng.integers(0, 4, size=(n, dim)) * step
+    else:
+        few = rng.normal(size=(draw(st.integers(1, min(n, 5))), dim))
+        points = few[rng.integers(len(few), size=n)]
+    points = points * 10.0 ** draw(st.floats(-3.0, 3.0)) + draw(
+        st.sampled_from([0.0, 1e6, -7e15]))
+    if dim == 1 and draw(st.booleans()):
+        points = points[:, 0]
+    return points, draw(st.integers(1, min(n, 10))), draw(st.integers(0, 999))
+
+
+def far_out_points():
+    """Near 7e15 a coordinate rounds to a whole number, which alone moved
+    this sum of squares from 18.4 to 22.4, past a rounding bound that
+    k-means once checked it against."""
+    rng = np.random.default_rng(13)
+    far = np.array([-6.93282906e15, -4.95792934e15])
+    return np.vstack([rng.uniform(size=(9, 2)),
+                      far + rng.integers(-4, 5, size=(17, 2))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(kmeans_cases())
+@example((far_out_points(), 6, 13))
+def test_kmeans_matches_reference_on_drawn_points(case):
+    points, k, seed = case
+    expected = _reference_kmeans(points, k, seed)
+    for laid_out in layouts(points):
+        assert np.array_equal(kmeans(laid_out, k, seed), expected)
+
+
 def test_kmeans_recovers_separated_blobs(rng):
     blob_a = rng.normal(0.0, 0.3, size=(40, 2))
     blob_b = rng.normal(8.0, 0.3, size=(25, 2))
@@ -601,118 +708,11 @@ def test_kmeans_recovers_separated_blobs(rng):
     assert assign[0] != assign[-1]
 
 
-def test_kmeans_sum_of_squares_check_allows_rounding_far_out():
-    """Near 7e15 a coordinate rounds to a whole number, which alone moved
-    this sum of squares from 18.4 to 22.4; the check's tolerance covers
-    rounding at the points' scale."""
-    rng = np.random.default_rng(13)
-    far = np.array([-6.93282906e15, -4.95792934e15])
-    points = np.vstack([rng.uniform(size=(9, 2)),
-                        far + rng.integers(-4, 5, size=(17, 2))])
-    assert kmeans(points, 6, seed=13).shape == (26,)
-
-
 def test_kmeans_rejects_features_whose_squares_overflow():
     points = np.array([[0.0], [2.0], [1e200]])
     with pytest.raises(ConfigError,
                        match=r"^k-means overflows at features of 1e\+200$"):
         kmeans(points, 2, seed=0)
-
-
-def test_kmeans_raises_when_the_sum_of_squares_rises(monkeypatch):
-    """A centroid update that moves the centroids off their means on its
-    second call raises the sum-of-squares check."""
-    real_update = data_module._update_centroids
-    calls = []
-
-    def drifting(centroids, *args):
-        real_update(centroids, *args)
-        calls.append(len(calls))
-        if len(calls) == 2:
-            centroids += 10.0
-
-    monkeypatch.setattr(data_module, "_update_centroids", drifting)
-    points = np.random.default_rng(0).normal(size=(50, 3))
-    with pytest.raises(RuntimeError, match="within-cluster SS increased"):
-        kmeans(points, 3, seed=0)
-    assert len(calls) == 2
-
-
-def drifting_update(monkeypatch, on_call):
-    """Patch the centroid update to move the centroids off their means on
-    its on_call-th call; returns the list of calls made."""
-    real_update = data_module._update_centroids
-    calls = []
-
-    def drifting(centroids, *args):
-        real_update(centroids, *args)
-        calls.append(len(calls))
-        if len(calls) == on_call:
-            centroids += 10.0
-
-    monkeypatch.setattr(data_module, "_update_centroids", drifting)
-    return calls
-
-
-def count_exact_sums(monkeypatch):
-    """Spy on the exact sum of squares; returns the list of its calls."""
-    real_exact = data_module._exact_wcss
-    calls = []
-
-    def spy(*args):
-        calls.append(1)
-        return real_exact(*args)
-
-    monkeypatch.setattr(data_module, "_exact_wcss", spy)
-    return calls
-
-
-def test_kmeans_exact_check_raises_when_the_sum_of_squares_rises_far_out(
-        monkeypatch):
-    """1e6 from the origin the screen's sum rounds too coarsely to use, so
-    the exact sum catches the drifting second update."""
-    calls = drifting_update(monkeypatch, 2)
-    exact = count_exact_sums(monkeypatch)
-    points = np.random.default_rng(0).normal(size=(50, 3)) + 1e6
-    with pytest.raises(RuntimeError, match="within-cluster SS increased"):
-        kmeans(points, 3, seed=0)
-    assert len(calls) == 2
-    assert len(exact) == 2
-
-
-def test_kmeans_checks_the_update_that_ends_the_loop(monkeypatch):
-    calls = drifting_update(monkeypatch, 3)
-    points = np.random.default_rng([5, 0xC5F]).uniform(size=(500, 4))
-    assert kmeans(points, 5, seed=1, max_iters=2).shape == (500,)
-    calls.clear()
-    with pytest.raises(RuntimeError, match="within-cluster SS increased"):
-        kmeans(points, 5, seed=1, max_iters=3)
-    assert len(calls) == 3
-
-
-def test_kmeans_sums_exactly_once_near_the_origin_and_every_iteration_far_out(
-        monkeypatch):
-    exact = count_exact_sums(monkeypatch)
-    updates = []
-    real_update = data_module._update_centroids
-    monkeypatch.setattr(data_module, "_update_centroids",
-                        lambda *args: updates.append(1) or real_update(*args))
-    for seed in range(3):
-        rng = np.random.default_rng(seed)
-        centres = rng.normal(0.0, 4.0, size=(5, 4))
-        points = centres[rng.integers(5, size=400)] + rng.normal(size=(400, 4))
-        cube = rng.uniform(size=(500, 3))
-        for k in (1, 3, 8):
-            for data, offset, once in ((cube, 0.0, True),
-                                       (points, 0.0, True),
-                                       (points, 1e6, False)):
-                exact.clear()
-                updates.clear()
-                kmeans(data + offset, k, seed)
-                # the screen's sum is checked after each assignment, the
-                # loop's last update exactly; far out every update is
-                # checked with the exact sum
-                assert len(exact) == (1 if once else len(updates))
 
 
 @pytest.mark.parametrize("n,k", [(10, 2), (7, 3)])
